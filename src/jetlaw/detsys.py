@@ -23,6 +23,10 @@ class ArityError(ExprError):
     pass
 
 
+class SplitError(ExprError):
+    """The split produced determining equations its PDE shape rules out."""
+
+
 def validate_arity(pde: PdeSpec, arity) -> tuple:
     seen = []
     for k in arity:
@@ -102,5 +106,5 @@ def _check_first_order_wave_split(gee_keys) -> None:
     allowed = {(), ((("gee", 0, 0), 1),)}
     extra = [k for k in gee_keys if k not in allowed]
     if extra:
-        raise AssertionError(
+        raise SplitError(
             "unexpected split coefficients for first-order wave arity: %r" % extra)

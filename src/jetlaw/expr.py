@@ -18,8 +18,7 @@ expressions is structural equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, cos, exp, sin
-from typing import Iterator
+from math import comb, cos, exp, isqrt, sin
 
 T = "t"
 X = "x"
@@ -121,11 +120,23 @@ def _nth_root(n: int, q: int):
     """Exact q-th root of a nonnegative integer, or None."""
     if n < 0:
         return None
-    r = round(n ** (1.0 / q)) if n else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** q == n:
-            return c
-    return None
+    r = isqrt(n) if q == 2 else _integer_root(n, q)
+    return r if r ** q == n else None
+
+
+def _integer_root(n: int, q: int) -> int:
+    """Floor of the q-th root of a nonnegative integer, by integer Newton
+    iteration from an upper bound; exact for integers of any size."""
+    if n < 2:
+        return n
+    if n.bit_length() <= q:
+        return 1
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
 def rational_pow(base, r):
@@ -525,10 +536,6 @@ class JetExpression:
             if best is None or coord_sort_key(k) > coord_sort_key(best):
                 best = k
         return best if best is not None else (0, 0)
-
-    def iter_terms(self) -> Iterator:
-        for sig in sorted(self.terms, key=sig_sort_key):
-            yield sig, self.terms[sig]
 
     # -- calculus primitives --------------------------------------------------
 

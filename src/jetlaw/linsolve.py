@@ -6,6 +6,12 @@ Substituting the ansatz into a determining system and collecting coefficients
 of distinct free-coordinate monomial signatures yields a sparse linear system
 over the rationals, solved exactly by integer-normalized Gaussian elimination
 with deterministic pivoting.
+
+Substitution works on equations grouped by Lam derivative index: an equation
+is sum_g c_g * d^(index_g) Lam, so each basis element needs only its partials
+at the distinct indices, not one chain of partials per equation term.  Those
+partials are memoized per basis element, each built from the partial at its
+index prefix, and shared by all equations.
 """
 
 from __future__ import annotations
@@ -120,35 +126,72 @@ class RationalLinearSystem:
             row[col] = nv
 
 
-def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
-    """Replace every Lam derivative atom by the matching partial of candidate."""
-    out = JetExpression.zero()
+def _lam_groups(equation: JetExpression) -> list:
+    """Split an equation linear in Lam by derivative index.
+
+    Returns [(index, coefficient)] with equation == sum of coefficient *
+    d^index Lam; each coefficient is the Lam-free rest of its terms.
+    """
+    groups: dict = {}
     for (mono, atoms), c in equation.terms.items():
         lam_entries = [(a, p) for a, p in atoms if a[0] == "lam"]
-        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
         if not lam_entries:
             raise ExprError("determining equation has a Lam-free term")
         if len(lam_entries) > 1 or lam_entries[0][1] != 1:
             raise ExprError("nonlinear occurrence of the unknown multiplier")
         atom, _ = lam_entries[0]
-        value = candidate
-        for k in atom[2]:
-            value = value.partial(k)
-        if value.is_zero():
-            continue
-        out = out + JetExpression({(mono, rest): c}) * value
+        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
+        groups.setdefault(atom[2], {})[(mono, rest)] = c
+    return [(index, JetExpression(terms)) for index, terms in groups.items()]
+
+
+class _PartialTable(dict):
+    """Memoized partials of one candidate, keyed by sorted derivative index.
+
+    d^(i1..ik) is taken from d^(i1..ik-1), so every prefix is computed once;
+    a zero prefix stays zero without further differentiation.
+    """
+
+    def __init__(self, candidate: JetExpression):
+        super().__init__({(): candidate})
+
+    def __missing__(self, index):
+        value = self[index[:-1]]
+        if not value.is_zero():
+            value = value.partial(index[-1])
+        self[index] = value
+        return value
+
+
+def _substitute(groups, partials: _PartialTable) -> JetExpression:
+    """Sum of coefficient * partials[index] over the groups of one equation."""
+    out = JetExpression.zero()
+    for index, coefficient in groups:
+        value = partials[index]
+        if not value.is_zero():
+            out = out + coefficient * value
     return out
 
 
+def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
+    """Replace every Lam derivative atom by the matching partial of candidate."""
+    return _substitute(_lam_groups(equation), _PartialTable(candidate))
+
+
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
-    """One row per (equation, monomial signature); one column per basis element."""
+    """One row per (equation, monomial signature); one column per basis element.
+
+    Each equation is grouped once by Lam derivative index.  Each column's
+    partials are memoized for the duration of that column and shared by all
+    equations, so a partial is taken once per distinct index, not once per
+    equation term.
+    """
     linsys = RationalLinearSystem(ncols=len(ansatz.basis))
-    for ei, eq in enumerate(system.equations):
-        if eq.is_zero():
-            continue
-        for col, candidate in enumerate(ansatz.basis):
-            residual = instantiate(eq, candidate)
-            for sig, c in residual.terms.items():
+    grouped = [_lam_groups(eq) for eq in system.equations]
+    for col, candidate in enumerate(ansatz.basis):
+        partials = _PartialTable(candidate)
+        for ei, groups in enumerate(grouped):
+            for sig, c in _substitute(groups, partials).terms.items():
                 linsys.add((ei, sig), col, c)
     return linsys
 

@@ -2,11 +2,13 @@
 
 import pytest
 
-from jetlaw.expr import T, U, X
+from jetlaw.expr import ExprError, T, U, X
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.detsys import (
     ArityError,
+    SplitError,
+    _check_first_order_wave_split,
     determining_expression,
     split_determining_system,
 )
@@ -91,6 +93,14 @@ def test_klein_gordon_split_counts():
     lam = P("x*u_xxx + u_x*u_xx")
     expect = (lam.partial((0, 2)) - lam.partial((0, 3)).total("x")) * 2
     assert instantiate(sys.equations[3], lam) == expect
+
+
+def test_unexpected_wave_split_key_is_typed_error():
+    _check_first_order_wave_split(((), ((("gee", 0, 0), 1),)))
+    with pytest.raises(ExprError) as err:
+        _check_first_order_wave_split(((), ((("gee", 1, 0), 1),)))
+    assert isinstance(err.value, SplitError)
+    assert "gee" in str(err.value)
 
 
 def test_split_soundness_on_fixture_multipliers():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetlaw.expr import JetExpression, ExprError, U, UT, UX, pow_atom
+from jetlaw.expr import JetExpression, ExprError, U, UT, UX, pow_atom, rational_pow
 from jetlaw.parser import ParseError, parse_expression, render
 
 from conftest import random_expression
@@ -76,6 +76,29 @@ def test_power_atom_normalizations():
     assert P("pow(2*u, -2)") == P("pow(u, -2)") * Fraction(1, 4)
     assert P("exp(u)*exp(-u)") == 1
     assert P("exp(u)^2") == P("exp(2*u)")
+
+
+def test_rational_pow_exact_roots():
+    assert rational_pow(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
+    assert rational_pow(3 ** 100, Fraction(1, 5)) == 3 ** 20
+    assert rational_pow(2 ** 1000, Fraction(1, 1000)) == 2
+    assert rational_pow(Fraction(1, 16), Fraction(-1, 4)) == 2
+
+
+def test_rational_pow_non_roots_are_none():
+    assert rational_pow(2, Fraction(1, 2)) is None
+    assert rational_pow(3 ** 100 + 1, Fraction(1, 5)) is None
+    assert rational_pow(Fraction(4, 3), Fraction(1, 2)) is None
+    assert rational_pow(2, Fraction(1, 1000)) is None
+
+
+def test_rational_pow_400_digit_square():
+    big = 10 ** 400
+    assert rational_pow(big, Fraction(1, 2)) == 10 ** 200
+    assert rational_pow(big + 1, Fraction(1, 2)) is None
+    assert rational_pow(Fraction(1, (7 ** 500) ** 2), Fraction(1, 2)) \
+        == Fraction(1, 7 ** 500)
+    assert P("pow(10^400, 1/2)") == P("10^200")
 
 
 def test_fractional_power_of_affine_base():

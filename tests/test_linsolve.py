@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from jetlaw.expr import ExprError, exp_atom
+from jetlaw.expr import ExprError, JetExpression, exp_atom, lam_atom
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.detsys import determining_expression, split_determining_system
@@ -15,6 +15,7 @@ from jetlaw.linsolve import (
     assemble,
     generate_ansatz_basis,
     in_span,
+    instantiate,
     multiplier_arity,
     nullspace,
     same_span,
@@ -149,3 +150,62 @@ def test_klein_gordon_quadratic_interaction_only_translation():
     kg = parse_pde("u_tx = u^2")
     _, mults = solve_multipliers(kg, AnsatzBounds(order=3, deg_tx=1, deg_u=3))
     assert same_span(mults, [P("u_x")])
+
+
+# ---------------------------------------------------------------------------
+# Oracle for assembly: the plain per-term substitution, one chain of partials
+# per equation term, then one product per term.
+
+def _reference_instantiate(equation, candidate):
+    out = JetExpression.zero()
+    for (mono, atoms), c in equation.terms.items():
+        (lam, power), = [(a, p) for a, p in atoms if a[0] == "lam"]
+        assert power == 1
+        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
+        value = candidate
+        for k in lam[2]:
+            value = value.partial(k)
+        out = out + JetExpression({(mono, rest): c}) * value
+    return out
+
+
+def _reference_assemble(system, ansatz):
+    linsys = RationalLinearSystem(ncols=len(ansatz.basis))
+    for ei, eq in enumerate(system.equations):
+        for col, candidate in enumerate(ansatz.basis):
+            for sig, c in _reference_instantiate(eq, candidate).terms.items():
+                linsys.add((ei, sig), col, c)
+    return linsys
+
+
+@pytest.mark.parametrize("source, params, bounds", [
+    (KDV, {"n": 2}, AnsatzBounds(order=2, deg_tx=1, deg_u=3)),
+    ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {},
+     AnsatzBounds(order=1, deg_tx=2, deg_u=1, atoms=(exp_atom(Fraction(-1, 2)),))),
+    ("u_tx = sin(u)", {}, AnsatzBounds(order=3, deg_tx=1, deg_u=3)),
+], ids=["kdv-n2", "wave-exp", "kg-sin"])
+def test_assemble_matches_per_term_oracle(source, params, bounds):
+    pde = parse_pde(source, params)
+    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    ansatz = generate_ansatz_basis(pde, bounds)
+    linsys = assemble(system, ansatz)
+    reference = _reference_assemble(system, ansatz)
+    assert linsys.rows == reference.rows
+    assert all(linsys.rows.values())
+    assert nullspace(linsys) == nullspace(reference)
+
+
+def test_instantiate_matches_per_term_oracle():
+    kg = parse_pde("u_tx = sin(u)")
+    system = split_determining_system(kg, multiplier_arity(kg, 3))
+    for lam in (P("x*u_xxx + u_x*u_xx"), P("u_x^3*cos(u)"), P("0"), P("t")):
+        for eq in system.equations:
+            assert instantiate(eq, lam) == _reference_instantiate(eq, lam)
+
+
+def test_instantiate_rejects_lam_free_and_nonlinear_terms():
+    lam = JetExpression.atom(lam_atom(("x", (0, 0)), ((0, 0),)))
+    with pytest.raises(ExprError):
+        instantiate(lam + P("u"), P("u^2"))
+    with pytest.raises(ExprError):
+        instantiate(lam * lam, P("u^2"))
