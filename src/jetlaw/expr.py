@@ -728,6 +728,8 @@ def _atom_value(a, env) -> float:
     tag = a[0]
     if tag not in ("exp", "sin", "cos", "pow"):
         raise ExprError("cannot evaluate formal atom %r" % (a,))
+    if a[1] != 0 and U not in env:
+        raise ExprError("atom %r needs a value for u" % (a,))
     arg = float(a[1]) * env.get(U, 0.0) + float(a[2])
     if tag == "exp":
         return exp(arg)

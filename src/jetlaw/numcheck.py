@@ -5,20 +5,27 @@ Runge-Kutta in time.  The u_tt shape integrates the first-order system in
 (u, u_t); the u_tx shape evolves u_t = D_x^{-1} g(u) with the inverse
 derivative realized spectrally under zero-mean projection.  Conserved
 quantities are periodic trapezoid integrals of the density over the grid.
+
+Each piece of work in the inner loop is done once.  A field's x-derivatives
+come from one rfft and one batched irfft against cached rows of (ik)^b.
+Each expression is compiled once into float coefficients and distinct
+(base, power) factors, and the jet orders an expression set needs are
+scanned once per integration or quantity series, not per evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import U, is_indep, is_kernel_atom
+from .expr import ExprError, U, is_kernel_atom
 from .pde import PdeSpec
 from .laws import ConservationLaw
 
 
-class IntegrationBlowUp(RuntimeError):
+class IntegrationBlowUp(ExprError, RuntimeError):
     def __init__(self, t, norm):
         super().__init__("field norm %.3e at t=%.4f; unstable configuration" % (norm, t))
         self.t = t
@@ -53,79 +60,105 @@ def grid(cfg: GridConfig) -> np.ndarray:
     return np.linspace(-cfg.length / 2, cfg.length / 2, cfg.n, endpoint=False)
 
 
-def _wavenumbers(n: int, length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+@functools.lru_cache(maxsize=64)
+def _ik_rows(n: int, length: float, orders: tuple) -> np.ndarray:
+    """Read-only rows (ik)^b, one per b in orders, for an n-point grid."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    rows = np.stack([(1j * k) ** b for b in orders])
+    rows.flags.writeable = False
+    return rows
 
 
-def spectral_derivative(u: np.ndarray, length: float, order: int) -> np.ndarray:
-    if order == 0:
+def spectral_derivative(u: np.ndarray, length: float, order) -> np.ndarray:
+    """d_x^order u.  An integer order gives one array (u itself for order 0);
+    a sequence of orders gives one row per order from one transform pair."""
+    scalar = isinstance(order, (int, np.integer))
+    if scalar and order == 0:
         return u
-    k = _wavenumbers(u.shape[0], length)
-    return np.fft.irfft((1j * k) ** order * np.fft.rfft(u), n=u.shape[0])
+    orders = (int(order),) if scalar else tuple(int(b) for b in order)
+    n = u.shape[0]
+    out = np.fft.irfft(_ik_rows(n, length, orders) * np.fft.rfft(u), n=n)
+    for i, b in enumerate(orders):
+        if b == 0:
+            out[i] = u  # the field itself, not its transform round trip
+    return out[0] if scalar else out
 
 
 def spectral_antiderivative(f: np.ndarray, length: float) -> np.ndarray:
     """Zero-mean antiderivative in x; the mean mode is projected out."""
-    k = _wavenumbers(f.shape[0], length)
+    ik = _ik_rows(f.shape[0], length, (1,))[0]
     fh = np.fft.rfft(f)
     out = np.zeros_like(fh)
-    out[1:] = fh[1:] / (1j * k[1:])
+    out[1:] = fh[1:] / ik[1:]
     return np.fft.irfft(out, n=f.shape[0])
 
 
-def _atom_array(a, u: np.ndarray) -> np.ndarray:
-    arg = float(a[1]) * u + float(a[2])
-    if a[0] == "exp":
-        return np.exp(arg)
-    if a[0] == "sin":
-        return np.sin(arg)
-    if a[0] == "cos":
-        return np.cos(arg)
-    if a[0] == "pow":
-        return arg ** float(a[3])
-    raise ValueError("cannot evaluate atom %r on a grid" % (a,))
+@functools.lru_cache(maxsize=256)
+def _compile(expr) -> tuple:
+    """(factors, terms) of expr.  factors are its distinct (base, power)
+    pairs, base being "t", "x", a jet coordinate or a kernel atom with float
+    parameters; each term is (float coefficient, indices into factors)."""
+    slots: dict = {}
+    terms = []
+    for (mono, atoms), c in expr.terms.items():
+        idx = [slots.setdefault((k, p), len(slots)) for k, p in mono]
+        for a, p in atoms:
+            if not is_kernel_atom(a):
+                raise ValueError("formal atom in numeric evaluation")
+            base = (a[0],) + tuple(float(z) for z in a[1:])
+            idx.append(slots.setdefault((base, p), len(slots)))
+        terms.append((float(c), tuple(idx)))
+    return tuple(slots), tuple(terms)
+
+
+_KERNELS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+
+
+def _factor(base, p, t, x, jets):
+    if base == "t":
+        return t ** p
+    if base == "x":
+        v = x
+    elif type(base[0]) is str:
+        arg = base[1] * jets[U] + base[2]
+        v = arg ** base[3] if base[0] == "pow" else _KERNELS[base[0]](arg)
+    else:
+        v = jets[base]
+    return v if p == 1 else v ** p
 
 
 def evaluate_on_grid(expr, t: float, x: np.ndarray, jets: dict) -> np.ndarray:
     """Vectorized expression evaluation; jets maps jet coordinates to arrays.
 
     Singular values become inf/nan here and are reported by the callers."""
+    factors, terms = _compile(expr)
     out = np.zeros_like(x)
-    u = jets.get(U)
     with np.errstate(all="ignore"):
-        for (mono, atoms), c in expr.terms.items():
-            term = np.full_like(x, float(c))
-            for k, p in mono:
-                if k == "t":
-                    term = term * t ** p
-                elif k == "x":
-                    term = term * x ** p
-                else:
-                    term = term * jets[k] ** p
-            for a, p in atoms:
-                if not is_kernel_atom(a):
-                    raise ValueError("formal atom in numeric evaluation")
-                term = term * _atom_array(a, u) ** p
+        values = [_factor(base, p, t, x, jets) for base, p in factors]
+        for c, idx in terms:
+            term = c
+            for i in idx:
+                term *= values[i]  # the first product is a new array, never a factor
             out += term
     return out
 
 
-def _required_orders(exprs, t_order: int) -> int:
-    m = 0
+def _jet_orders(exprs) -> dict:
+    """Highest x-order b of the jets (a, b) that exprs use, keyed by a."""
+    top: dict = {}
     for e in exprs:
         for (a, b) in e.jets():
-            if a == t_order:
-                m = max(m, b)
-    return m
+            top[a] = max(top.get(a, 0), b)
+    return top
 
 
-def _jet_arrays(pde: PdeSpec, exprs, u, length, ut=None) -> dict:
-    jets: dict = {}
-    for b in range(_required_orders(exprs, 0) + 1):
-        jets[(0, b)] = spectral_derivative(u, length, b)
-    if ut is not None:
-        for b in range(_required_orders(exprs, 1) + 1):
-            jets[(1, b)] = spectral_derivative(ut, length, b)
+def _add_jets(jets: dict, a: int, f: np.ndarray, length: float, top: dict) -> dict:
+    """Jets (a, b) = d_x^b f for b up to top[a], from one transform pair."""
+    jets[(a, 0)] = f
+    m = top.get(a, 0)
+    if m:
+        rows = spectral_derivative(f, length, range(1, m + 1))
+        jets.update(((a, b), row) for b, row in enumerate(rows, 1))
     return jets
 
 
@@ -140,13 +173,14 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     nsteps = int(round(cfg.t_end / cfg.dt))
     stride = cfg.save_every or max(1, nsteps // 80)
     traj = Trajectory(pde=pde, cfg=cfg, x=x)
+    top = _jet_orders([pde.rhs])
 
     if leading == (2, 0):
         u0, v0 = initial
         y = np.stack([np.asarray(u0, float), np.asarray(v0, float)])
 
         def rhs(t, y):
-            jets = _jet_arrays(pde, [pde.rhs], y[0], length, ut=y[1])
+            jets = _add_jets(_add_jets({}, 0, y[0], length, top), 1, y[1], length, top)
             return np.stack([y[1], evaluate_on_grid(pde.rhs, t, x, jets)])
 
         def snapshot(y):
@@ -155,8 +189,7 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
         y = np.asarray(initial, float)
 
         def rhs(t, y):
-            jets = _jet_arrays(pde, [pde.rhs], y, length)
-            return evaluate_on_grid(pde.rhs, t, x, jets)
+            return evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, top))
 
         def snapshot(y):
             return {"u": y.copy()}
@@ -164,8 +197,7 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
         y = np.asarray(initial, float)
 
         def rhs(t, y):
-            jets = _jet_arrays(pde, [pde.rhs], y, length)
-            g = evaluate_on_grid(pde.rhs, t, x, jets)
+            g = evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, top))
             return spectral_antiderivative(g - g.mean(), length)
 
         def snapshot(y):
@@ -178,46 +210,45 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     record(0.0, y)
     t = 0.0
     dt = cfg.dt
-    for step in range(1, nsteps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = step * dt
-        if step % 25 == 0 or step == nsteps:
-            norm = float(np.max(np.abs(y)))
-            if not np.isfinite(norm) or norm > 1e8:
-                raise IntegrationBlowUp(t, norm)
-        if step % stride == 0 or step == nsteps:
-            record(t, y)
+    # Overflow on the way to a blow-up is reported by the norm check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            k1 = rhs(t, y)
+            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
+            k4 = rhs(t + dt, y + dt * k3)
+            y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = step * dt
+            if step % 25 == 0 or step == nsteps:
+                norm = float(np.max(np.abs(y)))
+                if not np.isfinite(norm) or norm > 1e8:
+                    raise IntegrationBlowUp(t, norm)
+            if step % stride == 0 or step == nsteps:
+                record(t, y)
     return traj
 
 
-def _state_jets(pde: PdeSpec, exprs, state: dict, length: float,
+def _state_jets(pde: PdeSpec, top: dict, state: dict, length: float,
                 t: float, x: np.ndarray) -> dict:
-    u = state["u"]
+    """Jets of a snapshot up to the orders in top, which covers pde.rhs."""
+    jets = _add_jets({}, 0, state["u"], length, top)
     if pde.leading == (2, 0):
-        return _jet_arrays(pde, exprs, u, length, ut=state["ut"])
-    if pde.leading == (1, 1):
-        need_t = any(a >= 1 for e in exprs for (a, b) in e.jets())
-        if need_t:
-            jets = _jet_arrays(pde, [pde.rhs] + list(exprs), u, length)
-            g = evaluate_on_grid(pde.rhs, t, x, jets)
-            ut = spectral_antiderivative(g - g.mean(), length)
-            jets.update(_jet_arrays(pde, exprs, u, length, ut=ut))
-            return jets
-    return _jet_arrays(pde, exprs, u, length)
+        return _add_jets(jets, 1, state["ut"], length, top)
+    if pde.leading == (1, 1) and any(a >= 1 for a in top):
+        g = evaluate_on_grid(pde.rhs, t, x, jets)
+        ut = spectral_antiderivative(g - g.mean(), length)
+        return _add_jets(jets, 1, ut, length, top)
+    return jets
 
 
 def quantity_series(cl: ConservationLaw, traj: Trajectory):
     """Rows (t, Q, drift) with Q the periodic trapezoid integral of Phi^t."""
     dx = traj.cfg.length / traj.cfg.n
-    exprs = [cl.density_t, cl.pde.rhs]
+    top = _jet_orders([cl.density_t, cl.pde.rhs])
     rows = []
     q0 = None
     for t, state in zip(traj.times, traj.states):
-        jets = _state_jets(cl.pde, exprs, state, traj.cfg.length, t, traj.x)
+        jets = _state_jets(cl.pde, top, state, traj.cfg.length, t, traj.x)
         density = evaluate_on_grid(cl.density_t, t, traj.x, jets)
         if not np.all(np.isfinite(density)):
             bad = int(np.argmin(np.isfinite(density)))

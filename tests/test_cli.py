@@ -92,6 +92,15 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_numcheck_blowup_exit_code(capsys):
+    code = main(["numcheck", "--pde", "u_t = u^2 + u_xx", "--order", "0",
+                 "--dt", "0.5", "--horizon", "50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "unstable configuration" in captured.err
+
+
 def test_param_flag(capsys):
     code, out = run(capsys, "derive", "--pde", "u_t + u^n*u_x + u_xxx = 0",
                     "--param", "n=3", "--order", "2", "--deg-tx", "1",

@@ -202,3 +202,10 @@ def test_evaluate_atoms():
     e = P("exp(u) + cos(2*u)")
     val = e.evaluate({U: 0.3})
     assert abs(val - (math.exp(0.3) + math.cos(0.6))) < 1e-14
+
+
+def test_evaluate_requires_u_for_u_dependent_atoms():
+    with pytest.raises(ExprError):
+        P("exp(u) + u_x").evaluate({UX: 1.0})
+    assert P("sin(1)*u_x").evaluate({UX: 2.0}) == 2.0 * math.sin(1.0)
+    assert P("exp(u) + u_x").evaluate({U: 0.0, UX: 1.0}) == 2.0

@@ -6,10 +6,14 @@ checks: stability, convergence of the stepper, zero data, and blow-up
 detection.
 """
 
+import random
+
 import numpy as np
 import pytest
 
-from jetlaw.expr import JetExpression
+from conftest import random_expression
+from jetlaw import numcheck
+from jetlaw.expr import U, JetExpression, gee_atom, lam_atom
 from jetlaw.parser import parse_expression as P
 from jetlaw.pde import parse_pde
 from jetlaw.laws import ConservationLaw, build_law
@@ -18,6 +22,7 @@ from jetlaw.numcheck import (
     IntegrationBlowUp,
     conserved_drift,
     convergence_orders,
+    evaluate_on_grid,
     grid,
     integrate_pde,
     kdv_soliton,
@@ -147,3 +152,90 @@ def test_negative_control_drifts_on_generic_data():
     traj = integrate_pde(kdv, u0, cfg)
     assert conserved_drift(_control(kdv, "u^3"), traj) > 1e-3
     assert conserved_drift(build_law(kdv, P("u")), traj) < 1e-10
+
+
+def test_spectral_derivative_orders_match_single_calls():
+    n, length = 128, 40.0
+    x = np.linspace(-length / 2, length / 2, n, endpoint=False)
+    u = kdv_soliton(x) + 0.3 * np.sin(2 * np.pi * x / length)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    for m in (1, 3, 5):
+        rows = spectral_derivative(u, length, np.arange(1, m + 1))
+        single = np.stack([spectral_derivative(u, length, b) for b in range(1, m + 1)])
+        direct = np.stack([np.fft.irfft((1j * k) ** b * np.fft.rfft(u), n=n)
+                           for b in range(1, m + 1)])
+        assert rows.shape == (m, n)
+        assert np.array_equal(rows, single)
+        assert np.array_equal(rows, direct)
+    rows = spectral_derivative(u, length, [2, 0, 1])
+    assert np.array_equal(rows[1], u)
+    assert np.array_equal(rows[0], spectral_derivative(u, length, 2))
+    assert spectral_derivative(u, length, 0) is u
+
+
+def _term_by_term(expr, t, x, jets):
+    """Reference: each term built from float(coefficient) factor by factor."""
+    kernels = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+    env = {"t": t, "x": x, **jets}
+    out = np.zeros_like(x)
+    for (mono, atoms), c in expr.terms.items():
+        term = np.full_like(x, float(c))
+        for k, p in mono:
+            term = term * env[k] ** p
+        for a, p in atoms:
+            arg = float(a[1]) * jets[U] + float(a[2])
+            value = arg ** float(a[3]) if a[0] == "pow" else kernels[a[0]](arg)
+            term = term * value ** p
+        out += term
+    return out
+
+
+def test_evaluate_on_grid_matches_references():
+    rng = random.Random(20261018)
+    npr = np.random.default_rng(20261018)
+    x = np.linspace(-3.0, 3.0, 64, endpoint=False)
+    t = 0.7
+    for _ in range(200):
+        e = random_expression(rng, max_order=3, max_terms=6)
+        # u in [0.4, 1.6] keeps the pow(u - 2, -1) atom away from its pole
+        jets = {k: npr.uniform(0.4, 1.6, x.shape) for k in e.jets() | {U}}
+        values = evaluate_on_grid(e, t, x, jets)
+        assert np.array_equal(values, _term_by_term(e, t, x, jets))
+        for i in range(x.shape[0]):
+            env = {"t": t, "x": x[i], **{k: float(v[i]) for k, v in jets.items()}}
+            expected = e.evaluate(env)
+            assert abs(values[i] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("atom", [lam_atom(((0, 0),)), gee_atom(0, 1)])
+def test_formal_atom_rejected_on_grid(atom):
+    x = np.zeros(64)
+    e = JetExpression.atom(atom) + P("u_x")
+    with pytest.raises(ValueError, match="formal atom"):
+        evaluate_on_grid(e, 0.0, x, {(0, 0): x, (0, 1): x})
+
+
+@pytest.mark.parametrize("text,initial", [
+    (KDV, kdv_soliton),
+    (WAVE, lambda x: (gaussian_bump(x), np.zeros_like(x))),
+    ("u_tx = sin(u)", lambda x: odd_harmonic_profile(x, 40.0)),
+])
+def test_one_transform_pair_per_rhs_evaluation(monkeypatch, text, initial):
+    """One RK4 step makes four RHS evaluations; each does one rfft and one irfft."""
+    counts = {"rfft": 0, "irfft": 0, "rhs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pde = parse_pde(text)
+    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=1e-3)
+    u0 = initial(grid(cfg))
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+    monkeypatch.setattr(numcheck, "evaluate_on_grid",
+                        counted("rhs", numcheck.evaluate_on_grid))
+    integrate_pde(pde, u0, cfg)
+    assert counts == {"rfft": 4, "irfft": 4, "rhs": 4}
