@@ -30,7 +30,10 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise SystemExit("--param expects name=rational, got %r" % pair)
         name, value = pair.split("=", 1)
-        params[name.strip()] = Fraction(value.strip())
+        try:
+            params[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ExprError("--param expects name=rational, got %r" % pair) from None
     return params
 
 
@@ -49,9 +52,11 @@ def _parse_atoms(spec, params):
 
 def _pde_text(args):
     path = Path(args.pde)
-    if path.is_file():
-        return path.read_text().strip()
-    return args.pde
+    try:
+        is_file = path.is_file()
+    except OSError:  # not usable as a path (too long, say): inline text
+        is_file = False
+    return path.read_text().strip() if is_file else args.pde
 
 
 def _eval_bound(text, params):
@@ -88,12 +93,16 @@ def _emit(args, payload, text_lines):
         print(body)
 
 
+class UnsoundMultiplier(ExprError):
+    """The solver returned a multiplier that fails the determining equation."""
+
+
 def _derive_laws(pde, bounds, utilde):
     ansatz, multipliers = solve_multipliers(pde, bounds)
     laws = []
     for lam in multipliers:
         if not determining_expression(pde, lam).is_zero():
-            raise RuntimeError("solver emitted a non-multiplier: %s" % render(lam))
+            raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
         laws.append(build_law(pde, lam, utilde))
     return ansatz, laws
 

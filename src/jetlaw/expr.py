@@ -646,16 +646,16 @@ class JetExpression:
             for (_, atoms) in self.terms for a, _ in atoms
         ):
             raise ExprError("cannot substitute u under kernel atoms")
-        out = JetExpression.zero()
+        by_power: dict = {}
         for (mono, atoms), c in self.terms.items():
             power = dict(mono).get(target, 0)
-            if power == 0:
-                out = out + JetExpression({(mono, atoms): c})
-                continue
             rest = tuple((k, p) for k, p in mono if k != target)
-            base = JetExpression({(rest, atoms): c})
-            out = out + base * replacement ** power
-        return out
+            by_power.setdefault(power, {})[(rest, atoms)] = c
+        pairs = [(c, sig) for sig, c in by_power.pop(0, {}).items()]
+        for power, bases in by_power.items():
+            product = JetExpression(bases) * replacement ** power
+            pairs.extend((c, sig) for sig, c in product.terms.items())
+        return JetExpression(_accumulate(pairs))
 
     def at_constant_state(self, value) -> "JetExpression":
         """Evaluate on the constant state u == value: derivatives vanish,

@@ -225,10 +225,7 @@ def flux_density(pde: PdeSpec, lam: JetExpression,
                  density_t: JetExpression) -> JetExpression:
     """Phi^x with D_t Phi^t + D_x Phi^x == 0 on solutions."""
     rate = solution_total_derivative(pde, density_t)
-    try:
-        return invert_total_x_derivative(-rate)
-    except NotXDerivative as err:
-        raise NotXDerivative(err.residual) from None
+    return invert_total_x_derivative(-rate)
 
 
 def multiplier_from_density(pde: PdeSpec, density_t: JetExpression) -> JetExpression:

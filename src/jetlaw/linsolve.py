@@ -4,21 +4,21 @@ The ansatz is the span of all monomials in the admissible coordinates within
 the given bounds, optionally times one kernel atom from a user-supplied list.
 Substituting the ansatz into a determining system and collecting coefficients
 of distinct free-coordinate monomial signatures yields a sparse linear system
-over the rationals, solved exactly by integer-normalized Gaussian elimination
-with deterministic pivoting.
+over the rationals.  It is solved exactly by one fraction-free elimination:
+rows are scaled to coprime integers, duplicates dropped, and each elimination
+step row <- p[lead]*row - row[lead]*p is divided by its content.
 
 Substitution works on equations grouped by Lam derivative index: an equation
-is sum_g c_g * d^(index_g) Lam, so each basis element needs only its partials
-at the distinct indices, not one chain of partials per equation term.  Those
-partials are memoized per basis element, each built from the partial at its
-index prefix, and shared by all equations.
+is sum_g c_g * d^(index_g) Lam.  The indices of all equations form one tree
+closed under prefixes; each basis element walks it once, taking one partial
+per child and pruning at the first zero partial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .expr import ExprError, JetExpression, U, is_indep, is_kernel_atom
 from .pde import PdeSpec
@@ -126,119 +126,131 @@ class RationalLinearSystem:
             row[col] = nv
 
 
-def _lam_groups(equation: JetExpression) -> list:
-    """Split an equation linear in Lam by derivative index.
+def _lam_tree(equations) -> tuple:
+    """Group equations linear in Lam by derivative index, as (uses, children).
 
-    Returns [(index, coefficient)] with equation == sum of coefficient *
-    d^index Lam; each coefficient is the Lam-free rest of its terms.
+    uses maps an index to [(equation, coefficient)], with each equation the
+    sum of coefficient * d^index Lam over its groups.  children maps an index
+    to its one-coordinate extensions; the indices are closed under prefixes.
     """
     groups: dict = {}
-    for (mono, atoms), c in equation.terms.items():
-        lam_entries = [(a, p) for a, p in atoms if a[0] == "lam"]
-        if not lam_entries:
-            raise ExprError("determining equation has a Lam-free term")
-        if len(lam_entries) > 1 or lam_entries[0][1] != 1:
-            raise ExprError("nonlinear occurrence of the unknown multiplier")
-        atom, _ = lam_entries[0]
-        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
-        groups.setdefault(atom[2], {})[(mono, rest)] = c
-    return [(index, JetExpression(terms)) for index, terms in groups.items()]
+    for ei, equation in enumerate(equations):
+        for (mono, atoms), c in equation.terms.items():
+            lam_entries = [(a, p) for a, p in atoms if a[0] == "lam"]
+            if not lam_entries:
+                raise ExprError("determining equation has a Lam-free term")
+            if len(lam_entries) > 1 or lam_entries[0][1] != 1:
+                raise ExprError("nonlinear occurrence of the unknown multiplier")
+            rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
+            groups.setdefault((lam_entries[0][0][2], ei), {})[(mono, rest)] = c
+    uses: dict = {}
+    children: dict = {}
+    for (index, ei), terms in groups.items():
+        uses.setdefault(index, []).append((ei, JetExpression(terms)))
+        while index and index not in children.get(index[:-1], ()):
+            children.setdefault(index[:-1], {})[index] = None
+            index = index[:-1]
+    return uses, children
 
 
-class _PartialTable(dict):
-    """Memoized partials of one candidate, keyed by sorted derivative index.
-
-    d^(i1..ik) is taken from d^(i1..ik-1), so every prefix is computed once;
-    a zero prefix stays zero without further differentiation.
-    """
-
-    def __init__(self, candidate: JetExpression):
-        super().__init__({(): candidate})
-
-    def __missing__(self, index):
-        value = self[index[:-1]]
-        if not value.is_zero():
-            value = value.partial(index[-1])
-        self[index] = value
-        return value
-
-
-def _substitute(groups, partials: _PartialTable) -> JetExpression:
-    """Sum of coefficient * partials[index] over the groups of one equation."""
-    out = JetExpression.zero()
-    for index, coefficient in groups:
-        value = partials[index]
-        if not value.is_zero():
-            out = out + coefficient * value
-    return out
+def _substitute(tree, candidate: JetExpression) -> dict:
+    """Nonzero {(equation, signature): coefficient} with Lam := candidate,
+    taking one partial per tree node and pruning at the first zero."""
+    uses, children = tree
+    acc: dict = {}
+    stack = [((), candidate)] if candidate.terms else []
+    while stack:
+        index, value = stack.pop()
+        for ei, coefficient in uses.get(index, ()):
+            for sig, c in (coefficient * value).terms.items():
+                acc[ei, sig] = acc.get((ei, sig), 0) + c
+        for child in children.get(index, ()):
+            d = value.partial(child[-1])
+            if d.terms:
+                stack.append((child, d))
+    return {key: c for key, c in acc.items() if c}
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
     """Replace every Lam derivative atom by the matching partial of candidate."""
-    return _substitute(_lam_groups(equation), _PartialTable(candidate))
+    entries = _substitute(_lam_tree([equation]), candidate)
+    return JetExpression({sig: c for (_, sig), c in entries.items()})
 
 
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
     """One row per (equation, monomial signature); one column per basis element.
 
-    Each equation is grouped once by Lam derivative index.  Each column's
-    partials are memoized for the duration of that column and shared by all
-    equations, so a partial is taken once per distinct index, not once per
-    equation term.
+    Each column walks the equations' index tree once, so a partial of a basis
+    element is taken once per index, not once per equation.
     """
     linsys = RationalLinearSystem(ncols=len(ansatz.basis))
-    grouped = [_lam_groups(eq) for eq in system.equations]
+    tree = _lam_tree(system.equations)
     for col, candidate in enumerate(ansatz.basis):
-        partials = _PartialTable(candidate)
-        for ei, groups in enumerate(grouped):
-            for sig, c in _substitute(groups, partials).terms.items():
-                linsys.add((ei, sig), col, c)
+        for key, c in _substitute(tree, candidate).items():
+            linsys.add(key, col, c)
     return linsys
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return row if content < 2 else {c: v // content for c, v in row.items()}
+
+
+def _eliminate(row: dict, pivot: dict, col) -> dict:
+    """Clear row[col] fraction-free: pivot[col]*row - row[col]*pivot."""
+    g = gcd(pivot[col], row[col])
+    a, b = pivot[col] // g, row[col] // g
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot.items():
+        nv = out.get(c, 0) - b * v
+        if nv:
+            out[c] = nv
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _echelon(rows) -> dict:
+    """Row echelon form {leading column: integer row} of rational rows, each
+    first made coprime integers with a positive lead and deduplicated."""
+    distinct = {}
+    for row in filter(None, rows):
+        den = lcm(*(v.denominator for v in row.values()))
+        sign = 1 if row[min(row)] > 0 else -1
+        ints = _primitive({c: sign * den // v.denominator * v.numerator
+                           for c, v in row.items()})
+        distinct.setdefault(frozenset(ints.items()), ints)
+    pivots: dict = {}
+    for row in distinct.values():
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, pivots[lead], lead)
+    return pivots
 
 
 def nullspace(linsys: RationalLinearSystem) -> list:
     """Exact basis of the solution space, deterministically ordered.
 
-    Vectors are normalized with first nonzero entry one, then denominators
-    cleared to give coprime integers.
+    The reduced row echelon form is unique, so the basis does not depend on
+    row order: one vector per free column, normalized with first nonzero
+    entry one, then denominators cleared to give coprime integers.
     """
     ncols = linsys.ncols
-    pivots: dict = {}
-    for key in sorted(linsys.rows, key=repr):
-        row = dict(linsys.rows[key])
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                factor = row[lead]
-                for c, v in pivots[lead].items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-            else:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
+    pivots = _echelon(linsys.rows.values())
     for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other_lead in list(row):
-            if other_lead != lead and other_lead in pivots:
-                factor = row[other_lead]
-                for c, v in pivots[other_lead].items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-        pivots[lead] = row
+        for col in [c for c in pivots[lead] if c != lead and c in pivots]:
+            pivots[lead] = _eliminate(pivots[lead], pivots[col], col)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free_cols:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for lead, row in pivots.items():
-            vec[lead] = -row.get(f, Fraction(0))
+            vec[lead] = Fraction(-row.get(f, 0), row[lead])
         basis.append(_normalize_vector(vec))
     return basis
 
@@ -283,30 +295,9 @@ def _sig_key(sig):
     return sig_sort_key(sig)
 
 
-def _rank(rows) -> int:
-    pivots: dict = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                factor = row[lead]
-                for c, v in pivots[lead].items():
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-            else:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-    return len(pivots)
-
-
 def span_rank(exprs) -> int:
     rows, _ = _expression_matrix([e for e in exprs if not e.is_zero()])
-    return _rank(rows)
+    return len(_echelon(rows))
 
 
 def in_span(e: JetExpression, exprs) -> bool:

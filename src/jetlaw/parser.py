@@ -37,6 +37,10 @@ class ParseError(ExprError):
 
 _FUNCTIONS = ("exp", "sin", "cos", "pow")
 
+# Parentheses and function arguments recurse through expr; nesting beyond
+# this depth is a ParseError, well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -77,6 +81,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = -1  # the top-level expr is depth 0
         self.params = {k: Fraction(v) for k, v in (params or {}).items()}
 
     def peek(self):
@@ -95,11 +100,15 @@ class _Parser:
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> JetExpression:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("nesting deeper than %d levels" % MAX_DEPTH, self.peek()[2])
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+        self.depth -= 1
         return value
 
     # term := unary (('*'|'/') unary)*
@@ -114,16 +123,14 @@ class _Parser:
                 value = _divide(value, rhs, pos)
         return value
 
-    # unary := ('-'|'+') unary | power
+    # unary := ('-'|'+') unary | power, with the signs read in a loop
     def unary(self) -> JetExpression:
-        tok = self.peek()
-        if tok[0] == "-":
-            self.next()
-            return -self.unary()
-        if tok[0] == "+":
-            self.next()
-            return self.unary()
-        return self.power()
+        neg = False
+        while self.peek()[0] in ("+", "-"):
+            if self.next()[0] == "-":
+                neg = not neg
+        value = self.power()
+        return -value if neg else value
 
     # power := primary ('^' unary-primary)?
     def power(self) -> JetExpression:

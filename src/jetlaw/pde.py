@@ -95,30 +95,20 @@ def parse_pde(text: str, params=None, name: str = "") -> PdeSpec:
 
 def linearization(pde: PdeSpec, eta: JetExpression) -> JetExpression:
     """Frechet derivative of G applied to eta: sum_v dG/dv D^v eta."""
+    from .calculus import iterated_total  # calculus imports this module
     g = pde.gee()
     out = JetExpression.zero()
     for v in sorted(g.jets()):
-        coeff = g.partial(v)
-        term = eta
-        a, b = v
-        for _ in range(a):
-            term = term.total("t")
-        for _ in range(b):
-            term = term.total("x")
-        out = out + coeff * term
+        out = out + g.partial(v) * iterated_total(eta, *v)
     return out
 
 
 def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
     """Formal adjoint of the linearization: sum_v (-D)^v (dG/dv * omega)."""
+    from .calculus import iterated_total
     g = pde.gee()
     out = JetExpression.zero()
     for v in sorted(g.jets()):
-        term = g.partial(v) * omega
-        a, b = v
-        for _ in range(a):
-            term = term.total("t")
-        for _ in range(b):
-            term = term.total("x")
-        out = out + term * Fraction((-1) ** (a + b))
+        term = iterated_total(g.partial(v) * omega, *v)
+        out = out + term * Fraction((-1) ** sum(v))
     return out

@@ -130,3 +130,121 @@ def test_out_file_and_numcheck(tmp_path, capsys):
     assert header == "t,Q,drift"
     meta = json.loads((run_dir / "run.json").read_text())
     assert meta["config"]["n"] == 128
+
+
+def test_long_inline_pde_is_not_probed_as_a_path(capsys):
+    # KdV padded with cancelling terms: with no "/" in it, the text is one
+    # path component too long for a file name, so probing it raises OSError.
+    text = "u_t + u_xxx + u*u_x" + " + u_x - u_x" * 30 + " = 0"
+    assert len(text) > 300 and "/" not in text
+    code, out = run(capsys, "verify", "--pde", text, "--multiplier", "u")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_deeply_nested_pde_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.pde"
+    path.write_text("u_t = " + "(" * 2000 + "u_xx" + ")" * 2000 + "\n")
+    code = main(["derive", "--pde", str(path), "--order", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nesting" in err
+
+
+def test_non_multiplier_from_the_solver_is_a_typed_error(monkeypatch, capsys):
+    import jetlaw.cli
+    from jetlaw.expr import ExprError
+
+    assert issubclass(jetlaw.cli.UnsoundMultiplier, ExprError)
+    monkeypatch.setattr(jetlaw.cli, "solve_multipliers",
+                        lambda pde, bounds: (None, [P("u^2")]))
+    code = main(["derive", "--pde", KDV, "--order", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: solver emitted a non-multiplier: u^2\n"
+
+
+def test_zero_denominator_param_is_an_error(capsys):
+    code = main(["derive", "--pde", KDV, "--param", "n=1/0", "--order", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --param")
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzz over malformed and extreme command lines.  Every input here
+# terminates quickly; huge but valid bounds are left out on purpose, since
+# they ask for a genuinely huge ansatz.
+
+_FUZZ_PDES = [
+    "u_t + u*u_x + u_xxx = 0", "u_tx = sin(u)", "u_tt = u^2*u_xx",
+    "u_t = u_xx + u^n*u_x", "u_t = u$", "u_q = u", "u_t = 1.5*u", "u_t = = u",
+    "", "=", "u_t", "u_t = exp(u^2)", "u_t = pow(u)", "u_t = u/0", "u_t = u/u",
+    "u_t = u^u", "u_t = u^(1/2)", "u_t = u_t", "u_tt = u_ttx",
+    "u_t = sin(u)^-1", "u_t = u_tx", "u_t^2 = u", "u_t = pow(u, 1/0)",
+    "u_t = pow(0, -1)", "u_t = 0^0", "u_t = (u", "u_t = u)", "u_t = sin()",
+    "u_t = foo(u)", "u_t = n*u_xx", "u_t = u_x^-1", "u_t = u_xx\x00",
+    "u_t = é", "u_t = pow(-1, 1/2)", "/no/such/dir/eq.pde",
+    "u_t = " + "(" * 2000 + "u" + ")" * 2000,
+    "u_t = " + "-" * 3000 + "u_xx",
+    "u_t = " + "exp(" * 300 + "u" + ")" * 300,
+    "u_t = " + " + ".join(["u*u_x"] * 80),
+    "x" * 5000,
+]
+_FUZZ_BOUNDS = ["0", "1", "2", "-1", "1/2", "n", "n+1", "u", "", "(", "2^-1",
+                "x", "1/0", "10^30/10^30", "(" * 500 + "1" + ")" * 500]
+_FUZZ_PARAMS = ["n=1", "n=2", "n", "n=", "n=1/0", "n=x", "=3", "n=-1",
+                "n=1/2", "n==2", "n=nan", "n=inf"]
+_FUZZ_ATOMS = ["exp(-1/2*u)", "u", "exp(u)*2", "x", "sin(u),,", "exp(u)+1",
+               "", ",", "pow(u,1/2)", "cos(0)", "sin(u)^2",
+               "exp(" * 200 + "u" + ")" * 200]
+_FUZZ_SCANS = ["n=1..2", "n=1..", "n=a..b", "n", "n=2..1", "m=1..1", "..",
+               "n=1...2"]
+_FUZZ_MULTIPLIERS = ["u", "1", "u_x", "(" * 500 + "u" + ")" * 500, "u$",
+                     "exp(u)", "Lam"]
+
+
+def _fuzz_argv(rng):
+    cmd = rng.choice(["derive", "verify", "density", "scan"])
+    argv = [cmd, "--pde", rng.choice(_FUZZ_PDES)]
+    if rng.random() < 0.5:
+        argv += ["--param", rng.choice(_FUZZ_PARAMS)]
+    if cmd in ("verify", "density"):
+        argv += ["--multiplier", rng.choice(_FUZZ_MULTIPLIERS)]
+    else:
+        argv += ["--order", rng.choice(_FUZZ_BOUNDS[:6] + _FUZZ_BOUNDS[7:]),
+                 "--deg-tx", rng.choice(_FUZZ_BOUNDS),
+                 "--deg-u", rng.choice(_FUZZ_BOUNDS)]
+        if rng.random() < 0.5:
+            argv += ["--atoms", rng.choice(_FUZZ_ATOMS)]
+        if cmd == "scan":
+            argv += ["--scan", rng.choice(_FUZZ_SCANS)]
+    if rng.random() < 0.2:
+        argv += ["--utilde", rng.choice(["1", "u", "x", "(" * 900 + "1" + ")" * 900])]
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        # argparse exits with an int status; SystemExit("message") means 1.
+        if stop.code is None or isinstance(stop.code, int):
+            return stop.code or 0
+        return 1
+
+
+def test_cli_fuzz_exit_codes(capsys):
+    import random
+    import time
+
+    rng = random.Random(20261018)
+    start = time.perf_counter()
+    codes = []
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        codes.append(_exit_code(argv))
+        assert codes[-1] in (0, 1, 2), argv
+        capsys.readouterr()
+    assert time.perf_counter() - start < 10
+    assert {0, 2} <= set(codes)

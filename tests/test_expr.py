@@ -62,6 +62,24 @@ def test_unknown_symbol_and_position():
         P("u + ")
 
 
+def test_nesting_limit_is_a_parse_error():
+    from jetlaw.parser import MAX_DEPTH
+    assert P("(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH) == P("u")
+    for text in ("(" * (MAX_DEPTH + 1) + "u" + ")" * (MAX_DEPTH + 1),
+                 "(" * 2000 + "u" + ")" * 2000,
+                 "exp(" * 2000 + "u" + ")" * 2000,
+                 "pow(" * 2000 + "u, 2)" * 2000):
+        with pytest.raises(ParseError, match="nesting"):
+            P(text)
+
+
+def test_long_runs_of_signs_parse_without_recursion():
+    assert P("-" * 2000 + "u") == P("u")
+    assert P("-" * 2001 + "u") == P("-u")
+    assert P("+-" * 1500 + "u_x") == P("u_x")
+    assert P("2*" + "-" * 3 + "u^2") == P("-2*u^2")
+
+
 def test_parameters_substituted_exactly():
     assert P("u^n/n", {"n": 3}) == P("u^3/3")
     assert P("pow(u - u0, r)", {"u0": 1, "r": Fraction(-1, 2)}) \
@@ -166,6 +184,31 @@ def test_substitute_spec_cases():
     assert e.substitute(UT, repl) == P("-u^2*u_x - u*u_xxx")
     assert P("u_x^2").substitute(UT, P("u")) == P("u_x^2")
     assert P("u_t^2").substitute(UT, P("2*u")) == P("4*u^2")
+
+
+def _substitute_term_by_term(e, target, replacement):
+    out = JetExpression.zero()
+    for (mono, atoms), c in e.terms.items():
+        power = dict(mono).get(target, 0)
+        rest = tuple((k, p) for k, p in mono if k != target)
+        out = out + JetExpression({(rest, atoms): c}) * replacement ** power
+    return out
+
+
+def test_substitute_matches_term_by_term(rng):
+    cases = [(UT, dict(max_order=3, max_terms=4, pure_x=True)),
+             ((0, 3), dict(max_order=2, max_terms=4)),
+             ((1, 1), dict(max_order=2, max_terms=3, pure_x=True))]
+    for _ in range(60):
+        for target, shape in cases:
+            e = random_expression(rng, max_order=4, max_terms=8)
+            e = e + e * JetExpression.coordinate(target) ** rng.randint(1, 3)
+            replacement = random_expression(rng, **shape)
+            assert e.substitute(target, replacement) == \
+                _substitute_term_by_term(e, target, replacement)
+    e = random_expression(rng, max_order=3, with_atoms=False)
+    line = P("2*t - x + 1/3")
+    assert e.substitute(U, line) == _substitute_term_by_term(e, U, line)
 
 
 def test_substitute_rejects_self_reference():

@@ -1,7 +1,8 @@
 """Ansatz enumeration, assembly, and exact rational nullspaces."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from jetlaw.linsolve import (
     nullspace,
     same_span,
     solve_multipliers,
+    span_rank,
 )
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
@@ -209,3 +211,154 @@ def test_instantiate_rejects_lam_free_and_nonlinear_terms():
         instantiate(lam + P("u"), P("u^2"))
     with pytest.raises(ExprError):
         instantiate(lam * lam, P("u^2"))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the elimination: plain Gauss-Jordan over Fraction, rows taken in
+# repr order, pivots scaled to one, then the free-column basis normalized.
+
+def _reference_echelon(rows):
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = Fraction(1) / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivots[lead].items():
+                nv = row.get(c, Fraction(0)) - factor * v
+                if nv == 0:
+                    row.pop(c, None)
+                else:
+                    row[c] = nv
+    return pivots
+
+
+def _reference_nullspace(linsys):
+    pivots = _reference_echelon(linsys.rows[k] for k in sorted(linsys.rows, key=repr))
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for other in list(row):
+            if other != lead and other in pivots:
+                factor = row[other]
+                for c, v in pivots[other].items():
+                    nv = row.get(c, Fraction(0)) - factor * v
+                    if nv == 0:
+                        row.pop(c, None)
+                    else:
+                        row[c] = nv
+    basis = []
+    for f in range(linsys.ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * linsys.ncols
+        vec[f] = Fraction(1)
+        for lead, row in pivots.items():
+            vec[lead] = -row.get(f, Fraction(0))
+        lead = next(v for v in vec if v != 0)
+        vec = [v / lead for v in vec]
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        basis.append([Fraction(int(v * den)) for v in vec])
+    return basis
+
+
+def _random_rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def _random_system(rng, nrows, ncols, rank, density):
+    """Rows mixing `rank` random sparse rows, plus zero rows, duplicates and
+    scalar multiples, in shuffled order."""
+    base = []
+    for _ in range(rank):
+        row = {c: _random_rational(rng) for c in range(ncols) if rng.random() < density}
+        base.append(row or {rng.randrange(ncols): Fraction(1)})
+    rows = [dict(b) for b in base]
+    while len(rows) < nrows:
+        kind = rng.random() if base else 0
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.3:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.5:
+            q = _random_rational(rng)
+            rows.append({c: q * v for c, v in rng.choice(rows).items()})
+        else:
+            row = {}
+            for b in rng.sample(base, min(len(base), rng.randint(1, 3))):
+                q = _random_rational(rng)
+                for c, v in b.items():
+                    row[c] = row.get(c, 0) + q * v
+            rows.append({c: v for c, v in row.items() if v})
+    rng.shuffle(rows)
+    linsys = RationalLinearSystem(ncols=ncols)
+    for i, row in enumerate(rows):
+        linsys.rows[(i, "r")] = row
+    return linsys
+
+
+def _random_systems():
+    rng = random.Random(20261018)
+    systems = []
+    for _ in range(40):
+        ncols = rng.randint(1, 14)
+        rank = rng.randint(0, ncols) if rng.random() < 0.7 else ncols
+        systems.append(_random_system(rng, rng.randint(rank, 3 * ncols + 2), ncols,
+                                      rank, rng.choice([0.2, 0.5, 0.9])))
+    return systems
+
+
+def _column_expression(row):
+    x = JetExpression.coordinate("x")
+    out = JetExpression.zero()
+    for c, v in row.items():
+        out = out + x ** c * v
+    return out
+
+
+def test_nullspace_matches_fraction_elimination_on_random_systems():
+    full_rank = deficient = 0
+    for linsys in _random_systems():
+        vectors = nullspace(linsys)
+        assert vectors == _reference_nullspace(linsys)
+        for vec in vectors:
+            for row in linsys.rows.values():
+                assert sum(v * vec[c] for c, v in row.items()) == 0
+        full_rank += not vectors
+        deficient += bool(vectors)
+    assert full_rank >= 5 and deficient >= 5
+
+
+def test_span_rank_matches_sympy_rank():
+    from sympy import Matrix, Rational
+
+    for linsys in _random_systems():
+        rows = list(linsys.rows.values())
+        dense = [[Rational(str(row.get(c, 0))) for c in range(linsys.ncols)]
+                 for row in rows]
+        expected = Matrix(dense).rank() if rows else 0
+        assert span_rank([_column_expression(row) for row in rows]) == expected
+        assert len(_reference_echelon(rows)) == expected
+
+
+def _paper_system(source, params, bounds):
+    pde = parse_pde(source, params)
+    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    return assemble(system, generate_ansatz_basis(pde, bounds))
+
+
+@pytest.mark.parametrize("source, params, bounds", [
+    ("u_t + u*u_x + u_xxx = 0", {}, AnsatzBounds(order=4, deg_tx=1, deg_u=3)),
+    ("u_tx = sin(u)", {}, AnsatzBounds(order=4, deg_tx=1, deg_u=4)),
+    ("u_tx = exp(u)", {}, AnsatzBounds(order=4, deg_tx=1, deg_u=4)),
+] + [(KDV, {"n": n}, AnsatzBounds(order=2, deg_tx=1, deg_u=n + 1)) for n in (1, 2, 3, 4)],
+    ids=["kdv-order4", "sine-gordon-order4", "liouville-order4",
+         "kdv-n1", "kdv-n2", "kdv-n3", "kdv-n4"])
+def test_nullspace_matches_fraction_elimination_on_paper_systems(source, params, bounds):
+    linsys = _paper_system(source, params, bounds)
+    assert nullspace(linsys) == _reference_nullspace(linsys)
