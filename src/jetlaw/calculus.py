@@ -95,13 +95,23 @@ def _euler_candidates(e: JetExpression) -> set:
     return jets
 
 
-def euler_operator(e: JetExpression) -> JetExpression:
-    """Variational derivative: sum over jets v of (-D)^v (de/dv)."""
+def _horner(coeffs: dict, direction: str) -> JetExpression:
+    """sum_j (-D)^j coeffs[j], evaluated as c_0 - D(c_1 - D(c_2 - ...)) so
+    that terms cancel before they are differentiated again."""
     out = JetExpression.zero()
-    for v in sorted(_euler_candidates(e)):
-        a, b = v
-        out = out + iterated_total(e.partial(v), a, b) * Fraction((-1) ** (a + b))
+    for j in range(max(coeffs, default=-1), -1, -1):
+        out = coeffs.get(j, 0) - out.total(direction)
     return out
+
+
+def euler_operator(e: JetExpression) -> JetExpression:
+    """Variational derivative: sum over jets v of (-D)^v (de/dv), nested in
+    Horner form over x-orders and then over t-orders."""
+    rows: dict = {}
+    for a, b in _euler_candidates(e):
+        rows.setdefault(a, {})[b] = e.partial((a, b))
+    inner = {a: _horner(row, "x") for a, row in rows.items()}
+    return _horner(inner, "t")
 
 
 def restricted_euler(e: JetExpression, base: str) -> JetExpression:
@@ -113,15 +123,11 @@ def restricted_euler(e: JetExpression, base: str) -> JetExpression:
     """
     if base == "U_t":
         return e.partial(UT)
-    out = JetExpression.zero()
     start = 0 if base == "U_fullX" else 1
     if base not in ("U_fullX", "U_x"):
         raise ExprError("unknown restricted Euler base %r" % base)
-    orders = sorted(b for (a, b) in _euler_candidates(e) if a == 0 and b >= start)
-    for b in orders:
-        step = iterated_total(e.partial((0, b)), 0, b - start)
-        out = out + step * Fraction((-1) ** (b - start))
-    return out
+    return _horner({b - start: e.partial((0, b)) for (a, b) in _euler_candidates(e)
+                    if a == 0 and b >= start}, "x")
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,17 @@ def rational_pow(base, r):
 # dict maps coordinates and atoms to integer powers; rewriting may split one
 # raw term into several canonical ones.
 
+_PAIRS: dict = {}
+
+
+def _pair(k, p):
+    """The shared (coordinate, power) pair of monomials.  There are few
+    distinct pairs, so every expression holding one refers to the same tuple
+    (and the same coordinate tuple) instead of a copy of its own."""
+    pair = (k, p)
+    return _PAIRS.setdefault(pair, pair)
+
+
 def _canon_term(coeff: Fraction, factors: dict) -> list:
     out = []
     stack = [(coeff, factors)]
@@ -181,7 +192,7 @@ def _canon_term(coeff: Fraction, factors: dict) -> list:
             if is_indep(k) or is_jet(k):
                 if p < 0:
                     raise ExprError("negative coordinate power")
-                mono.append((k, p))
+                mono.append(_pair(k, p))
             else:
                 atoms.append((k, p))
         mono.sort(key=lambda kp: coord_sort_key(kp[0]))

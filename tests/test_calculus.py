@@ -2,7 +2,9 @@
 
 import pytest
 
-from jetlaw.expr import ExprError, U, UT, UX
+from fractions import Fraction
+
+from jetlaw.expr import ExprError, JetExpression, U, UT, UX, lam_atom
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.calculus import (
@@ -10,6 +12,7 @@ from jetlaw.calculus import (
     euler_operator,
     ibp_normal_form,
     invert_total_x_derivative,
+    iterated_total,
     restricted_euler,
     solution_total_derivative,
     total_derivative,
@@ -55,6 +58,39 @@ def test_euler_annihilates_divergences(rng):
         e = random_expression(rng, max_order=3, max_terms=5)
         assert euler_operator(e.total("x")).is_zero()
         assert euler_operator(e.total("t")).is_zero()
+
+
+def _euler_term_by_term(e):
+    """The definition, one jet at a time: sum_v (-D_t)^a (-D_x)^b de/dv."""
+    jets = set(e.jets())
+    for arity in e.lam_arities():
+        jets.update(k for k in arity if k not in ("t", "x"))
+    out = JetExpression.zero()
+    for a, b in sorted(jets):
+        out = out + iterated_total(e.partial((a, b)), a, b) * Fraction((-1) ** (a + b))
+    return out
+
+
+def test_euler_matches_term_by_term_definition(rng):
+    lam = JetExpression.atom(lam_atom(("x", U, UX, (0, 2))))
+    for i in range(120):
+        e = random_expression(rng, max_order=4, max_terms=6)
+        if i % 3 == 0:
+            e = e * lam
+        assert euler_operator(e) == _euler_term_by_term(e)
+
+
+def test_restricted_euler_matches_term_by_term_definition(rng):
+    for _ in range(120):
+        e = random_expression(rng, max_order=4, max_terms=6, pure_x=True)
+        orders = sorted(b for a, b in e.jets() if a == 0)
+        for base, start in (("U_fullX", 0), ("U_x", 1)):
+            want = JetExpression.zero()
+            for b in orders:
+                if b >= start:
+                    step = iterated_total(e.partial((0, b)), 0, b - start)
+                    want = want + step * Fraction((-1) ** (b - start))
+            assert restricted_euler(e, base) == want
 
 
 def test_solution_total_derivative_spec_cases():

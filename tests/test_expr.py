@@ -252,3 +252,14 @@ def test_evaluate_requires_u_for_u_dependent_atoms():
         P("exp(u) + u_x").evaluate({UX: 1.0})
     assert P("sin(1)*u_x").evaluate({UX: 2.0}) == 2.0 * math.sin(1.0)
     assert P("exp(u) + u_x").evaluate({U: 0.0, UX: 1.0}) == 2.0
+
+
+def test_monomial_pairs_are_shared():
+    a = P("u_x^2*u_xx + 3*u*u_x^2")
+    b = P("u_x^2*exp(u)").total("x")
+    pairs = {pair for sig in a.terms for pair in sig[0]}
+    for sig in b.terms:
+        for pair in sig[0]:
+            twin = next((q for q in pairs if q == pair), None)
+            assert twin is None or twin is pair
+    assert any(pair in pairs for sig in b.terms for pair in sig[0])
