@@ -216,18 +216,10 @@ def _integrate_trig(m: int, live) -> JetExpression:
         raise NotIntegrable("mixed trigonometric arguments")
     (alpha, beta), = args
     s = sum(p for a, p in live if a[0] == "sin")
+    if s > 1:
+        raise NotIntegrable("sin power above one survived normalization")
     cpow = sum(p for a, p in live if a[0] == "cos")
-    sin_a = ("sin", alpha, beta)
-    cos_a = ("cos", alpha, beta)
-    if s == 1:
-        head = JetExpression.atom(cos_a) ** (cpow + 1) * Fraction(-1, (cpow + 1)) * (1 / alpha)
-        acc = head * _u_power(m)
-        if m:
-            acc = acc - _integrate_trig_rec(m - 1, 0, cpow + 1, alpha, beta) * Fraction(m) * Fraction(-1, cpow + 1) * (1 / alpha)
-        return acc
-    if s == 0:
-        return _integrate_trig_rec(m, 0, cpow, alpha, beta)
-    raise NotIntegrable("sin power above one survived normalization")
+    return _integrate_trig_rec(m, s, cpow, alpha, beta)
 
 
 def _integrate_trig_rec(m: int, s: int, cpow: int, alpha, beta) -> JetExpression:
@@ -290,19 +282,6 @@ def _integrate_wrt(e: JetExpression, w) -> JetExpression:
     return out
 
 
-def _integrate_x_explicit(e: JetExpression) -> JetExpression:
-    """Antiderivative in explicit x of a jet-free expression."""
-    out = JetExpression.zero()
-    for (mono, atoms), c in e.terms.items():
-        f = dict(mono)
-        j = f.pop("x", 0)
-        f["x"] = j + 1
-        for a, p in atoms:
-            f[a] = f.get(a, 0) + p
-        out = out + JetExpression.from_raw([(c * Fraction(1, j + 1), f)])
-    return out
-
-
 def _descent_rank(k):
     a, b = k
     return (a + b, b, a)
@@ -340,7 +319,7 @@ def _descend(e: JetExpression):
                 else:
                     jetless_int[sig] = c
             core = core + JetExpression(jetless_core)
-            theta = theta + _integrate_x_explicit(JetExpression(jetless_int))
+            theta = theta + _integrate_wrt(JetExpression(jetless_int), "x")
             break
         v = max(jets, key=_descent_rank)
         if v[1] == 0:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import ExprError, JetExpression
-from .parser import parse_expression, render
+from .parser import _single_atom, parse_expression, render
 from .pde import parse_pde
 from .linsolve import AnsatzBounds, solve_multipliers
 from .laws import ConservationLaw, build_law, flux_density, homotopy_density
@@ -24,29 +24,30 @@ from .detsys import determining_expression
 from . import numcheck as nc
 
 
+class InputError(ExprError):
+    """A command-line value that is not of the expected form."""
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise SystemExit("--param expects name=rational, got %r" % pair)
+            raise InputError("--param expects name=rational, got %r" % pair)
         name, value = pair.split("=", 1)
         try:
             params[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise ExprError("--param expects name=rational, got %r" % pair) from None
+            raise InputError("--param expects name=rational, got %r" % pair) from None
     return params
 
 
 def _parse_atoms(spec, params):
     atoms = []
     for chunk in filter(None, (s.strip() for s in (spec or "").split(","))):
-        e = parse_expression(chunk, params)
-        if len(e.terms) != 1:
-            raise SystemExit("--atoms entries must be single atoms, got %r" % chunk)
-        (mono, akeys), c = next(iter(e.terms.items()))
-        if mono or len(akeys) != 1 or akeys[0][1] != 1 or c != 1:
-            raise SystemExit("--atoms entries must be single atoms, got %r" % chunk)
-        atoms.append(akeys[0][0])
+        single = _single_atom(parse_expression(chunk, params))
+        if single is None or single[0] != 1:
+            raise InputError("--atoms entries must be single atoms, got %r" % chunk)
+        atoms.append(single[1])
     return tuple(atoms)
 
 
@@ -63,7 +64,7 @@ def _eval_bound(text, params):
     """Integer bound, possibly an expression in the parameters (e.g. n+1)."""
     value = parse_expression(str(text), params).as_fraction()
     if value.denominator != 1 or value < 0:
-        raise SystemExit("bound %r must evaluate to a nonnegative integer" % text)
+        raise InputError("bound %r must evaluate to a nonnegative integer" % text)
     return int(value)
 
 
@@ -176,11 +177,12 @@ def cmd_density(args):
 
 
 def _parse_scan(spec):
-    if "=" not in spec or ".." not in spec:
-        raise SystemExit("--scan expects name=a..b")
-    name, rng = spec.split("=", 1)
-    lo, hi = rng.split("..", 1)
-    return name.strip(), int(lo), int(hi)
+    name, _, rng = spec.partition("=")
+    lo, _, hi = rng.partition("..")
+    try:
+        return name.strip(), int(lo), int(hi)
+    except ValueError:
+        raise InputError("--scan expects name=a..b, got %r" % spec) from None
 
 
 def cmd_scan(args):

@@ -13,6 +13,14 @@ Everything is normalized at construction: coefficients merged, zeros pruned,
 exp atoms combined, power atoms with nonnegative integer exponents expanded,
 sin powers reduced below two via sin^2 = 1 - cos^2.  Equality of normalized
 expressions is structural equality.
+
+Products and partials build a term's signature directly when the term is
+normalized by construction, and send only the rest through the rewrite
+search.  Only two rewrite rules read coordinates, and both need u next to a
+live power atom (alpha != 0); the formal atoms take part in no rule.  So the
+product of two normalized terms is normalized when at most one side carries
+kernel atoms and the merged monomial does not meet a live power atom with u,
+and lowering the power of a coordinate keeps a term normalized.
 """
 
 from __future__ import annotations
@@ -195,8 +203,8 @@ def _canon_term(coeff: Fraction, factors: dict) -> list:
                 mono.append(_pair(k, p))
             else:
                 atoms.append((k, p))
-        mono.sort(key=lambda kp: coord_sort_key(kp[0]))
-        atoms.sort(key=lambda ap: _atom_sort_key(ap[0]))
+        mono.sort(key=_mono_key)
+        atoms.sort(key=_atoms_key)
         out.append((c, (tuple(mono), tuple(atoms))))
     return out
 
@@ -368,6 +376,41 @@ def _sig_factors(sig) -> dict:
     return f
 
 
+def _mono_key(pair):
+    return coord_sort_key(pair[0])
+
+
+def _atoms_key(pair):
+    return _atom_sort_key(pair[0])
+
+
+def _merge_factors(s1, s2, key, make=lambda k, p: (k, p)):
+    """The product of two sorted (factor, power) tuples, sorted by key: the
+    powers of a shared factor add, and a factor whose powers cancel drops."""
+    if not s1 or not s2:
+        return s1 or s2
+    out = []
+    for pair in sorted(s1 + s2, key=key):
+        if out and out[-1][0] == pair[0]:
+            p = out.pop()[1] + pair[1]
+            if p:
+                out.append(make(pair[0], p))
+        else:
+            out.append(pair)
+    return tuple(out)
+
+
+def _term_kinds(sig) -> tuple:
+    """(has kernel atoms, has a live pow atom, has u) for one signature."""
+    mono, atoms = sig
+    kernel = live = False
+    for a, _ in atoms:
+        if is_kernel_atom(a):
+            kernel = True
+            live = live or (a[0] == "pow" and a[1] != 0)
+    return kernel, live, any(k == U for k, _ in mono)
+
+
 class JetExpression:
     """Normalized multivariate expression; immutable value semantics."""
 
@@ -392,7 +435,7 @@ class JetExpression:
     def coordinate(k) -> "JetExpression":
         if not (is_indep(k) or is_jet(k)):
             raise ExprError("not a coordinate: %r" % (k,))
-        return JetExpression({(((k, 1),), ()): Fraction(1)})
+        return JetExpression({((_pair(k, 1),), ()): Fraction(1)})
 
     @staticmethod
     def atom(a) -> "JetExpression":
@@ -463,15 +506,21 @@ class JetExpression:
                 return JetExpression.zero()
             return JetExpression({sig: c * q for sig, c in self.terms.items()})
         other = _coerce(other)
-        raw = []
+        right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
+        pairs = []
         for sig1, c1 in self.terms.items():
-            f1 = _sig_factors(sig1)
-            for sig2, c2 in other.terms.items():
-                f = dict(f1)
-                for k, p in _sig_factors(sig2).items():
-                    f[k] = f.get(k, 0) + p
-                raw.append((c1 * c2, f))
-        return _from_raw(raw)
+            kernel1, live1, u1 = _term_kinds(sig1)
+            for sig2, c2, kernel2, live2, u2 in right:
+                if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
+                    f = _sig_factors(sig1)
+                    for k, p in _sig_factors(sig2).items():
+                        f[k] = f.get(k, 0) + p
+                    pairs.extend(_canon_term(c1 * c2, f))
+                else:
+                    pairs.append((c1 * c2, (
+                        _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
+                        _merge_factors(sig1[1], sig2[1], _atoms_key))))
+        return JetExpression(_accumulate(pairs))
 
     __rmul__ = __mul__
 
@@ -552,34 +601,33 @@ class JetExpression:
 
     def partial(self, v) -> "JetExpression":
         """Partial derivative with respect to one coordinate."""
-        raw = []
+        pairs = []
         for (mono, atoms), c in self.terms.items():
-            factors = _sig_factors((mono, atoms))
-            for k, p in mono:
+            for i, (k, p) in enumerate(mono):
                 if k == v:
-                    f = dict(factors)
-                    f[k] = p - 1
-                    raw.append((c * p, f))
+                    lower = (_pair(k, p - 1),) if p > 1 else ()
+                    pairs.append((c * p, (mono[:i] + lower + mono[i + 1:], atoms)))
+                    break
             for a, p in atoms:
                 tag = a[0]
                 if tag == "gee":
                     raise ExprError("cannot take partials through a gee atom")
                 if tag == "lam":
                     if v in a[1]:
-                        f = dict(factors)
+                        f = _sig_factors((mono, atoms))
                         f[a] = p - 1
                         nb = lam_bump(a, v)
                         f[nb] = f.get(nb, 0) + 1
-                        raw.append((c * p, f))
+                        pairs.extend(_canon_term(c * p, f))
                     continue
                 if v != U or a[1] == 0:
                     continue
                 for dc, da in _atom_derivative(a):
-                    f = dict(factors)
+                    f = _sig_factors((mono, atoms))
                     f[a] = p - 1
                     f[da] = f.get(da, 0) + 1
-                    raw.append((c * p * dc, f))
-        return _from_raw(raw)
+                    pairs.extend(_canon_term(c * p * dc, f))
+        return JetExpression(_accumulate(pairs))
 
     def total(self, direction) -> "JetExpression":
         """Formal total derivative D_t or D_x."""

@@ -71,15 +71,16 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
         if not is_kernel_atom(a):
             raise ExprError("ansatz atoms must be kernel atoms, got %r" % (a,))
 
+    # Nondecreasing index sequences of jets, up to deg_u long, in preorder:
+    # a prefix comes before its extensions, and those go by their next jet.
     jet_monos = []
-
-    def extend(prefix, start, budget):
-        jet_monos.append(tuple(prefix))
-        for i in range(start, len(jets)):
-            if budget > 0:
-                extend(prefix + [jets[i]], i, budget - 1)
-
-    extend([], 0, bounds.deg_u)
+    stack = [((), 0)]
+    while stack:
+        prefix, start = stack.pop()
+        jet_monos.append(prefix)
+        if len(prefix) < bounds.deg_u:
+            stack.extend((prefix + (jets[i],), i)
+                         for i in reversed(range(start, len(jets))))
 
     basis = []
     for i in range(bounds.deg_tx + 1):

@@ -171,6 +171,35 @@ def test_zero_denominator_param_is_an_error(capsys):
     assert capsys.readouterr().err.startswith("error: --param")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--param", "n"], "error: --param expects name=rational"),
+    (["--atoms", "exp(u)+1"], "error: --atoms entries must be single atoms"),
+    (["--atoms", "2*exp(u)"], "error: --atoms entries must be single atoms"),
+    (["--order", "-1"], "error: bound '-1' must evaluate"),
+    (["--order", "1/2"], "error: bound '1/2' must evaluate"),
+])
+def test_bad_derive_input_is_one_error_line(capsys, extra, message):
+    code = main(["derive", "--pde", KDV] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["n", "n=1", "n=a..b", "n=1...2"])
+def test_bad_scan_range_is_one_error_line(capsys, spec):
+    code = main(["scan", "--pde", "u_t + u^n*u_x + u_xxx = 0", "--scan", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: --scan expects name=a..b, got %r\n" % spec
+
+
+def test_high_degree_in_u_is_enumerated_without_recursion(capsys):
+    code, out = run(capsys, "derive", "--pde", KDV, "--order", "0",
+                    "--deg-u", "1200")
+    assert code == 0
+    assert "ansatz size: 1201" in out
+
+
 # ---------------------------------------------------------------------------
 # Seeded fuzz over malformed and extreme command lines.  Every input here
 # terminates quickly; huge but valid bounds are left out on purpose, since

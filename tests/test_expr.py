@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from jetlaw.expr import JetExpression, ExprError, U, UT, UX, pow_atom, rational_pow
+import jetlaw.expr as expr_module
+from jetlaw.expr import (
+    JetExpression, ExprError, U, UT, UX, cos_atom, exp_atom, gee_atom,
+    lam_atom, lam_bump, pow_atom, rational_pow, sin_atom,
+)
+from jetlaw.detsys import split_determining_system
+from jetlaw.linsolve import (
+    AnsatzBounds, assemble, generate_ansatz_basis, multiplier_arity,
+)
 from jetlaw.parser import ParseError, parse_expression, render
+from jetlaw.pde import parse_pde
 
 from conftest import random_expression
 
@@ -263,3 +272,140 @@ def test_monomial_pairs_are_shared():
             twin = next((q for q in pairs if q == pair), None)
             assert twin is None or twin is pair
     assert any(pair in pairs for sig in b.terms for pair in sig[0])
+
+
+# ---------------------------------------------------------------------------
+# Products and partials build normalized terms directly; these references
+# send every raw term through the full rewrite search instead.
+
+def _reference_mul(a, b):
+    raw = []
+    for sig1, c1 in a.terms.items():
+        for sig2, c2 in b.terms.items():
+            f = expr_module._sig_factors(sig1)
+            for k, p in expr_module._sig_factors(sig2).items():
+                f[k] = f.get(k, 0) + p
+            raw.append((c1 * c2, f))
+    return expr_module._from_raw(raw)
+
+
+def _reference_partial(e, v):
+    raw = []
+
+    def swap(c, factors, old, new):
+        f = {**factors, old: factors[old] - 1}
+        f[new] = f.get(new, 0) + 1
+        raw.append((c, f))
+
+    for (mono, atoms), c in e.terms.items():
+        factors = expr_module._sig_factors((mono, atoms))
+        for k, p in mono:
+            if k == v:
+                raw.append((c * p, {**factors, k: p - 1}))
+        for a, p in atoms:
+            if a[0] == "gee":
+                raise ExprError("cannot take partials through a gee atom")
+            if a[0] == "lam":
+                if v in a[1]:
+                    swap(c * p, factors, a, lam_bump(a, v))
+            elif v == U and a[1] != 0:
+                for dc, da in expr_module._atom_derivative(a):
+                    swap(c * p * dc, factors, a, da)
+    return expr_module._from_raw(raw)
+
+
+_ARITY = ("t", "x", U, UX)
+_RICH_POOL = (
+    pow_atom(2, 1, Fraction(1, 3)), pow_atom(1, 0, Fraction(-1, 2)),
+    pow_atom(Fraction(1, 2), -1, Fraction(5, 2)), pow_atom(0, 2, Fraction(1, 2)),
+    pow_atom(1, -2, -1), exp_atom(Fraction(-1, 2)), exp_atom(1, 3),
+    sin_atom(2, 1), cos_atom(2, 1), cos_atom(1),
+    lam_atom(_ARITY), lam_atom(_ARITY, (UX,)), lam_atom(_ARITY, (U, "x")),
+    gee_atom(), gee_atom(0, 1),
+)
+
+
+def _rich_expression(rng, pool=_RICH_POOL):
+    raw = []
+    for _ in range(rng.randint(1, 5)):
+        factors = {}
+        for _ in range(rng.randint(0, 3)):
+            k = rng.choice((U, U, UX, UT, (0, 2), "t", "x"))
+            factors[k] = factors.get(k, 0) + rng.randint(1, 2)
+        for _ in range(rng.randint(0, 2)):
+            a = rng.choice(pool)
+            factors[a] = factors.get(a, 0) + 1
+        raw.append((Fraction(rng.randint(1, 5) * rng.choice((-1, 1)),
+                             rng.randint(1, 3)), factors))
+    return JetExpression.from_raw(raw)
+
+
+_EXACT_PRODUCTS = [
+    ("u", "pow(u + 1, 1/2)"),            # u meets a live pow atom
+    ("u^2*u_x", "pow(2*u - 1, -3/2)"),
+    ("u*t + x", "pow(u, -1/2) + u_x"),
+    ("sin(u)*u_x", "sin(u) + cos(u)*u"),  # kernel atoms on both sides
+    ("exp(u)*u", "exp(-u)*u_xx"),
+    ("u*u_x^2", "u^3*u_x + t*u_x"),       # shared coordinates add powers
+    ("pow(3, 1/2)*u", "pow(3, 1/2)*u_x"),
+]
+
+
+def _same_terms(x, y):
+    assert list(x.terms.items()) == list(y.terms.items())
+
+
+def test_product_matches_reference_on_fixed_cases():
+    for left, right in _EXACT_PRODUCTS:
+        a, b = P(left), P(right)
+        _same_terms(a * b, _reference_mul(a, b))
+        _same_terms(b * a, _reference_mul(b, a))
+
+
+def test_product_matches_reference_random(rng):
+    for _ in range(300):
+        a = random_expression(rng, max_order=3, max_terms=5)
+        b = random_expression(rng, max_order=3, max_terms=5)
+        _same_terms(a * b, _reference_mul(a, b))
+    for _ in range(400):
+        a, b = _rich_expression(rng), _rich_expression(rng)
+        _same_terms(a * b, _reference_mul(a, b))
+
+
+def test_partial_matches_reference_random(rng):
+    coords = ("t", "x", U, UT, UX, (0, 2))
+    no_gee = tuple(a for a in _RICH_POOL if a[0] != "gee")
+    for _ in range(300):
+        e = random_expression(rng, max_order=3, max_terms=6)
+        for v in coords:
+            _same_terms(e.partial(v), _reference_partial(e, v))
+        e = _rich_expression(rng, no_gee)
+        for v in coords:
+            _same_terms(e.partial(v), _reference_partial(e, v))
+    with pytest.raises(ExprError):
+        JetExpression.atom(gee_atom()).partial(U)
+
+
+def _count_canon_calls(monkeypatch):
+    calls = []
+    original = expr_module._canon_term
+
+    def counting(coeff, factors):
+        calls.append(1)
+        return original(coeff, factors)
+
+    monkeypatch.setattr(expr_module, "_canon_term", counting)
+    return calls
+
+
+@pytest.mark.parametrize("source, params, bounds", [
+    ("u_t + u^n*u_x + u_xxx = 0", {"n": 1}, AnsatzBounds(order=2, deg_tx=1, deg_u=2)),
+    ("u_tx = sin(u)", {}, AnsatzBounds(order=3, deg_tx=1, deg_u=3)),
+])
+def test_assemble_needs_no_rewrite_search(monkeypatch, source, params, bounds):
+    pde = parse_pde(source, params)
+    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    ansatz = generate_ansatz_basis(pde, bounds)
+    calls = _count_canon_calls(monkeypatch)
+    linsys = assemble(system, ansatz)
+    assert linsys.rows and not calls

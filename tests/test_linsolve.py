@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from jetlaw.expr import ExprError, JetExpression, exp_atom, lam_atom
+from jetlaw.expr import ExprError, JetExpression, exp_atom, lam_atom, sin_atom
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.detsys import determining_expression, split_determining_system
@@ -61,6 +61,54 @@ def test_basis_includes_requested_atoms():
     assert "t^2*u_t" in rendered
     assert "exp(-1/2*u)" in rendered
     assert "t*exp(-1/2*u)" in rendered
+
+
+def _recursive_basis(pde, bounds):
+    """The ansatz basis by recursive enumeration, depth deg_u."""
+    arity = multiplier_arity(pde, bounds.order)
+    jets = [k for k in arity if k not in ("t", "x")]
+    jet_monos = []
+
+    def extend(prefix, start, budget):
+        jet_monos.append(tuple(prefix))
+        for i in range(start, len(jets)):
+            if budget > 0:
+                extend(prefix + [jets[i]], i, budget - 1)
+
+    extend([], 0, bounds.deg_u)
+    basis = []
+    for i in range(bounds.deg_tx + 1):
+        for j in range(bounds.deg_tx + 1 - i):
+            if i and "t" not in arity:
+                continue
+            for mono in jet_monos:
+                for atom in (None,) + tuple(bounds.atoms):
+                    f = {"t": i, "x": j}
+                    for k in mono:
+                        f[k] = f.get(k, 0) + 1
+                    if atom is not None:
+                        f[atom] = 1
+                    b = JetExpression.from_raw([(Fraction(1), f)])
+                    if b not in basis:
+                        basis.append(b)
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("source, orders", [
+    (KDV, (0, 1, 2, 3)),
+    ("u_tx = sin(u)", (0, 2, 3)),
+    (WAVE, (0, 1)),
+])
+def test_basis_enumeration_matches_recursive_reference(source, orders):
+    pde = parse_pde(source, {"n": 1})
+    for order in orders:
+        for deg_tx in (0, 1, 2):
+            for deg_u in (0, 1, 2, 3):
+                for atoms in ((), (exp_atom(Fraction(-1, 2)), sin_atom(1))):
+                    bounds = AnsatzBounds(order=order, deg_tx=deg_tx,
+                                          deg_u=deg_u, atoms=atoms)
+                    assert generate_ansatz_basis(pde, bounds).basis == \
+                        _recursive_basis(pde, bounds)
 
 
 def test_empty_basis_rejected():
