@@ -9,6 +9,12 @@ coordinate (ranked by total order, then x-order) and peels terms linear in
 it.  A step is taken only when the cofactor's coordinates all rank at or
 below the lowered coordinate; this keeps the descent strictly decreasing, and
 for expressions that genuinely are total x-derivatives it never blocks.
+
+Each step integrates a cofactor in one coordinate w.  Two antiderivatives
+differ by a w-free expression, so the one returned, which has no w-free
+term, is unique.  The normal form lets each term be integrated alone: a pow
+atom always has power 1 and u never stands beside a live pow atom (one whose
+argument depends on u), so no logarithm can cancel across terms.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .expr import (
     is_jet,
     is_kernel_atom,
 )
-from .pde import PdeSpec, on_chart
+from .pde import PdeSpec, iterated_total, on_chart
 
 
 class NotXDerivative(ExprError):
@@ -44,14 +50,6 @@ def total_derivative(e: JetExpression, direction: str) -> JetExpression:
     return e.total(direction)
 
 
-def iterated_total(e: JetExpression, a: int, b: int) -> JetExpression:
-    for _ in range(a):
-        e = e.total("t")
-    for _ in range(b):
-        e = e.total("x")
-    return e
-
-
 def eliminate_off_chart(pde: PdeSpec, e: JetExpression, with_gee: bool) -> JetExpression:
     """Rewrite coordinates excluded by the PDE chart through the equation.
 
@@ -66,13 +64,8 @@ def eliminate_off_chart(pde: PdeSpec, e: JetExpression, with_gee: bool) -> JetEx
             return e
         w = max(off)
         a, b = w
-        if leading == (1, 0):
-            j = (a - 1, b)
-        elif leading == (2, 0):
-            j = (a - 2, b)
-        else:
-            j = (a - 1, b - 1)
-        repl = iterated_total(pde.rhs, j[0], j[1])
+        j = (a - leading[0], b - leading[1])
+        repl = iterated_total(pde.rhs, *j)
         if with_gee:
             repl = repl + JetExpression.atom(gee_atom(*j))
         e = e.substitute(w, repl)
@@ -131,166 +124,84 @@ def restricted_euler(e: JetExpression, base: str) -> JetExpression:
 
 
 # ---------------------------------------------------------------------------
-# Antiderivative in u for term coefficients (kernel atoms included).
-
-def _integrate_u(e: JetExpression) -> JetExpression:
-    """Antiderivative in u.  Terms carrying a shifted power atom are first
-    rebased onto pure powers of the atom argument and accumulated, so that
-    logarithmic pieces may cancel across terms before being rejected."""
-    from math import comb
-    out = JetExpression.zero()
-    groups: dict = {}
-    for (mono, atoms), c in e.terms.items():
-        live = [(a, p) for a, p in atoms if is_kernel_atom(a) and a[1] != 0]
-        if len(live) == 1 and live[0][0][0] == "pow" and live[0][1] == 1:
-            a = live[0][0]
-            alpha, beta, r = a[1], a[2], a[3]
-            m = dict(mono).get(U, 0)
-            rest_mono = tuple((k, p) for k, p in mono if k != U)
-            rest_atoms = tuple(ap for ap in atoms if ap[0] != a)
-            bucket = groups.setdefault((alpha, beta), {})
-            for j in range(m + 1):
-                key = ((rest_mono, rest_atoms), r + j)
-                coeff = c * comb(m, j) * (-beta) ** (m - j) * alpha ** (-m)
-                bucket[key] = bucket.get(key, 0) + coeff
-        else:
-            out = out + _integrate_u_term(c, mono, atoms)
-    for (alpha, beta), bucket in groups.items():
-        for (rest_sig, s), coeff in bucket.items():
-            if coeff == 0:
-                continue
-            if s == -1:
-                raise NotIntegrable("logarithmic antiderivative")
-            piece = JetExpression.atom(("pow", alpha, beta, s + 1))
-            out = out + JetExpression({rest_sig: coeff / (alpha * (s + 1))}) * piece
-    return out
-
-
-def _integrate_u_term(c: Fraction, mono, atoms) -> JetExpression:
-    rest: dict = {}
-    m = 0
-    for k, p in mono:
-        if k == U:
-            m = p
-        else:
-            rest[k] = p
-    live = []
-    for a, p in atoms:
-        if not is_kernel_atom(a):
-            raise NotIntegrable("formal atom in antiderivative")
-        if a[1] == 0:
-            rest[a] = rest.get(a, 0) + p
-        else:
-            live.append((a, p))
-    body = _integrate_u_body(m, live)
-    return JetExpression.from_raw([(c, rest)]) * body
-
+# Antiderivatives, kernel atoms included.
 
 def _u_power(m: int) -> JetExpression:
-    return JetExpression.from_raw([(Fraction(1), {U: m} if m else {})])
+    return JetExpression.from_raw([(Fraction(1), {U: m})])
 
 
-def _integrate_u_body(m: int, live) -> JetExpression:
-    """Exact antiderivative of u^m * prod(atoms) with respect to u."""
-    if not live:
-        return _u_power(m + 1) * Fraction(1, m + 1)
-    tags = sorted(a[0] for a, _ in live)
-    if tags == ["exp"]:
-        (a, p), = live
-        assert p == 1
-        alpha = a[1]
-        acc = JetExpression.atom(a) * Fraction(1, alpha) * _u_power(m)
-        if m:
-            acc = acc - _integrate_u_body(m - 1, live) * Fraction(m, alpha)
-        return acc
-    if set(tags) <= {"sin", "cos"}:
-        return _integrate_trig(m, live)
-    if set(tags) == {"exp", "sin"} or set(tags) == {"exp", "cos"}:
-        return _integrate_exp_trig(m, live)
+def _atom_antiderivative(live) -> JetExpression:
+    """H with dH/du equal to the product of the u-dependent atoms in live,
+    a list of (atom, power) pairs; H has no term free of u."""
+    atoms = {a: p for a, p in live if p}
+    if not atoms:
+        return _u_power(1)
+    tags = sorted(a[0] for a in atoms)
+    unit = set(atoms.values()) == {1}
+    if len(atoms) == 1 and tags[0] in ("exp", "pow") and unit:
+        (a,) = atoms
+        if a[0] == "exp":
+            return JetExpression.atom(a) * (1 / a[1])
+        if a[3] == -1:
+            raise NotIntegrable("logarithmic antiderivative")
+        return JetExpression.atom(("pow", a[1], a[2], a[3] + 1)) * (1 / (a[1] * (a[3] + 1)))
+    args = {a[1:] for a in atoms}
+    if set(tags) <= {"sin", "cos"} and len(args) == 1:
+        (alpha, beta), = args
+        s = atoms.get(("sin", alpha, beta), 0)
+        c = atoms.get(("cos", alpha, beta), 0)
+        cos_a = ("cos", alpha, beta)
+        if s == 1:
+            return JetExpression.atom(cos_a) ** (c + 1) * (-1 / ((c + 1) * alpha))
+        if s == 0:
+            # d/du [sin cos^(c-1)] = alpha c cos^c - alpha (c-1) cos^(c-2)
+            h = JetExpression.atom(("sin", alpha, beta)) * JetExpression.atom(cos_a) ** (c - 1) \
+                * (1 / (c * alpha))
+            if c > 1:
+                h = h + _atom_antiderivative([(cos_a, c - 2)]) * Fraction(c - 1, c)
+            return h
+    if tags in (["cos", "exp"], ["exp", "sin"]) and unit:
+        ea, ta = sorted(atoms, key=lambda a: a[0] != "exp")
+        ae, at = ea[1], ta[1]
+        sin_t = JetExpression.atom(("sin",) + ta[1:])
+        cos_t = JetExpression.atom(("cos",) + ta[1:])
+        trig = sin_t * ae - cos_t * at if ta[0] == "sin" else cos_t * ae + sin_t * at
+        return JetExpression.atom(ea) * trig * (1 / (ae * ae + at * at))
     raise NotIntegrable("atom combination %s" % tags)
 
 
-def _integrate_trig(m: int, live) -> JetExpression:
-    args = {(a[1], a[2]) for a, _ in live}
-    if len(args) > 1:
-        raise NotIntegrable("mixed trigonometric arguments")
-    (alpha, beta), = args
-    s = sum(p for a, p in live if a[0] == "sin")
-    if s > 1:
-        raise NotIntegrable("sin power above one survived normalization")
-    cpow = sum(p for a, p in live if a[0] == "cos")
-    return _integrate_trig_rec(m, s, cpow, alpha, beta)
-
-
-def _integrate_trig_rec(m: int, s: int, cpow: int, alpha, beta) -> JetExpression:
-    """integral of u^m sin^s cos^c, s in {0,1}."""
-    sin_a = ("sin", alpha, beta)
-    cos_a = ("cos", alpha, beta)
-    if s == 1:
-        head = JetExpression.atom(cos_a) ** (cpow + 1) * Fraction(-1, cpow + 1) * (1 / alpha)
-        acc = head * _u_power(m)
-        if m:
-            acc = acc - _integrate_trig_rec(m - 1, 0, cpow + 1, alpha, beta) * Fraction(m) * Fraction(-1, cpow + 1) * (1 / alpha)
-        return acc
-    if cpow == 0:
-        return _u_power(m + 1) * Fraction(1, m + 1)
-    # d/du [u^m sin cos^(c-1)] = m u^(m-1) sin cos^(c-1)
-    #                            + alpha c u^m cos^c - alpha (c-1) u^m cos^(c-2)
-    head = _u_power(m) * JetExpression.atom(sin_a) * JetExpression.atom(cos_a) ** (cpow - 1)
-    acc = head
-    if m:
-        acc = acc - _integrate_trig_rec(m - 1, 1, cpow - 1, alpha, beta) * Fraction(m)
-    if cpow > 1:
-        acc = acc + _integrate_trig_rec(m, 0, cpow - 2, alpha, beta) * (alpha * Fraction(cpow - 1))
-    return acc * (Fraction(1, cpow) / alpha)
-
-
-def _integrate_exp_trig(m: int, live) -> JetExpression:
-    parts = {a[0]: (a, p) for a, p in live}
-    ea, ep = parts["exp"]
-    ta, tp = parts.get("sin", parts.get("cos"))
-    if ep != 1 or tp != 1:
-        raise NotIntegrable("exp-trig powers above one")
-    ae = ea[1]
-    at = ta[1]
-    denom = ae * ae + at * at
-    sin_a = ("sin", ta[1], ta[2])
-    cos_a = ("cos", ta[1], ta[2])
-    e_atom = JetExpression.atom(ea)
-    if ta[0] == "sin":
-        head = e_atom * (JetExpression.atom(sin_a) * ae - JetExpression.atom(cos_a) * at) * (1 / denom)
-    else:
-        head = e_atom * (JetExpression.atom(cos_a) * ae + JetExpression.atom(sin_a) * at) * (1 / denom)
-    acc = head * _u_power(m)
-    if m:
-        acc = acc - _integrate_u(head * _u_power(m - 1)) * Fraction(m)
-    return acc
-
-
 def _integrate_wrt(e: JetExpression, w) -> JetExpression:
-    """Antiderivative of e with respect to coordinate w (w may be u itself)."""
-    if w == U:
-        return _integrate_u(e)
+    """The antiderivative of e in coordinate w with no term free of w.
+
+    For w = u a term u^m A, A a product of u-dependent atoms, goes by
+    parts: int u^m A du = u^m H - m int u^(m-1) H du with H from the atom
+    table.  Every other term follows the power rule in w.
+    """
     out = JetExpression.zero()
     for (mono, atoms), c in e.terms.items():
-        f = dict(mono)
-        m = f.pop(w, 0)
-        f[w] = m + 1
+        rest = dict(mono)
+        m = rest.pop(w, 0)
+        live = []
         for a, p in atoms:
-            f[a] = f.get(a, 0) + p
-        out = out + JetExpression.from_raw([(c * Fraction(1, m + 1), f)])
+            if w == U and not (is_kernel_atom(a) and a[1] == 0):
+                live.append((a, p))
+            else:
+                rest[a] = rest.get(a, 0) + p
+        if not live:
+            rest[w] = m + 1
+            out = out + JetExpression.from_raw([(c / (m + 1), rest)])
+            continue
+        h = _atom_antiderivative(live)
+        piece = _u_power(m) * h
+        if m:
+            piece = piece - _integrate_wrt(_u_power(m - 1) * h, U) * m
+        out = out + JetExpression.from_raw([(c, rest)]) * piece
     return out
 
 
 def _descent_rank(k):
     a, b = k
     return (a + b, b, a)
-
-
-def _term_depends_on_u(mono, atoms) -> bool:
-    if U in dict(mono):
-        return True
-    return any(is_kernel_atom(a) and a[1] != 0 for a, _ in atoms)
 
 
 def _term_coords(mono, atoms) -> set:
@@ -300,8 +211,9 @@ def _term_coords(mono, atoms) -> set:
     return out
 
 
-def _descend(e: JetExpression):
-    """Split e as (core, theta) with e == core + D_x(theta)."""
+def ibp_normal_form(e: JetExpression):
+    """Canonical representative modulo im(D_x): (core, theta) with
+    e == core + D_x(theta)."""
     if e.has_formal():
         raise ExprError("descent undefined on formal atoms")
     theta = JetExpression.zero()
@@ -314,7 +226,7 @@ def _descend(e: JetExpression):
             jetless_int = {}
             for sig, c in work.terms.items():
                 mono, atoms = sig
-                if _term_depends_on_u(mono, atoms):
+                if U in _term_coords(mono, atoms):
                     jetless_core[sig] = c
                 else:
                     jetless_int[sig] = c
@@ -366,14 +278,9 @@ def _descend(e: JetExpression):
     return core, theta
 
 
-def ibp_normal_form(e: JetExpression):
-    """Canonical representative modulo im(D_x): returns (core, theta)."""
-    return _descend(e)
-
-
 def invert_total_x_derivative(e: JetExpression) -> JetExpression:
     """Return theta with D_x(theta) == e, or raise NotXDerivative."""
-    core, theta = _descend(e)
+    core, theta = ibp_normal_form(e)
     if not core.is_zero():
         raise NotXDerivative(core)
     return theta

@@ -222,10 +222,8 @@ def _initial_state(pde, args, x, length):
               + 0.35 * np.exp(-((x + 4.0) / 0.8) ** 2))
     elif args.initial == "harmonics":
         u0 = nc.odd_harmonic_profile(x, length)
-    elif args.initial == "periodic":
-        u0 = 3.0 * np.sin(2 * np.pi * x / length) + np.cos(4 * np.pi * x / length)
     else:
-        raise SystemExit("unknown initial profile %r" % args.initial)
+        u0 = 3.0 * np.sin(2 * np.pi * x / length) + np.cos(4 * np.pi * x / length)
     if pde.leading == (2, 0):
         return (u0, np.zeros_like(u0))
     return u0

@@ -81,23 +81,15 @@ def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
         gees = tuple(sorted((a, p) for a, p in atoms if a[0] == "gee"))
         rest = tuple(ap for ap in atoms if ap[0][0] != "gee")
         groups.setdefault(gees, {})[(mono, rest)] = c
-    keys = sorted(groups, key=lambda g: (len(g), g))
-    equations = []
-    gee_keys = []
-    main = groups.pop((), {})
-    equations.append(JetExpression(main))
-    gee_keys.append(())
-    for key in keys:
-        if key == ():
-            continue
-        equations.append(JetExpression(groups[key]))
-        gee_keys.append(key)
+    groups.setdefault((), {})
+    gee_keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
     if pde.leading == (2, 0) and all(
         is_indep(k) or (k[0] + k[1] <= 1) for k in arity
     ):
         _check_first_order_wave_split(gee_keys)
+    equations = tuple(JetExpression(groups[key]) for key in gee_keys)
     return DeterminingSystem(pde=pde, unknown_arity=arity,
-                             equations=tuple(equations), gee_keys=tuple(gee_keys))
+                             equations=equations, gee_keys=gee_keys)
 
 
 def _check_first_order_wave_split(gee_keys) -> None:

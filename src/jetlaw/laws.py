@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .expr import ExprError, JetExpression, U, UT, UX, is_indep, is_kernel_atom
-from .pde import PdeSpec, on_chart
+from .pde import PdeSpec, iterated_total
 from .calculus import (
     NotXDerivative,
     ibp_normal_form,
@@ -65,13 +65,6 @@ def _as_reference(utilde) -> JetExpression:
     if isinstance(utilde, (int, Fraction)):
         return JetExpression.rational(utilde)
     return utilde
-
-
-def _reference_jet(utilde: JetExpression, order: int) -> JetExpression:
-    out = utilde
-    for _ in range(order):
-        out = out.total("x")
-    return out
 
 
 # -- polynomial-in-lambda machinery -----------------------------------------
@@ -141,13 +134,13 @@ def homotopy_density(pde: PdeSpec, lam: JetExpression,
     subs = {}
     for b in range(order + 1):
         k = (0, b)
-        ref_k = _reference_jet(ref, b)
+        ref_k = iterated_total(ref, 0, b)
         subs[k] = {1: JetExpression.coordinate(k) - ref_k, 0: ref_k}
     scaled = _scaled_multiplier(lam, subs)
     if leading == (1, 0):
         lead_factor = JetExpression.coordinate(U) - ref
     else:
-        lead_factor = JetExpression.coordinate(UX) - _reference_jet(ref, 1)
+        lead_factor = JetExpression.coordinate(UX) - iterated_total(ref, 0, 1)
     integrand = {d: lead_factor * e for d, e in scaled.items()}
     return _lp_integrate(integrand)
 
@@ -162,13 +155,7 @@ def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:
     for k in jets:
         if k == U:
             continue
-        a, b = k
-        value = ref
-        for _ in range(a):
-            value = value.total("t")
-        for _ in range(b):
-            value = value.total("x")
-        out = out.substitute(k, value)
+        out = out.substitute(k, iterated_total(ref, *k))
     if U in out.jets():
         out = out.substitute(U, ref)
     return out

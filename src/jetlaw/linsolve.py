@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .expr import ExprError, JetExpression, U, is_indep, is_kernel_atom
+from .expr import ExprError, JetExpression, U, is_indep, is_kernel_atom, sig_sort_key
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, split_determining_system
 
@@ -46,10 +46,7 @@ class AnsatzSpace:
 
 def admissible_jets(pde: PdeSpec, order: int) -> tuple:
     """Jet coordinates a multiplier of the given order may depend on."""
-    leading = pde.leading
-    if leading == (1, 0):
-        return tuple((0, b) for b in range(order + 1))
-    if leading == (2, 0):
+    if pde.leading == (2, 0):
         if order > 1:
             raise ExprError("u_tt-leading multipliers supported up to first order")
         return (U, (1, 0), (0, 1))[: 1 + 2 * order]
@@ -259,9 +256,7 @@ def nullspace(linsys: RationalLinearSystem) -> list:
 def _normalize_vector(vec: list) -> list:
     lead = next(v for v in vec if v != 0)
     vec = [v / lead for v in vec]
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in vec))
     return [Fraction(int(v * den)) for v in vec]
 
 
@@ -286,14 +281,9 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
 # Exact span comparisons used by classification fixtures.
 
 def _expression_matrix(exprs):
-    sigs = sorted({sig for e in exprs for sig in e.terms}, key=_sig_key)
+    sigs = sorted({sig for e in exprs for sig in e.terms}, key=sig_sort_key)
     index = {s: i for i, s in enumerate(sigs)}
     return [{index[sig]: c for sig, c in e.terms.items()} for e in exprs], len(sigs)
-
-
-def _sig_key(sig):
-    from .expr import sig_sort_key
-    return sig_sort_key(sig)
 
 
 def span_rank(exprs) -> int:

@@ -93,9 +93,17 @@ def parse_pde(text: str, params=None, name: str = "") -> PdeSpec:
     return PdeSpec(leading=leading, rhs=rhs_expr, name=name, params=params)
 
 
+def iterated_total(e: JetExpression, a: int, b: int) -> JetExpression:
+    """D_t^a D_x^b e."""
+    for _ in range(a):
+        e = e.total("t")
+    for _ in range(b):
+        e = e.total("x")
+    return e
+
+
 def linearization(pde: PdeSpec, eta: JetExpression) -> JetExpression:
     """Frechet derivative of G applied to eta: sum_v dG/dv D^v eta."""
-    from .calculus import iterated_total  # calculus imports this module
     g = pde.gee()
     out = JetExpression.zero()
     for v in sorted(g.jets()):
@@ -105,7 +113,6 @@ def linearization(pde: PdeSpec, eta: JetExpression) -> JetExpression:
 
 def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
     """Formal adjoint of the linearization: sum_v (-D)^v (dG/dv * omega)."""
-    from .calculus import iterated_total
     g = pde.gee()
     out = JetExpression.zero()
     for v in sorted(g.jets()):

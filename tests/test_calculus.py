@@ -1,14 +1,29 @@
 """Differential operators: totals, Euler operators, descent machinery."""
 
+import random
+
 import pytest
 
 from fractions import Fraction
 
-from jetlaw.expr import ExprError, JetExpression, U, UT, UX, lam_atom
+from jetlaw.expr import (
+    ExprError,
+    JetExpression,
+    U,
+    UT,
+    UX,
+    cos_atom,
+    exp_atom,
+    lam_atom,
+    pow_atom,
+    sin_atom,
+)
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.calculus import (
+    NotIntegrable,
     NotXDerivative,
+    _integrate_wrt,
     euler_operator,
     ibp_normal_form,
     invert_total_x_derivative,
@@ -200,3 +215,58 @@ def test_pure_tx_terms_are_exact():
     core, theta = ibp_normal_form(P("x^2*t + 3"))
     assert core.is_zero()
     assert theta.total("x") == P("x^2*t + 3")
+
+
+def test_exp_with_two_trig_arguments_is_not_integrable():
+    # One trig atom used to be dropped, and the wrong antiderivative then
+    # kept the descent from ever finishing.
+    with pytest.raises(NotIntegrable):
+        _integrate_wrt(P("exp(u)*sin(u)*sin(2*u)"), U)
+    e = P("exp(u)*sin(u)*sin(2*u)*u_x")
+    core, theta = ibp_normal_form(e)
+    assert core == e and theta.is_zero()
+
+
+_ATOM_ARGS = ((1, 0), (2, 0), (Fraction(1, 2), 1), (-1, 1))
+_POW_EXPONENTS = (-1, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2))
+
+
+def _random_integrand(rng):
+    """One or two terms u^m * (up to two kernel atoms at powers 1-3), with
+    optional u_x and x factors, and a coordinate to integrate in."""
+    raw = []
+    for _ in range(rng.randint(1, 2)):
+        factors = {U: rng.randint(0, 4)}
+        for _ in range(rng.randint(0, 2)):
+            alpha, beta = rng.choice(_ATOM_ARGS)
+            tag = rng.choice(("exp", "sin", "cos", "pow"))
+            if tag == "pow":
+                a = pow_atom(alpha, beta, rng.choice(_POW_EXPONENTS))
+            else:
+                a = {"exp": exp_atom, "sin": sin_atom, "cos": cos_atom}[tag](alpha, beta)
+            factors[a] = factors.get(a, 0) + rng.randint(1, 3)
+        if rng.random() < 0.3:
+            factors[UX] = rng.randint(1, 2)
+        if rng.random() < 0.3:
+            factors["x"] = rng.randint(1, 2)
+        raw.append((Fraction(rng.randint(1, 5), rng.randint(1, 3)), factors))
+    return JetExpression.from_raw(raw), rng.choice((U, U, UX, "x"))
+
+
+def test_antiderivative_is_exact_and_unique():
+    """Each result differentiates back exactly and has no term free of w,
+    which singles it out among all antiderivatives."""
+    rng = random.Random(20261018)
+    in_u = refused = 0
+    for _ in range(2000):
+        e, w = _random_integrand(rng)
+        try:
+            got = _integrate_wrt(e, w)
+        except NotIntegrable:
+            refused += 1
+            continue
+        in_u += w == U
+        assert got.partial(w) == e, (e, w)
+        for sig, c in got.terms.items():
+            assert w in JetExpression({sig: c}).coordinates(), (e, w, sig)
+    assert in_u > 500 and refused > 200
