@@ -20,6 +20,7 @@ argument depends on u), so no logarithm can cancel across terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .expr import (
     ExprError,
@@ -174,8 +175,9 @@ def _integrate_wrt(e: JetExpression, w) -> JetExpression:
     """The antiderivative of e in coordinate w with no term free of w.
 
     For w = u a term u^m A, A a product of u-dependent atoms, goes by
-    parts: int u^m A du = u^m H - m int u^(m-1) H du with H from the atom
-    table.  Every other term follows the power rule in w.
+    parts: int u^m A du = sum_k (-1)^k m!/(m-k)! u^(m-k) H_(k+1), with H_1
+    from the atom table and H_(k+1) = int H_k du.  Every other term follows
+    the power rule in w.
     """
     out = JetExpression.zero()
     for (mono, atoms), c in e.terms.items():
@@ -193,8 +195,9 @@ def _integrate_wrt(e: JetExpression, w) -> JetExpression:
             continue
         h = _atom_antiderivative(live)
         piece = _u_power(m) * h
-        if m:
-            piece = piece - _integrate_wrt(_u_power(m - 1) * h, U) * m
+        for k in range(1, m + 1):
+            h = _integrate_wrt(h, U)
+            piece = piece + _u_power(m - k) * h * ((-1) ** k * perm(m, k))
         out = out + JetExpression.from_raw([(c, rest)]) * piece
     return out
 

@@ -98,14 +98,19 @@ class UnsoundMultiplier(ExprError):
     """The solver returned a multiplier that fails the determining equation."""
 
 
-def _derive_laws(pde, bounds, utilde):
+def _derive_laws(args, params, text):
+    """Parse the PDE, the ansatz bounds and the reference state, in that
+    order, then derive and check every multiplier in the ansatz."""
+    pde = parse_pde(text, params)
+    bounds = _bounds(args, params)
+    utilde = _utilde(args, params)
     ansatz, multipliers = solve_multipliers(pde, bounds)
     laws = []
     for lam in multipliers:
         if not determining_expression(pde, lam).is_zero():
             raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
         laws.append(build_law(pde, lam, utilde))
-    return ansatz, laws
+    return pde, bounds, ansatz, laws
 
 
 def _ansatz_record(bounds):
@@ -119,9 +124,7 @@ def _ansatz_record(bounds):
 
 def cmd_derive(args):
     params = _parse_params(args.param)
-    pde = parse_pde(_pde_text(args), params)
-    bounds = _bounds(args, params)
-    ansatz, laws = _derive_laws(pde, bounds, _utilde(args, params))
+    pde, bounds, ansatz, laws = _derive_laws(args, params, _pde_text(args))
     payload = {
         "pde": str(pde),
         "params": {k: str(v) for k, v in params.items()},
@@ -196,9 +199,7 @@ def cmd_scan(args):
     for value in range(lo, hi + 1):
         params = dict(base_params)
         params[name] = Fraction(value)
-        pde = parse_pde(text, params)
-        bounds = _bounds(args, params)
-        _, laws = _derive_laws(pde, bounds, _utilde(args, params))
+        _, _, _, laws = _derive_laws(args, params, text)
         key = "%s=%d" % (name, value)
         dimensions[key] = len(laws)
         all_laws.extend(cl.to_record() | {"scan": key} for cl in laws)
@@ -231,9 +232,7 @@ def _initial_state(pde, args, x, length):
 
 def cmd_numcheck(args):
     params = _parse_params(args.param)
-    pde = parse_pde(_pde_text(args), params)
-    bounds = _bounds(args, params)
-    _, laws = _derive_laws(pde, bounds, _utilde(args, params))
+    pde, _, _, laws = _derive_laws(args, params, _pde_text(args))
     cfg = nc.GridConfig(length=args.length, n=args.grid_n, dt=args.dt,
                         t_end=args.horizon)
     x = nc.grid(cfg)

@@ -10,17 +10,29 @@ declared arity, and "gee" atoms stand for total derivatives of the PDE
 left-hand side during off-solution splitting.
 
 Everything is normalized at construction: coefficients merged, zeros pruned,
-exp atoms combined, power atoms with nonnegative integer exponents expanded,
-sin powers reduced below two via sin^2 = 1 - cos^2.  Equality of normalized
-expressions is structural equality.
+and one rewrite step (`_rewrite`) applied to each raw term until no rule
+fires.  The rules, tried in this order:
+
+1. exp atoms combine into one exp at power 1; exp(0) drops.
+2. For each pow atom (a u + b)^r, in atom order: a power p != 1 folds into
+   the exponent; a nonnegative integer r expands by the binomial theorem; a
+   constant base (a = 0) folds into the coefficient when b^r is rational;
+   u^m beside the atom rebases onto it, u^m = sum_j C(m,j) (-b)^(m-j) a^(-m)
+   (a u + b)^j; a scale a != 1 moves into the coefficient when a^r is
+   rational.
+3. Two pow atoms with the same live base (a != 0) add their exponents.
+4. sin and cos of a negative argument reflect (sin odd, cos even); sin(0)
+   vanishes and cos(0) drops; sin^2 reduces to 1 - cos^2.
+
+Equality of normalized expressions is structural equality.
 
 Products and partials build a term's signature directly when the term is
 normalized by construction, and send only the rest through the rewrite
-search.  Only two rewrite rules read coordinates, and both need u next to a
-live power atom (alpha != 0); the formal atoms take part in no rule.  So the
-product of two normalized terms is normalized when at most one side carries
-kernel atoms and the merged monomial does not meet a live power atom with u,
-and lowering the power of a coordinate keeps a term normalized.
+step.  Only one rule reads coordinates, the rebase of u beside a live power
+atom (a != 0), and the formal atoms take part in no rule.  So the product
+of two normalized terms is normalized when at most one side carries kernel
+atoms and the merged monomial does not meet a live power atom with u, and
+lowering the power of a coordinate keeps a term normalized.
 """
 
 from __future__ import annotations
@@ -190,9 +202,9 @@ def _canon_term(coeff: Fraction, factors: dict) -> list:
         if c == 0:
             continue
         f = {k: p for k, p in f.items() if p != 0}
-        action = _find_rewrite(f)
-        if action is not None:
-            stack.extend(_apply_rewrite(action, c, f))
+        rewritten = _rewrite(c, f)
+        if rewritten is not None:
+            stack.extend(rewritten)
             continue
         mono = []
         atoms = []
@@ -209,142 +221,64 @@ def _canon_term(coeff: Fraction, factors: dict) -> list:
     return out
 
 
-def _find_rewrite(f: dict):
+def _replace(f, drop, add=None, p=1):
+    """A copy of the factor dict f without the factors in drop and with p
+    more of factor add."""
+    g = {k: q for k, q in f.items() if k not in drop}
+    if add is not None:
+        g[add] = g.get(add, 0) + p
+    return g
+
+
+def _rewrite(c, f):
+    """The raw terms that one rewrite step turns c*f into, or None when c*f
+    is in normal form.  The rules are tried in the module docstring's order."""
     atoms = [k for k in f if not (is_indep(k) or is_jet(k))]
     exps = [k for k in atoms if k[0] == "exp"]
-    if exps:
-        only = exps[0]
-        if len(exps) > 1 or f[only] != 1 or (only[1] == 0 and only[2] == 0):
-            return ("exp_merge", exps)
+    if exps and (len(exps) > 1 or f[exps[0]] != 1 or not (exps[0][1] or exps[0][2])):
+        alpha = sum(k[1] * f[k] for k in exps)
+        beta = sum(k[2] * f[k] for k in exps)
+        return [(c, _replace(f, exps, ("exp", alpha, beta) if alpha or beta else None))]
     pows = sorted((k for k in atoms if k[0] == "pow"), key=_atom_sort_key)
     for k in pows:
+        _, alpha, beta, r = k
         if f[k] != 1:
-            return ("pow_scale", k)
-        if k[3] == 0:
-            return ("pow_drop", k)
-        if k[1] == 0:
-            if rational_pow(k[2], k[3]) is not None:
-                return ("pow_const", k)
+            return [(c, _replace(f, (k,), ("pow", alpha, beta, r * f[k])))]
+        if r.denominator == 1 and r >= 0:
+            n = int(r)
+            return [(c * comb(n, j) * alpha ** j * beta ** (n - j), _replace(f, (k,), U, j))
+                    for j in range(n + 1)]
+        if alpha == 0:
+            value = rational_pow(beta, r)
+            if value is not None:
+                return [(c * value, _replace(f, (k,)))]
             continue
-        if k[3].denominator == 1 and k[3] > 0:
-            return ("pow_expand", k)
-        if k[1] == 1 and k[2] == 0 and f.get(U, 0) > 0:
-            return ("pow_absorb_u", k)
-        if f.get(U, 0) > 0:
-            return ("pow_rebase_u", k)
-        if k[1] != 1:
-            scale = rational_pow(k[1], k[3])
+        m = f.get(U, 0)
+        if m > 0:
+            return [(c * comb(m, j) * (-beta) ** (m - j) * alpha ** (-m),
+                     _replace(f, (k, U), ("pow", alpha, beta, r + j))) for j in range(m + 1)]
+        if alpha != 1:
+            scale = rational_pow(alpha, r)
             if scale is not None:
-                return ("pow_monic", k, scale)
-    for i in range(len(pows)):
-        for j in range(i + 1, len(pows)):
-            if pows[i][1:3] == pows[j][1:3] and pows[i][1] != 0:
-                return ("pow_join", pows[i], pows[j])
+                return [(c * scale, _replace(f, (k,), ("pow", Fraction(1), beta / alpha, r)))]
+    for i, k1 in enumerate(pows):
+        for k2 in pows[i + 1:]:
+            if k1[1:3] == k2[1:3] and k1[1] != 0:
+                return [(c, _replace(f, (k1, k2), ("pow", k1[1], k1[2], k1[3] + k2[3])))]
     for k in atoms:
-        if k[0] in ("sin", "cos"):
-            if k[1] < 0 or (k[1] == 0 and k[2] < 0):
-                return ("trig_sign", k)
-            if k[1] == 0 and k[2] == 0:
-                return ("trig_zero", k)
-            if k[0] == "sin" and f[k] >= 2:
-                return ("sin_reduce", k)
+        if k[0] not in ("sin", "cos"):
+            continue
+        tag, alpha, beta = k
+        if alpha < 0 or (alpha == 0 and beta < 0):
+            p = f[k]
+            return [(c * (-1) ** p if tag == "sin" else c,
+                     _replace(f, (k,), (tag, -alpha, -beta), p))]
+        if alpha == 0 and beta == 0:
+            return [] if tag == "sin" else [(c, _replace(f, (k,)))]
+        if tag == "sin" and f[k] >= 2:
+            g = _replace(f, (), k, -2)
+            return [(c, g), (-c, _replace(g, (), ("cos", alpha, beta), 2))]
     return None
-
-
-def _apply_rewrite(action, c, f):
-    kind = action[0]
-    g = dict(f)
-    if kind == "exp_merge":
-        alpha = Fraction(0)
-        beta = Fraction(0)
-        for k in action[1]:
-            p = g.pop(k)
-            alpha += k[1] * p
-            beta += k[2] * p
-        if alpha != 0 or beta != 0:
-            nk = ("exp", alpha, beta)
-            g[nk] = g.get(nk, 0) + 1
-        return [(c, g)]
-    if kind == "pow_scale":
-        k = action[1]
-        p = g.pop(k)
-        nk = ("pow", k[1], k[2], k[3] * p)
-        g[nk] = g.get(nk, 0) + 1
-        return [(c, g)]
-    if kind == "pow_drop":
-        del g[action[1]]
-        return [(c, g)]
-    if kind == "pow_const":
-        k = action[1]
-        del g[k]
-        return [(c * rational_pow(k[2], k[3]), g)]
-    if kind == "pow_expand":
-        k = action[1]
-        del g[k]
-        n = int(k[3])
-        alpha, beta = k[1], k[2]
-        branches = []
-        for j in range(n + 1):
-            h = dict(g)
-            if j:
-                h[U] = h.get(U, 0) + j
-            branches.append((c * comb(n, j) * alpha ** j * beta ** (n - j), h))
-        return branches
-    if kind == "pow_absorb_u":
-        k = action[1]
-        del g[k]
-        m = g.pop(U)
-        nk = ("pow", Fraction(1), Fraction(0), k[3] + m)
-        g[nk] = 1
-        return [(c, g)]
-    if kind == "pow_rebase_u":
-        # u^m (a u + b)^r -> sum_j C(m,j) (-b)^(m-j) a^(-m) (a u + b)^(r+j):
-        # bare u never coexists with a shifted power atom in normal form.
-        k = action[1]
-        alpha, beta, r = k[1], k[2], k[3]
-        del g[k]
-        m = g.pop(U)
-        branches = []
-        for j in range(m + 1):
-            h = dict(g)
-            nk = ("pow", alpha, beta, r + j)
-            h[nk] = h.get(nk, 0) + 1
-            branches.append(
-                (c * comb(m, j) * (-beta) ** (m - j) * alpha ** (-m), h))
-        return branches
-    if kind == "pow_monic":
-        k, scale = action[1], action[2]
-        del g[k]
-        nk = ("pow", Fraction(1), k[2] / k[1], k[3])
-        g[nk] = g.get(nk, 0) + 1
-        return [(c * scale, g)]
-    if kind == "pow_join":
-        k1, k2 = action[1], action[2]
-        p1 = g.pop(k1)
-        p2 = g.pop(k2)
-        nk = ("pow", k1[1], k1[2], k1[3] * p1 + k2[3] * p2)
-        g[nk] = g.get(nk, 0) + 1
-        return [(c, g)]
-    if kind == "trig_sign":
-        k = action[1]
-        p = g.pop(k)
-        nk = (k[0], -k[1], -k[2])
-        g[nk] = g.get(nk, 0) + p
-        return [(c * ((-1) ** p if k[0] == "sin" else 1), g)]
-    if kind == "trig_zero":
-        k = action[1]
-        if k[0] == "sin":
-            return []
-        del g[k]
-        return [(c, g)]
-    if kind == "sin_reduce":
-        k = action[1]
-        ck = ("cos", k[1], k[2])
-        g[k] -= 2
-        g2 = dict(g)
-        g2[ck] = g2.get(ck, 0) + 2
-        return [(c, g), (-c, g2)]
-    raise AssertionError(kind)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ scanned once per integration or quantity series, not per evaluation.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,12 @@ class GridConfig:
     def __post_init__(self):
         if self.n < 64:
             raise ValueError("grid must have at least 64 points")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        for name in ("length", "dt", "t_end"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive" % name)
+        steps = self.t_end / self.dt
+        if not (steps < math.inf and round(steps) >= 1):
+            raise ValueError("t_end/dt must round to a finite number of steps, at least one")
 
 
 @dataclass

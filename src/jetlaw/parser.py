@@ -188,11 +188,6 @@ class _Parser:
                 r = second.as_fraction()
             except ExprError:
                 raise ParseError("pow exponent must be a rational constant", pos)
-            if alpha == 0:
-                val = rational_pow(beta, r)
-                if val is None:
-                    return JetExpression.atom(pow_atom(0, beta, r))
-                return JetExpression.rational(val)
             return JetExpression.atom(pow_atom(alpha, beta, r))
         self.expect(")")
         atom = {"exp": exp_atom, "sin": sin_atom, "cos": cos_atom}[name](alpha, beta)
@@ -214,24 +209,14 @@ def _raise(base, exponent, pos) -> JetExpression:
         return base ** int(exponent)
     affine = base.affine_in_u()
     if affine is not None and affine != (0, 0):
-        alpha, beta = affine
-        if alpha == 0:
-            val = rational_pow(beta, exponent)
-            if val is not None:
-                return JetExpression.rational(val)
-            return JetExpression.atom(pow_atom(0, beta, exponent))
-        return JetExpression.atom(pow_atom(alpha, beta, exponent))
+        return JetExpression.atom(pow_atom(*affine, exponent))
     single = _single_atom(base)
-    if single is not None:
+    if single is not None and single[1][0] in ("exp", "pow"):
         coeff, atom = single
-        if atom[0] == "exp":
-            scale = rational_pow(coeff, exponent)
-            if scale is not None:
-                return JetExpression.atom(exp_atom(atom[1] * exponent, atom[2] * exponent)) * scale
-        if atom[0] == "pow":
-            scale = rational_pow(coeff, exponent)
-            if scale is not None:
-                return JetExpression.atom(pow_atom(atom[1], atom[2], atom[3] * exponent)) * scale
+        scale = rational_pow(coeff, exponent)
+        if scale is not None:
+            # the normal form folds the power of an exp or pow atom into it
+            return JetExpression.from_raw([(scale, {atom: exponent})])
     raise ParseError("fractional or negative power of a non-invertible base", pos)
 
 

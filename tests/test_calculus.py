@@ -20,6 +20,7 @@ from jetlaw.expr import (
 )
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
+from jetlaw import calculus
 from jetlaw.calculus import (
     NotIntegrable,
     NotXDerivative,
@@ -270,3 +271,17 @@ def test_antiderivative_is_exact_and_unique():
         for sig, c in got.terms.items():
             assert w in JetExpression({sig: c}).coordinates(), (e, w, sig)
     assert in_u > 500 and refused > 200
+
+
+def test_by_parts_makes_linearly_many_atom_integrations(monkeypatch):
+    """int u^m exp(u) sin(2u) du takes one atom-table integration per term
+    of each H_k, not one per branch of a recursion tree."""
+    calls = []
+    original = calculus._atom_antiderivative
+    monkeypatch.setattr(calculus, "_atom_antiderivative",
+                        lambda live: calls.append(live) or original(live))
+    m = 10
+    integrand = P("u^%d*exp(u)*sin(2*u)" % m)
+    result = _integrate_wrt(integrand, U)
+    assert len(calls) <= 3 * (m + 1)
+    assert result.partial(U) == integrand

@@ -101,6 +101,14 @@ def test_numcheck_blowup_exit_code(capsys):
     assert "unstable configuration" in captured.err
 
 
+def test_numcheck_zero_length_exit_code(capsys):
+    code = main(["numcheck", "--pde", KDV, "--order", "0", "--length", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "length" in captured.err
+
+
 def test_param_flag(capsys):
     code, out = run(capsys, "derive", "--pde", "u_t + u^n*u_x + u_xxx = 0",
                     "--param", "n=3", "--order", "2", "--deg-tx", "1",

@@ -1,5 +1,6 @@
 """Expression kernel: parsing, normalization, ring laws, evaluation."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -103,6 +104,64 @@ def test_power_atom_normalizations():
     assert P("pow(2*u, -2)") == P("pow(u, -2)") * Fraction(1, 4)
     assert P("exp(u)*exp(-u)") == 1
     assert P("exp(u)^2") == P("exp(2*u)")
+    assert P("pow(0, 0)") == 1
+
+
+def test_u_beside_two_same_base_pow_atoms():
+    raw = {U: 1, pow_atom(1, 0, Fraction(1, 2)): 1, pow_atom(1, 0, Fraction(3, 2)): 1}
+    assert JetExpression.from_raw([(1, raw)]) == P("u^3")
+
+
+_RAW_POINT = {"t": 0.31, "x": -0.57, U: 0.7137, UX: 1.23, UT: -0.41}
+_RAW_ALPHAS = [Fraction(a) for a in (0, 1, -1, 2, Fraction(1, 2))]
+_RAW_BETAS = [Fraction(b) for b in (0, 1, -1, Fraction(3, 2), 4)]
+_RAW_EXPONENTS = [Fraction(r) for r in (0, 1, 2, 3, -1, Fraction(1, 2), Fraction(-1, 2),
+                                        Fraction(3, 2))]
+
+
+def _raw_factor_value(k, p):
+    """The float value of factor k at _RAW_POINT, raised to p (complex when a
+    negative base takes a fractional power; None at a pole)."""
+    if not isinstance(k[0], str) or k in ("t", "x"):
+        return _RAW_POINT[k] ** p
+    arg = float(k[1]) * _RAW_POINT[U] + float(k[2])
+    if k[0] != "pow":
+        return {"exp": math.exp, "sin": math.sin, "cos": math.cos}[k[0]](arg) ** p
+    if arg == 0 and k[3] < 0:
+        return None
+    return complex(arg) ** float(k[3] * p)  # (z^r)^p = z^(r p) for integer p
+
+
+def test_normal_form_keeps_the_value_of_raw_terms():
+    """Every seeded raw term either raises ExprError or normalizes to an
+    expression with the float value of the product of its factors."""
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(4000):
+        factors = {k: p for k in ("t", "x", U, UX, UT) if (p := rng.randrange(4))}
+        for _ in range(rng.randrange(5)):
+            tag = rng.choice(("exp", "sin", "cos", "pow"))
+            atom = (tag, rng.choice(_RAW_ALPHAS), rng.choice(_RAW_BETAS))
+            if tag == "pow":
+                atom += (rng.choice(_RAW_EXPONENTS),)
+            factors[atom] = factors.get(atom, 0) + rng.randint(1, 3)
+        coeff = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2)))
+        want = complex(coeff)
+        for k, p in factors.items():
+            v = _raw_factor_value(k, p)
+            want = None if v is None or want is None else want * v
+        if want is None or want.imag != 0 or not cmath.isfinite(want):
+            continue
+        try:
+            got = JetExpression.from_raw([(coeff, factors)])
+        except ExprError:
+            continue
+        checked += 1
+        # relative to the summed term sizes, since binomial expansions cancel
+        size = sum(abs(JetExpression({sig: c}).evaluate(_RAW_POINT))
+                   for sig, c in got.terms.items())
+        assert abs(got.evaluate(_RAW_POINT) - want.real) <= 1e-9 * size, (coeff, factors, got)
+    assert checked > 3000
 
 
 def test_rational_pow_exact_roots():

@@ -6,6 +6,7 @@ checks: stability, convergence of the stepper, zero data, and blow-up
 detection.
 """
 
+import math
 import random
 
 import numpy as np
@@ -70,10 +71,21 @@ def test_zero_data_stays_zero_for_vanishing_interaction():
 
 
 def test_grid_config_validation():
-    with pytest.raises(ValueError):
-        GridConfig(length=10.0, n=32, dt=1e-3, t_end=1.0)
-    with pytest.raises(ValueError):
-        GridConfig(length=10.0, n=64, dt=-1e-3, t_end=1.0)
+    for length, n, dt, t_end in [
+        (10.0, 32, 1e-3, 1.0),
+        (10.0, 64, -1e-3, 1.0),
+        (0.0, 64, 1e-3, 1.0),
+        (-10.0, 64, 1e-3, 1.0),
+        (math.inf, 64, 1e-3, 1.0),
+        (math.nan, 64, 1e-3, 1.0),
+        (10.0, 64, math.inf, 1.0),
+        (10.0, 64, math.nan, 1.0),
+        (10.0, 64, 5.0, 1.0),  # rounds to zero RK4 steps
+        (10.0, 64, 1e-3, math.inf),
+        (10.0, 64, 1e-300, 1e10),  # the step count overflows
+    ]:
+        with pytest.raises(ValueError):
+            GridConfig(length=length, n=n, dt=dt, t_end=t_end)
 
 
 def test_blowup_detection():
