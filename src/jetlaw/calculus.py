@@ -28,8 +28,8 @@ from .expr import (
     U,
     UT,
     gee_atom,
-    is_jet,
     is_kernel_atom,
+    term_jets,
 )
 from .pde import PdeSpec, iterated_total, on_chart
 
@@ -82,13 +82,6 @@ def solution_total_derivative(pde: PdeSpec, e: JetExpression) -> JetExpression:
     return eliminate_off_chart(pde, e.total("t"), with_gee=False)
 
 
-def _euler_candidates(e: JetExpression) -> set:
-    jets = set(e.jets())
-    for arity in e.lam_arities():
-        jets.update(k for k in arity if is_jet(k))
-    return jets
-
-
 def _horner(coeffs: dict, direction: str) -> JetExpression:
     """sum_j (-D)^j coeffs[j], evaluated as c_0 - D(c_1 - D(c_2 - ...)) so
     that terms cancel before they are differentiated again."""
@@ -102,7 +95,7 @@ def euler_operator(e: JetExpression) -> JetExpression:
     """Variational derivative: sum over jets v of (-D)^v (de/dv), nested in
     Horner form over x-orders and then over t-orders."""
     rows: dict = {}
-    for a, b in _euler_candidates(e):
+    for a, b in set().union(*map(term_jets, e.terms)):
         rows.setdefault(a, {})[b] = e.partial((a, b))
     inner = {a: _horner(row, "x") for a, row in rows.items()}
     return _horner(inner, "t")
@@ -120,7 +113,8 @@ def restricted_euler(e: JetExpression, base: str) -> JetExpression:
     start = 0 if base == "U_fullX" else 1
     if base not in ("U_fullX", "U_x"):
         raise ExprError("unknown restricted Euler base %r" % base)
-    return _horner({b - start: e.partial((0, b)) for (a, b) in _euler_candidates(e)
+    jets = set().union(*map(term_jets, e.terms))
+    return _horner({b - start: e.partial((0, b)) for (a, b) in jets
                     if a == 0 and b >= start}, "x")
 
 
@@ -207,13 +201,6 @@ def _descent_rank(k):
     return (a + b, b, a)
 
 
-def _term_coords(mono, atoms) -> set:
-    out = {k for k, _ in mono if is_jet(k)}
-    if any(is_kernel_atom(a) and a[1] != 0 for a, _ in atoms):
-        out.add(U)
-    return out
-
-
 def ibp_normal_form(e: JetExpression):
     """Canonical representative modulo im(D_x): (core, theta) with
     e == core + D_x(theta)."""
@@ -225,24 +212,14 @@ def ibp_normal_form(e: JetExpression):
     while not work.is_zero():
         jets = work.jets()
         if not jets:
-            jetless_core = {}
-            jetless_int = {}
-            for sig, c in work.terms.items():
-                mono, atoms = sig
-                if U in _term_coords(mono, atoms):
-                    jetless_core[sig] = c
-                else:
-                    jetless_int[sig] = c
-            core = core + JetExpression(jetless_core)
-            theta = theta + _integrate_wrt(JetExpression(jetless_int), "x")
+            theta = theta + _integrate_wrt(work, "x")
             break
         v = max(jets, key=_descent_rank)
         if v[1] == 0:
             stuck = {}
             keep = {}
             for sig, c in work.terms.items():
-                mono, atoms = sig
-                if v in _term_coords(mono, atoms):
+                if v in term_jets(sig):
                     stuck[sig] = c
                 else:
                     keep[sig] = c
@@ -260,7 +237,7 @@ def ibp_normal_form(e: JetExpression):
             if p == 0:
                 keep[sig] = c
                 continue
-            others = _term_coords(mono, atoms) - {v}
+            others = term_jets(sig) - {v}
             if p >= 2 or any(_descent_rank(z) > w_rank for z in others):
                 blocked[sig] = c
             else:

@@ -26,13 +26,17 @@ fires.  The rules, tried in this order:
 
 Equality of normalized expressions is structural equality.
 
-Products and partials build a term's signature directly when the term is
-normalized by construction, and send only the rest through the rewrite
-step.  Only one rule reads coordinates, the rebase of u beside a live power
-atom (a != 0), and the formal atoms take part in no rule.  So the product
-of two normalized terms is normalized when at most one side carries kernel
-atoms and the merged monomial does not meet a live power atom with u, and
-lowering the power of a coordinate keeps a term normalized.
+Products, partials and total derivatives build a term's signature directly
+when the term is normalized by construction, and send only the rest through
+the rewrite step.  Only one rule reads coordinates, the rebase of u beside a
+live power atom (a != 0), and the formal atoms take part in no rule.  So the
+product of two normalized terms is normalized when at most one side carries
+kernel atoms and the merged monomial does not meet a live power atom with u;
+lowering the power of a coordinate, trading one formal atom for another and
+multiplying by a jet other than u keep a term normalized.  The total
+derivative is one chain rule on the per-term partial, D = d/d(direction) +
+sum_k u_(k+direction) d/du_k over the jets k the term depends on, so only
+the derivatives of kernel atoms reach the rewrite step.
 """
 
 from __future__ import annotations
@@ -202,6 +206,8 @@ def _canon_term(coeff: Fraction, factors: dict) -> list:
         if c == 0:
             continue
         f = {k: p for k, p in f.items() if p != 0}
+        if any(p < 0 and k[0] in ("sin", "cos", "lam", "gee") for k, p in f.items()):
+            raise ExprError("negative power of a sin, cos, lam or gee atom")
         rewritten = _rewrite(c, f)
         if rewritten is not None:
             stack.extend(rewritten)
@@ -343,6 +349,51 @@ def _term_kinds(sig) -> tuple:
             kernel = True
             live = live or (a[0] == "pow" and a[1] != 0)
     return kernel, live, any(k == U for k, _ in mono)
+
+
+def term_jets(sig) -> set:
+    """The jets one term depends on: its monomial's jets, u when it has a
+    live kernel atom, and the jets in the arity of its lam atoms."""
+    mono, atoms = sig
+    out = {k for k, _ in mono if is_jet(k)}
+    for a, _ in atoms:
+        if a[0] == "lam":
+            out.update(k for k in a[1] if is_jet(k))
+        elif is_kernel_atom(a) and a[1] != 0:
+            out.add(U)
+    return out
+
+
+def _swap_atom(atoms, old, new):
+    """The sorted atom pairs with one power of old traded for one of new."""
+    f = dict(atoms)
+    f[old] -= 1
+    f[new] = f.get(new, 0) + 1
+    out = tuple((a, p) for a, p in f.items() if p)
+    return out if len(out) < 2 else tuple(sorted(out, key=_atoms_key))
+
+
+def _term_partial(c, mono, atoms, v) -> list:
+    """d/dv of the normalized term c*mono*atoms as normalized (coefficient,
+    signature) pairs; gee atoms are constants here, and only the derivatives
+    of kernel atoms go through the rewrite step."""
+    out = []
+    for i, (k, p) in enumerate(mono):
+        if k == v:
+            lower = (_pair(k, p - 1),) if p > 1 else ()
+            out.append((c * p, (mono[:i] + lower + mono[i + 1:], atoms)))
+            break
+    for a, p in atoms:
+        if a[0] == "lam":
+            if v in a[1]:
+                out.append((c * p, (mono, _swap_atom(atoms, a, lam_bump(a, v)))))
+        elif v == U and is_kernel_atom(a) and a[1] != 0:
+            for dc, da in _atom_derivative(a):
+                f = _sig_factors((mono, atoms))
+                f[a] = p - 1
+                f[da] = f.get(da, 0) + 1
+                out.extend(_canon_term(c * p * dc, f))
+    return out
 
 
 class JetExpression:
@@ -508,20 +559,12 @@ class JetExpression:
     def jets(self) -> set:
         return {k for k in self.coordinates() if is_jet(k)}
 
-    def has_formal(self, tag=None) -> bool:
+    def has_formal(self) -> bool:
         for (_, atoms) in self.terms:
             for a, _ in atoms:
-                if a[0] in ("lam", "gee") and (tag is None or a[0] == tag):
+                if a[0] in ("lam", "gee"):
                     return True
         return False
-
-    def lam_arities(self) -> set:
-        out = set()
-        for (_, atoms) in self.terms:
-            for a, _ in atoms:
-                if a[0] == "lam":
-                    out.add(a[1])
-        return out
 
     def maximal_order(self):
         """Highest jet coordinate present as (t_order, x_order); (0,0) if none."""
@@ -537,87 +580,30 @@ class JetExpression:
         """Partial derivative with respect to one coordinate."""
         pairs = []
         for (mono, atoms), c in self.terms.items():
-            for i, (k, p) in enumerate(mono):
-                if k == v:
-                    lower = (_pair(k, p - 1),) if p > 1 else ()
-                    pairs.append((c * p, (mono[:i] + lower + mono[i + 1:], atoms)))
-                    break
-            for a, p in atoms:
-                tag = a[0]
-                if tag == "gee":
-                    raise ExprError("cannot take partials through a gee atom")
-                if tag == "lam":
-                    if v in a[1]:
-                        f = _sig_factors((mono, atoms))
-                        f[a] = p - 1
-                        nb = lam_bump(a, v)
-                        f[nb] = f.get(nb, 0) + 1
-                        pairs.extend(_canon_term(c * p, f))
-                    continue
-                if v != U or a[1] == 0:
-                    continue
-                for dc, da in _atom_derivative(a):
-                    f = _sig_factors((mono, atoms))
-                    f[a] = p - 1
-                    f[da] = f.get(da, 0) + 1
-                    pairs.extend(_canon_term(c * p * dc, f))
+            if any(a[0] == "gee" for a, _ in atoms):
+                raise ExprError("cannot take partials through a gee atom")
+            pairs.extend(_term_partial(c, mono, atoms, v))
         return JetExpression(_accumulate(pairs))
 
     def total(self, direction) -> "JetExpression":
-        """Formal total derivative D_t or D_x."""
+        """Formal total derivative D_t or D_x.  Per term, D is the partial in
+        the direction plus u_(k+direction) times the partial in each jet k of
+        term_jets, and each gee atom G_ab steps to G_(a+1)b or G_a(b+1)."""
         if direction not in ("t", "x"):
             raise ExprError("direction must be 't' or 'x'")
-        u1 = UT if direction == "t" else UX
-        raw = []
-        for (mono, atoms), c in self.terms.items():
-            factors = _sig_factors((mono, atoms))
-            for k, p in mono:
-                if is_indep(k):
-                    if k == direction:
-                        f = dict(factors)
-                        f[k] = p - 1
-                        raw.append((c * p, f))
-                    continue
-                f = dict(factors)
-                f[k] = p - 1
-                nk = bump(k, direction)
-                f[nk] = f.get(nk, 0) + 1
-                raw.append((c * p, f))
+        pairs = []
+        for sig, c in self.terms.items():
+            mono, atoms = sig
+            pairs.extend(_term_partial(c, mono, atoms, direction))
+            for k in term_jets(sig):
+                step = (_pair(bump(k, direction), 1),)
+                for dc, (m, a) in _term_partial(c, mono, atoms, k):
+                    pairs.append((dc, (_merge_factors(m, step, _mono_key, _pair), a)))
             for a, p in atoms:
-                tag = a[0]
-                if tag == "gee":
-                    f = dict(factors)
-                    f[a] = p - 1
+                if a[0] == "gee":
                     na = ("gee", a[1] + 1, a[2]) if direction == "t" else ("gee", a[1], a[2] + 1)
-                    f[na] = f.get(na, 0) + 1
-                    raw.append((c * p, f))
-                elif tag == "lam":
-                    if direction in a[1]:
-                        f = dict(factors)
-                        f[a] = p - 1
-                        nb = lam_bump(a, direction)
-                        f[nb] = f.get(nb, 0) + 1
-                        raw.append((c * p, f))
-                    for k in a[1]:
-                        if not is_jet(k):
-                            continue
-                        f = dict(factors)
-                        f[a] = p - 1
-                        nb = lam_bump(a, k)
-                        f[nb] = f.get(nb, 0) + 1
-                        nk = bump(k, direction)
-                        f[nk] = f.get(nk, 0) + 1
-                        raw.append((c * p, f))
-                else:
-                    if a[1] == 0:
-                        continue
-                    for dc, da in _atom_derivative(a):
-                        f = dict(factors)
-                        f[a] = p - 1
-                        f[da] = f.get(da, 0) + 1
-                        f[u1] = f.get(u1, 0) + 1
-                        raw.append((c * p * dc, f))
-        return _from_raw(raw)
+                    pairs.append((c * p, (mono, _swap_atom(atoms, a, na))))
+        return JetExpression(_accumulate(pairs))
 
     def substitute(self, target, replacement) -> "JetExpression":
         """Replace a jet coordinate everywhere, including inside powers.

@@ -33,6 +33,11 @@ class IntegrationBlowUp(ExprError, RuntimeError):
         self.norm = norm
 
 
+# Most RK4 steps one integration may take; the tests and benchmark take at
+# most about 13,000.
+MAX_STEPS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class GridConfig:
     length: float
@@ -48,8 +53,8 @@ class GridConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and positive" % name)
         steps = self.t_end / self.dt
-        if not (steps < math.inf and round(steps) >= 1):
-            raise ValueError("t_end/dt must round to a finite number of steps, at least one")
+        if not (steps < math.inf and 1 <= round(steps) <= MAX_STEPS):
+            raise ValueError("t_end/dt must round to between 1 and %d RK4 steps" % MAX_STEPS)
 
 
 @dataclass

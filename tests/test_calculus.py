@@ -79,8 +79,10 @@ def test_euler_annihilates_divergences(rng):
 def _euler_term_by_term(e):
     """The definition, one jet at a time: sum_v (-D_t)^a (-D_x)^b de/dv."""
     jets = set(e.jets())
-    for arity in e.lam_arities():
-        jets.update(k for k in arity if k not in ("t", "x"))
+    for _, atoms in e.terms:
+        for a, _ in atoms:
+            if a[0] == "lam":
+                jets.update(k for k in a[1] if k not in ("t", "x"))
     out = JetExpression.zero()
     for a, b in sorted(jets):
         out = out + iterated_total(e.partial((a, b)), a, b) * Fraction((-1) ** (a + b))

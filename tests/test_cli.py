@@ -109,6 +109,14 @@ def test_numcheck_zero_length_exit_code(capsys):
     assert "length" in captured.err
 
 
+def test_numcheck_step_count_over_the_cap_exit_code(capsys):
+    code = main(["numcheck", "--pde", KDV, "--order", "0", "--dt", "1e-9", "--grid-n", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "RK4 steps" in captured.err
+
+
 def test_param_flag(capsys):
     code, out = run(capsys, "derive", "--pde", "u_t + u^n*u_x + u_xxx = 0",
                     "--param", "n=3", "--order", "2", "--deg-tx", "1",

@@ -112,6 +112,17 @@ def test_u_beside_two_same_base_pow_atoms():
     assert JetExpression.from_raw([(1, raw)]) == P("u^3")
 
 
+def test_negative_powers_of_trig_and_formal_atoms_are_rejected():
+    for a in (sin_atom(-1), sin_atom(2, 1), cos_atom(1), cos_atom(-1, 3),
+              lam_atom(_ARITY), gee_atom(0, 1)):
+        for p in (-1, -2):
+            with pytest.raises(ExprError, match="negative power"):
+                JetExpression.from_raw([(1, {a: p, UX: 1})])
+    assert JetExpression.from_raw([(1, {exp_atom(2): -1})]) == JetExpression.atom(exp_atom(-2))
+    assert JetExpression.from_raw([(1, {pow_atom(1, 1, Fraction(1, 2)): -2})]) \
+        == JetExpression.atom(pow_atom(1, 1, -1))
+
+
 _RAW_POINT = {"t": 0.31, "x": -0.57, U: 0.7137, UX: 1.23, UT: -0.41}
 _RAW_ALPHAS = [Fraction(a) for a in (0, 1, -1, 2, Fraction(1, 2))]
 _RAW_BETAS = [Fraction(b) for b in (0, 1, -1, Fraction(3, 2), 4)]
@@ -334,8 +345,9 @@ def test_monomial_pairs_are_shared():
 
 
 # ---------------------------------------------------------------------------
-# Products and partials build normalized terms directly; these references
-# send every raw term through the full rewrite search instead.
+# Products, partials and total derivatives build normalized terms directly;
+# these references send every raw term through the full rewrite search
+# instead.
 
 def _reference_mul(a, b):
     raw = []
@@ -370,6 +382,41 @@ def _reference_partial(e, v):
             elif v == U and a[1] != 0:
                 for dc, da in expr_module._atom_derivative(a):
                     swap(c * p * dc, factors, a, da)
+    return expr_module._from_raw(raw)
+
+
+def _reference_total(e, direction):
+    """D_t or D_x term by term, every raw term through the rewrite search."""
+    u1 = UT if direction == "t" else UX
+    raw = []
+
+    def swap(c, factors, old, new, extra=None):
+        f = {**factors, old: factors[old] - 1}
+        f[new] = f.get(new, 0) + 1
+        if extra is not None:
+            f[extra] = f.get(extra, 0) + 1
+        raw.append((c, f))
+
+    for (mono, atoms), c in e.terms.items():
+        factors = expr_module._sig_factors((mono, atoms))
+        for k, p in mono:
+            if k == direction:
+                raw.append((c * p, {**factors, k: p - 1}))
+            elif k not in ("t", "x"):
+                swap(c * p, factors, k, expr_module.bump(k, direction))
+        for a, p in atoms:
+            if a[0] == "gee":
+                step = (1, 0) if direction == "t" else (0, 1)
+                swap(c * p, factors, a, ("gee", a[1] + step[0], a[2] + step[1]))
+            elif a[0] == "lam":
+                if direction in a[1]:
+                    swap(c * p, factors, a, lam_bump(a, direction))
+                for k in a[1]:
+                    if k not in ("t", "x"):
+                        swap(c * p, factors, a, lam_bump(a, k), expr_module.bump(k, direction))
+            elif a[1] != 0:
+                for dc, da in expr_module._atom_derivative(a):
+                    swap(c * p * dc, factors, a, da, u1)
     return expr_module._from_raw(raw)
 
 
@@ -445,6 +492,14 @@ def test_partial_matches_reference_random(rng):
         JetExpression.atom(gee_atom()).partial(U)
 
 
+def test_total_matches_reference_random(rng):
+    for _ in range(300):
+        for e in (random_expression(rng, max_order=3, max_terms=6), _rich_expression(rng)):
+            for direction in ("t", "x"):
+                got, want = e.total(direction), _reference_total(e, direction)
+                assert got == want and want == got
+
+
 def _count_canon_calls(monkeypatch):
     calls = []
     original = expr_module._canon_term
@@ -468,3 +523,13 @@ def test_assemble_needs_no_rewrite_search(monkeypatch, source, params, bounds):
     calls = _count_canon_calls(monkeypatch)
     linsys = assemble(system, ansatz)
     assert linsys.rows and not calls
+
+
+def test_total_needs_no_rewrite_search_without_kernel_atoms(rng, monkeypatch):
+    formal = tuple(a for a in _RICH_POOL if a[0] in ("lam", "gee"))
+    draws = [random_expression(rng, max_order=4, with_atoms=False) for _ in range(100)]
+    draws += [_rich_expression(rng, formal) for _ in range(100)]
+    calls = _count_canon_calls(monkeypatch)
+    for e in draws:
+        e.total("t"), e.total("x")
+    assert not calls

@@ -83,6 +83,7 @@ def test_grid_config_validation():
         (10.0, 64, 5.0, 1.0),  # rounds to zero RK4 steps
         (10.0, 64, 1e-3, math.inf),
         (10.0, 64, 1e-300, 1e10),  # the step count overflows
+        (10.0, 64, 1e-9, 1.0),  # 10^9 steps, over MAX_STEPS
     ]:
         with pytest.raises(ValueError):
             GridConfig(length=length, n=n, dt=dt, t_end=t_end)
