@@ -91,14 +91,19 @@ def _horner(coeffs: dict, direction: str) -> JetExpression:
     return out
 
 
-def euler_operator(e: JetExpression) -> JetExpression:
-    """Variational derivative: sum over jets v of (-D)^v (de/dv), nested in
-    Horner form over x-orders and then over t-orders."""
-    rows: dict = {}
-    for a, b in set().union(*map(term_jets, e.terms)):
-        rows.setdefault(a, {})[b] = e.partial((a, b))
-    inner = {a: _horner(row, "x") for a, row in rows.items()}
+def euler_sum(rows: dict) -> JetExpression:
+    """sum over jets v of (-D)^v rows[v], nested in Horner form over
+    x-orders and then over t-orders."""
+    nested: dict = {}
+    for (a, b), row in rows.items():
+        nested.setdefault(a, {})[b] = row
+    inner = {a: _horner(row, "x") for a, row in nested.items()}
     return _horner(inner, "t")
+
+
+def euler_operator(e: JetExpression) -> JetExpression:
+    """Variational derivative: sum over jets v of (-D)^v (de/dv)."""
+    return euler_sum({v: e.partial(v) for v in set().union(*map(term_jets, e.terms))})
 
 
 def restricted_euler(e: JetExpression, base: str) -> JetExpression:

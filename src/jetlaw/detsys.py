@@ -2,21 +2,30 @@
 
 The condition for a multiplier is that E_u(G * Lam) vanish identically off
 the solution space.  For a concrete expression this is evaluated directly.
-For an unknown multiplier of declared arity, Lam is carried as an opaque
-derivative-indexed atom, the off-chart coordinates are rewritten through the
-PDE with gee atoms marking total derivatives of G, and the coefficients of
-the distinct gee monomials become the extra determining equations; the
-gee-free remainder is the adjoint-symmetry equation (symmetry equation for
-the self-adjoint shapes).
+
+For an unknown multiplier of declared arity, Lam is an opaque
+derivative-indexed atom and G enters as the gee atom G_00, whose total
+derivatives stay formal.  The condition is built by the product rule,
+E_u(Lam * G) = sum_v (-D)^v (dLam/dv * G + dG/dv * Lam) = D_Lam*(G) + D_G*(Lam),
+over the jets of Lam's arity and of G (Anco and Bluman, Eur. J. Appl. Math.
+13, 2002).  The off-chart coordinates it produces are then rewritten through
+the PDE, with gee atoms marking the total derivatives of G.  Chart
+coordinates and gee atoms form a coordinate system on the jet space, so the
+result is the normal form of E_u(G * Lam) expanded over the whole jet space.
+The coefficients of the distinct gee monomials become the extra determining
+equations; the gee-free remainder is the adjoint-symmetry equation
+D_G*(Lam) = 0 on solutions (the symmetry equation for the self-adjoint
+shapes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ExprError, JetExpression, is_jet, is_indep, lam_atom
+from .expr import (ExprError, JetExpression, gee_atom, is_jet, is_indep, lam_atom,
+                   sig_sort_key)
 from .pde import PdeSpec, on_chart
-from .calculus import eliminate_off_chart, euler_operator
+from .calculus import eliminate_off_chart, euler_operator, euler_sum
 
 
 class ArityError(ExprError):
@@ -28,17 +37,10 @@ class SplitError(ExprError):
 
 
 def validate_arity(pde: PdeSpec, arity) -> tuple:
-    seen = []
     for k in arity:
-        if is_indep(k):
-            if k not in seen:
-                seen.append(k)
-            continue
-        if not is_jet(k) or not on_chart(pde.leading, k):
+        if not is_indep(k) and not (is_jet(k) and on_chart(pde.leading, k)):
             raise ArityError("inadmissible multiplier dependence on %r" % (k,))
-        if k not in seen:
-            seen.append(k)
-    return tuple(seen)
+    return tuple(dict.fromkeys(arity))
 
 
 def check_admissible(pde: PdeSpec, lam: JetExpression) -> None:
@@ -72,24 +74,35 @@ class DeterminingSystem:
 
 
 def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
+    """Group the eliminated condition by gee monomial; each equation's terms
+    come in canonical order."""
     arity = validate_arity(pde, arity)
-    lam = JetExpression.atom(lam_atom(arity))
-    q = euler_operator(pde.gee() * lam)
-    q = eliminate_off_chart(pde, q, with_gee=True)
-    groups: dict = {}
+    q = eliminate_off_chart(pde, _product_rule_condition(pde, arity), with_gee=True)
+    groups: dict = {(): []}
     for (mono, atoms), c in q.terms.items():
         gees = tuple(sorted((a, p) for a, p in atoms if a[0] == "gee"))
         rest = tuple(ap for ap in atoms if ap[0][0] != "gee")
-        groups.setdefault(gees, {})[(mono, rest)] = c
-    groups.setdefault((), {})
+        groups.setdefault(gees, []).append(((mono, rest), c))
     gee_keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
     if pde.leading == (2, 0) and all(
         is_indep(k) or (k[0] + k[1] <= 1) for k in arity
     ):
         _check_first_order_wave_split(gee_keys)
-    equations = tuple(JetExpression(groups[key]) for key in gee_keys)
+    equations = tuple(
+        JetExpression(dict(sorted(groups[key], key=lambda t: sig_sort_key(t[0]))))
+        for key in gee_keys)
     return DeterminingSystem(pde=pde, unknown_arity=arity,
                              equations=equations, gee_keys=gee_keys)
+
+
+def _product_rule_condition(pde: PdeSpec, arity) -> JetExpression:
+    """E_u(Lam * G) as sum_v (-D)^v (dLam/dv * G + dG/dv * Lam), with G the
+    formal atom G_00, over the jets of Lam's arity and of G."""
+    lam = JetExpression.atom(lam_atom(arity))
+    g = pde.gee()
+    g00 = JetExpression.atom(gee_atom(0, 0))
+    jets = g.jets().union(k for k in arity if is_jet(k))
+    return euler_sum({v: lam.partial(v) * g00 + g.partial(v) * lam for v in jets})
 
 
 def _check_first_order_wave_split(gee_keys) -> None:

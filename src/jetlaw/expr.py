@@ -365,7 +365,12 @@ def term_jets(sig) -> set:
 
 
 def _swap_atom(atoms, old, new):
-    """The sorted atom pairs with one power of old traded for one of new."""
+    """The sorted atom pairs with one power of old traded for one of new.
+    Atoms sort by tag first, so a lone atom of its tag at power 1 swaps for
+    one of the same tag in place."""
+    if old[0] == new[0] and sum(a[0] == old[0] for a, _ in atoms) == 1 \
+            and dict(atoms)[old] == 1:
+        return tuple((new, 1) if a == old else (a, p) for a, p in atoms)
     f = dict(atoms)
     f[old] -= 1
     f[new] = f.get(new, 0) + 1

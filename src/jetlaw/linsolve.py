@@ -2,6 +2,8 @@
 
 The ansatz is the span of all monomials in the admissible coordinates within
 the given bounds, optionally times one kernel atom from a user-supplied list.
+Bounds that give more than MAX_COLUMNS columns, counted in closed form, are
+refused before anything is enumerated or split.
 Substituting the ansatz into a determining system and collecting coefficients
 of distinct free-coordinate monomial signatures yields a sparse linear system
 over the rationals.  It is solved exactly by one fraction-free elimination:
@@ -23,6 +25,13 @@ from math import gcd, lcm
 from .expr import ExprError, JetExpression, U, is_indep, is_kernel_atom, sig_sort_key
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, split_determining_system
+
+
+MAX_COLUMNS = 20_000
+
+
+class AnsatzTooLarge(ExprError):
+    """The bounds give an ansatz of more than MAX_COLUMNS columns."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,27 @@ def multiplier_arity(pde: PdeSpec, order: int) -> tuple:
     return indeps + jets
 
 
+def ansatz_columns(pde: PdeSpec, bounds: AnsatzBounds) -> int:
+    """The number of products generate_ansatz_basis enumerates, in closed
+    form: (t, x) monomials times (1 + atoms) times comb(jets + deg_u, deg_u)
+    jet monomials.  Exact up to MAX_COLUMNS; past it, some larger number.
+    Atoms that collapse (a pow atom meeting u, a repeated atom) make the
+    de-duplicated basis smaller."""
+    jets = len(admissible_jets(pde, bounds.order)) if pde.leading == (2, 0) \
+        else max(bounds.order + 1, 0)
+    d = max(bounds.deg_tx + 1, 0)
+    count = (d if pde.leading == (1, 1) else d * (d + 1) // 2) * (1 + len(bounds.atoms))
+    for k in range(1, bounds.deg_u + 1):
+        if jets == 0 or not 0 < count <= MAX_COLUMNS:
+            break
+        count = count * (jets + k) // k
+    return count
+
+
 def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
     """Deterministic enumeration of all ansatz monomials within bounds."""
+    if ansatz_columns(pde, bounds) > MAX_COLUMNS:
+        raise AnsatzTooLarge("ansatz bounds give more than %d columns" % MAX_COLUMNS)
     arity = multiplier_arity(pde, bounds.order)
     jets = [k for k in arity if not is_indep(k)]
     indeps = [k for k in arity if is_indep(k)]
@@ -269,9 +297,10 @@ def combine(ansatz: AnsatzSpace, vector) -> JetExpression:
 
 
 def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
-    """Full pipeline: split system, assemble, nullspace; returns (space, list)."""
-    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    """Full pipeline: basis (size-checked first), split system, assemble,
+    nullspace; returns (space, list)."""
     ansatz = generate_ansatz_basis(pde, bounds)
+    system = split_determining_system(pde, ansatz.arity)
     linsys = assemble(system, ansatz)
     vectors = nullspace(linsys)
     return ansatz, [combine(ansatz, v) for v in vectors]

@@ -216,6 +216,18 @@ def test_high_degree_in_u_is_enumerated_without_recursion(capsys):
     assert "ansatz size: 1201" in out
 
 
+def test_oversized_ansatz_is_one_error_line(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = main(["derive", "--pde", KDV, "--param", "n=100000", "--order", "n",
+                 "--deg-u", "1"])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ansatz bounds give more than") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Seeded fuzz over malformed and extreme command lines.  Every input here
 # terminates quickly; huge but valid bounds are left out on purpose, since

@@ -1,10 +1,16 @@
 """Determining condition and the split into adjoint/symmetry + extra equations."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
-from jetlaw.expr import ExprError, T, U, X
+from jetlaw.calculus import eliminate_off_chart
+from jetlaw.expr import (ExprError, JetExpression, T, U, X, exp_atom, lam_atom, pow_atom,
+                         sig_sort_key, sin_atom, term_jets)
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import parse_pde
+from jetlaw.pde import PdeSpec, iterated_total, parse_pde
 from jetlaw.detsys import (
     ArityError,
     SplitError,
@@ -12,7 +18,7 @@ from jetlaw.detsys import (
     determining_expression,
     split_determining_system,
 )
-from jetlaw.linsolve import instantiate
+from jetlaw.linsolve import instantiate, multiplier_arity
 
 from oracle_jet import euler as oracle_euler, same, to_sympy
 
@@ -136,3 +142,102 @@ def test_split_equations_equivalent_to_direct_condition(rng):
         split_zero = all(instantiate(eq, lam).is_zero() for eq in sys.equations)
         direct_zero = determining_expression(kdv, lam).is_zero()
         assert split_zero == direct_zero
+
+
+# ---------------------------------------------------------------------------
+# The split against the direct expansion of E_u(G * Lam).
+
+# The nine classify calls (the KdV scan as n = 1..4) and the three scale
+# systems, at their ansatz orders.
+CLASSIFY_CASES = [(KDV, {"n": n}, 2) for n in (1, 2, 3, 4)] + [
+    (WAVE, {}, 1),
+    ("u_tt = u^2*u_xx + u*u_x^2", {}, 1),
+    ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {}, 1),
+    ("u_tx = sin(u)", {}, 3),
+    ("u_tx = exp(u) + exp(-u)", {}, 3),
+    ("u_tx = exp(u)", {}, 3),
+    ("u_tx = u^2", {}, 3),
+    ("u_tx = u^3", {}, 3),
+]
+SCALE_CASES = [(KDV, {"n": 1}, 4), ("u_tx = sin(u)", {}, 4), ("u_tx = exp(u)", {}, 4)]
+
+
+def _straight_euler(e):
+    """sum_v (-1)^|v| D^v (de/dv), one jet at a time, without Horner nesting."""
+    out = JetExpression.zero()
+    for v in sorted(set().union(*map(term_jets, e.terms))):
+        out = out + iterated_total(e.partial(v), *v) * (-1) ** sum(v)
+    return out
+
+
+def _reference_split(pde, arity):
+    """(gee keys, equations) from E_u(G * Lam) expanded over the whole jet
+    space with G concrete, then eliminated and grouped by gee monomial."""
+    lam = JetExpression.atom(lam_atom(arity))
+    q = eliminate_off_chart(pde, _straight_euler(pde.gee() * lam), with_gee=True)
+    groups = {(): {}}
+    for (mono, atoms), c in q.terms.items():
+        gees = tuple(sorted((a, p) for a, p in atoms if a[0] == "gee"))
+        rest = tuple(ap for ap in atoms if ap[0][0] != "gee")
+        groups.setdefault(gees, {})[(mono, rest)] = c
+    keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
+    return keys, [JetExpression(groups[k]) for k in keys]
+
+
+def _assert_split_matches_reference(pde, arity):
+    system = split_determining_system(pde, arity)
+    keys, equations = _reference_split(pde, arity)
+    assert system.gee_keys == keys
+    assert list(system.equations) == equations
+    for got, ref in zip(system.equations, equations):
+        assert list(got.terms.items()) == sorted(ref.terms.items(),
+                                                 key=lambda t: sig_sort_key(t[0]))
+
+
+@pytest.mark.parametrize("source, params, order", CLASSIFY_CASES + SCALE_CASES)
+def test_split_matches_direct_expansion(source, params, order):
+    pde = parse_pde(source, params)
+    _assert_split_matches_reference(pde, multiplier_arity(pde, order))
+
+
+def _random_rhs(rng, leading, with_atoms):
+    """A random right-hand side on the chart of the given leading derivative."""
+    atoms = (exp_atom(Fraction(-1, 2)), sin_atom(1), pow_atom(1, 2, -1))
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        factors = {}
+        for _ in range(rng.randint(0, 2)):
+            b = rng.randint(0, 3)
+            a = rng.randint(0, 1) if leading == (2, 0) and b < 2 else 0
+            factors[(a, b)] = factors.get((a, b), 0) + 1
+        if rng.random() < 0.3:
+            factors[rng.choice(("t", "x"))] = 1
+        if with_atoms and rng.random() < 0.5:
+            factors[rng.choice(atoms)] = 1
+        raw.append((Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)), factors))
+    return JetExpression.from_raw(raw)
+
+
+@pytest.mark.parametrize("leading, order", [((1, 0), 2), ((2, 0), 1), ((1, 1), 2)])
+@pytest.mark.parametrize("with_atoms", [False, True])
+def test_split_matches_direct_expansion_on_random_pdes(leading, order, with_atoms):
+    rng = random.Random("%s:%d:%s" % (leading, order, with_atoms))
+    for _ in range(6):
+        rhs = _random_rhs(rng, leading, with_atoms)
+        pde = PdeSpec(leading=leading, rhs=rhs)
+        _assert_split_matches_reference(pde, multiplier_arity(pde, order))
+
+
+def _split_digest(system):
+    text = "\n".join(sorted(render(eq) for eq in system.equations)
+                     + [repr(system.gee_keys)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_kdv_order_six_split_digest():
+    """The order-6 KdV split, frozen from the direct expansion."""
+    kdv = parse_pde(KDV, {"n": 1})
+    system = split_determining_system(kdv, multiplier_arity(kdv, 6))
+    assert len(system.equations) == 7
+    assert _split_digest(system) == \
+        "fab296fd1809ab044d13a832d5334e69b97a81261c60628ba9120d49adb72104"

@@ -6,12 +6,16 @@ from math import comb, gcd
 
 import pytest
 
-from jetlaw.expr import ExprError, JetExpression, exp_atom, lam_atom, sin_atom
+from jetlaw.expr import (ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
+                         sin_atom)
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.detsys import determining_expression, split_determining_system
 from jetlaw.linsolve import (
+    MAX_COLUMNS,
     AnsatzBounds,
+    AnsatzTooLarge,
+    ansatz_columns,
     RationalLinearSystem,
     assemble,
     generate_ansatz_basis,
@@ -109,6 +113,59 @@ def test_basis_enumeration_matches_recursive_reference(source, orders):
                                           deg_u=deg_u, atoms=atoms)
                     assert generate_ansatz_basis(pde, bounds).basis == \
                         _recursive_basis(pde, bounds)
+
+
+@pytest.mark.parametrize("source, orders", [
+    (KDV, (0, 1, 2, 4)),
+    ("u_tx = sin(u)", (0, 1, 3)),
+    (WAVE, (0, 1)),
+])
+def test_ansatz_columns_closed_form_matches_enumeration(source, orders):
+    pde = parse_pde(source, {"n": 1})
+    atom_lists = ((), (exp_atom(Fraction(-1, 2)),),
+                  (exp_atom(1), sin_atom(1), cos_atom(2, 1)))
+    for order in orders:
+        for deg_tx in (-1, 0, 1, 2, 3):
+            for deg_u in (-1, 0, 1, 2, 3):
+                for atoms in atom_lists:
+                    bounds = AnsatzBounds(order=order, deg_tx=deg_tx,
+                                          deg_u=deg_u, atoms=atoms)
+                    count = ansatz_columns(pde, bounds)
+                    if count == 0:
+                        with pytest.raises(ExprError):
+                            generate_ansatz_basis(pde, bounds)
+                    else:
+                        assert count == len(generate_ansatz_basis(pde, bounds).basis)
+
+
+def test_ansatz_columns_bounds_the_basis_when_atoms_collapse():
+    kdv = parse_pde(KDV, {"n": 1})
+    # u^2 * u^-2 == 1 and a repeated atom both give duplicates.
+    atoms = (pow_atom(1, 0, -2), exp_atom(1), exp_atom(1))
+    bounds = AnsatzBounds(order=1, deg_tx=1, deg_u=2, atoms=atoms)
+    count = ansatz_columns(kdv, bounds)
+    assert count == 3 * 6 * 4
+    assert len(generate_ansatz_basis(kdv, bounds).basis) < count
+
+
+def test_oversized_ansatz_is_refused_before_the_split():
+    import time
+
+    kdv = parse_pde(KDV, {"n": 1})
+    start = time.perf_counter()
+    for bounds in (AnsatzBounds(order=100_000, deg_u=1),
+                   AnsatzBounds(order=10 ** 9, deg_tx=10 ** 9, deg_u=10 ** 9),
+                   AnsatzBounds(order=0, deg_u=MAX_COLUMNS)):
+        assert ansatz_columns(kdv, bounds) > MAX_COLUMNS
+        with pytest.raises(AnsatzTooLarge):
+            solve_multipliers(kdv, bounds)
+    # No (t, x) monomial, or no jet: the count stops without a long loop.
+    assert ansatz_columns(kdv, AnsatzBounds(order=10 ** 9, deg_tx=-1, deg_u=10 ** 9)) == 0
+    bounds = AnsatzBounds(order=-1, deg_u=10 ** 9)
+    assert ansatz_columns(kdv, bounds) == len(_recursive_basis(kdv, bounds)) == 1
+    assert time.perf_counter() - start < 1
+    bounds = AnsatzBounds(order=0, deg_u=MAX_COLUMNS - 1)
+    assert ansatz_columns(kdv, bounds) == MAX_COLUMNS
 
 
 def test_empty_basis_rejected():
