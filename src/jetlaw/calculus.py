@@ -27,6 +27,7 @@ from .expr import (
     JetExpression,
     U,
     UT,
+    _accumulate,
     gee_atom,
     is_kernel_atom,
     term_jets,
@@ -127,7 +128,7 @@ def restricted_euler(e: JetExpression, base: str) -> JetExpression:
 # Antiderivatives, kernel atoms included.
 
 def _u_power(m: int) -> JetExpression:
-    return JetExpression.from_raw([(Fraction(1), {U: m})])
+    return JetExpression.from_raw([(1, {U: m})])
 
 
 def _atom_antiderivative(live) -> JetExpression:
@@ -141,10 +142,11 @@ def _atom_antiderivative(live) -> JetExpression:
     if len(atoms) == 1 and tags[0] in ("exp", "pow") and unit:
         (a,) = atoms
         if a[0] == "exp":
-            return JetExpression.atom(a) * (1 / a[1])
+            return JetExpression.atom(a) * (Fraction(1) / a[1])
         if a[3] == -1:
             raise NotIntegrable("logarithmic antiderivative")
-        return JetExpression.atom(("pow", a[1], a[2], a[3] + 1)) * (1 / (a[1] * (a[3] + 1)))
+        return JetExpression.atom(("pow", a[1], a[2], a[3] + 1)) \
+            * (Fraction(1) / (a[1] * (a[3] + 1)))
     args = {a[1:] for a in atoms}
     if set(tags) <= {"sin", "cos"} and len(args) == 1:
         (alpha, beta), = args
@@ -152,11 +154,11 @@ def _atom_antiderivative(live) -> JetExpression:
         c = atoms.get(("cos", alpha, beta), 0)
         cos_a = ("cos", alpha, beta)
         if s == 1:
-            return JetExpression.atom(cos_a) ** (c + 1) * (-1 / ((c + 1) * alpha))
+            return JetExpression.atom(cos_a) ** (c + 1) * (Fraction(-1) / ((c + 1) * alpha))
         if s == 0:
             # d/du [sin cos^(c-1)] = alpha c cos^c - alpha (c-1) cos^(c-2)
             h = JetExpression.atom(("sin", alpha, beta)) * JetExpression.atom(cos_a) ** (c - 1) \
-                * (1 / (c * alpha))
+                * (Fraction(1) / (c * alpha))
             if c > 1:
                 h = h + _atom_antiderivative([(cos_a, c - 2)]) * Fraction(c - 1, c)
             return h
@@ -166,7 +168,7 @@ def _atom_antiderivative(live) -> JetExpression:
         sin_t = JetExpression.atom(("sin",) + ta[1:])
         cos_t = JetExpression.atom(("cos",) + ta[1:])
         trig = sin_t * ae - cos_t * at if ta[0] == "sin" else cos_t * ae + sin_t * at
-        return JetExpression.atom(ea) * trig * (1 / (ae * ae + at * at))
+        return JetExpression.atom(ea) * trig * (Fraction(1) / (ae * ae + at * at))
     raise NotIntegrable("atom combination %s" % tags)
 
 
@@ -190,7 +192,7 @@ def _integrate_wrt(e: JetExpression, w) -> JetExpression:
                 rest[a] = rest.get(a, 0) + p
         if not live:
             rest[w] = m + 1
-            out = out + JetExpression.from_raw([(c / (m + 1), rest)])
+            out = out + JetExpression.from_raw([(Fraction(c, m + 1), rest)])
             continue
         h = _atom_antiderivative(live)
         piece = _u_power(m) * h
@@ -233,7 +235,7 @@ def ibp_normal_form(e: JetExpression):
             continue
         w = (v[0], v[1] - 1)
         w_rank = _descent_rank(w)
-        linear = {}
+        linear = []
         blocked = {}
         keep = {}
         for sig, c in work.terms.items():
@@ -247,10 +249,10 @@ def ibp_normal_form(e: JetExpression):
                 blocked[sig] = c
             else:
                 rest = tuple((k, q) for k, q in mono if k != v)
-                linear[(rest, atoms)] = linear.get((rest, atoms), 0) + c
+                linear.append((c, (rest, atoms)))
         core = core + JetExpression(blocked)
         work = JetExpression(keep)
-        cofactor = JetExpression({sig: c for sig, c in linear.items() if c != 0})
+        cofactor = JetExpression(_accumulate(linear))
         if cofactor.is_zero():
             continue
         try:

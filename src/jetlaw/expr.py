@@ -2,12 +2,21 @@
 
 A coordinate is either an independent variable ("t" or "x") or a jet
 coordinate (a, b) standing for d_t^a d_x^b u, with (0, 0) being u itself.
-A term multiplies a rational coefficient, a monomial in coordinates, and
+A term multiplies a coefficient, a monomial in coordinates, and
 kernel atoms: exp/sin/cos of an affine form a*u + b, and (a*u + b)^r with
 rational exponent r.  Two opaque atom families support the determining-system
 machinery: "lam" atoms carry partial derivatives of an unknown multiplier of
 declared arity, and "gee" atoms stand for total derivatives of the PDE
 left-hand side during off-solution splitting.
+
+A coefficient is exact: an int when it is integral, else a Fraction with
+denominator > 1.  Integral coefficients are the common case, and int
+arithmetic is much cheaper than Fraction arithmetic; int and Fraction hash
+and compare alike, so the normal form is still unique.  Coefficients are
+normalized where they are born or merged (`_q`).  int / int is a float, so
+exact division is Fraction(p, q) or a division by a Fraction, never p / q.
+Anything but an int or a Fraction is rejected (`CoefficientError`).  Atom
+parameters stay Fractions.
 
 Everything is normalized at construction: coefficients merged, zeros pruned,
 and one rewrite step (`_rewrite`) applied to each raw term until no rule
@@ -53,6 +62,26 @@ UX = (0, 1)
 
 class ExprError(ValueError):
     """Raised for operations outside the closed expression fragment."""
+
+
+class CoefficientError(ExprError):
+    """A coefficient that is neither an int nor a Fraction, e.g. a float."""
+
+
+def _exact(c):
+    """c, checked to be an exact rational; a float would silently turn into
+    an inexact Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise CoefficientError("coefficient %r is not an int or a Fraction" % (c,))
+    return c
+
+
+def _q(c):
+    """The normal form of a coefficient: an int when integral, else the
+    Fraction itself."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
 
 
 def is_jet(k) -> bool:
@@ -198,7 +227,7 @@ def _pair(k, p):
     return _PAIRS.setdefault(pair, pair)
 
 
-def _canon_term(coeff: Fraction, factors: dict) -> list:
+def _canon_term(coeff, factors: dict) -> list:
     out = []
     stack = [(coeff, factors)]
     while stack:
@@ -290,21 +319,23 @@ def _rewrite(c, f):
 # ---------------------------------------------------------------------------
 # Expression construction and arithmetic on {signature: coefficient} dicts.
 
-def _accumulate(pairs) -> dict:
-    terms: dict = {}
+def _accumulate(pairs, terms=None) -> dict:
+    """{signature: coefficient} summed over (coefficient, signature) pairs,
+    into terms when given; zero sums drop and the rest are normalized."""
+    terms = {} if terms is None else terms
     for c, sig in pairs:
         nc = terms.get(sig, 0) + c
         if nc == 0:
             terms.pop(sig, None)
         else:
-            terms[sig] = nc
+            terms[sig] = nc if type(nc) is int else _q(nc)
     return terms
 
 
 def _from_raw(raw_terms) -> "JetExpression":
     pairs = []
     for c, f in raw_terms:
-        pairs.extend(_canon_term(Fraction(c), f))
+        pairs.extend(_canon_term(_exact(c), f))
     return JetExpression(_accumulate(pairs))
 
 
@@ -418,18 +449,18 @@ class JetExpression:
 
     @staticmethod
     def rational(q) -> "JetExpression":
-        q = Fraction(q)
+        q = _q(_exact(q))
         return JetExpression({} if q == 0 else {((), ()): q})
 
     @staticmethod
     def coordinate(k) -> "JetExpression":
         if not (is_indep(k) or is_jet(k)):
             raise ExprError("not a coordinate: %r" % (k,))
-        return JetExpression({((_pair(k, 1),), ()): Fraction(1)})
+        return JetExpression({((_pair(k, 1),), ()): 1})
 
     @staticmethod
     def atom(a) -> "JetExpression":
-        return _from_raw([(Fraction(1), {a: 1})])
+        return _from_raw([(1, {a: 1})])
 
     @staticmethod
     def from_raw(raw_terms) -> "JetExpression":
@@ -447,7 +478,7 @@ class JetExpression:
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return next(iter(self.terms.values()))
+            return Fraction(next(iter(self.terms.values())))
         raise ExprError("expression is not a rational constant")
 
     def affine_in_u(self):
@@ -469,14 +500,8 @@ class JetExpression:
 
     def __add__(self, other):
         other = _coerce(other)
-        terms = dict(self.terms)
-        for sig, c in other.terms.items():
-            nc = terms.get(sig, 0) + c
-            if nc == 0:
-                terms.pop(sig, None)
-            else:
-                terms[sig] = nc
-        return JetExpression(terms)
+        return JetExpression(_accumulate(
+            ((c, sig) for sig, c in other.terms.items()), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -491,10 +516,10 @@ class JetExpression:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _q(other)
             if q == 0:
                 return JetExpression.zero()
-            return JetExpression({sig: c * q for sig, c in self.terms.items()})
+            return JetExpression({sig: _q(c * q) for sig, c in self.terms.items()})
         other = _coerce(other)
         right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
         pairs = []
@@ -644,7 +669,7 @@ class JetExpression:
     def at_constant_state(self, value) -> "JetExpression":
         """Evaluate on the constant state u == value: derivatives vanish,
         kernel atoms become constant-argument atoms (exact when rational)."""
-        value = Fraction(value)
+        value = Fraction(_exact(value))
         raw = []
         for (mono, atoms), c in self.terms.items():
             coeff = c

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .expr import ExprError, JetExpression, U, is_indep, is_kernel_atom, sig_sort_key
+from .expr import (ExprError, JetExpression, U, _accumulate, is_indep, is_kernel_atom,
+                   sig_sort_key)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, split_determining_system
 
@@ -123,7 +124,7 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
                         f[k] = f.get(k, 0) + 1
                     if atom is not None:
                         f[atom] = 1
-                    basis.append(JetExpression.from_raw([(Fraction(1), f)]))
+                    basis.append(JetExpression.from_raw([(1, f)]))
     seen = set()
     unique = []
     for b in basis:
@@ -145,7 +146,7 @@ class RationalLinearSystem:
 
     def add(self, key, col, value):
         row = self.rows.setdefault(key, {})
-        nv = row.get(col, Fraction(0)) + value
+        nv = row.get(col, 0) + value
         if nv == 0:
             row.pop(col, None)
         else:
@@ -188,13 +189,12 @@ def _substitute(tree, candidate: JetExpression) -> dict:
     while stack:
         index, value = stack.pop()
         for ei, coefficient in uses.get(index, ()):
-            for sig, c in (coefficient * value).terms.items():
-                acc[ei, sig] = acc.get((ei, sig), 0) + c
+            _accumulate(((c, (ei, sig)) for sig, c in (coefficient * value).terms.items()), acc)
         for child in children.get(index, ()):
             d = value.partial(child[-1])
             if d.terms:
                 stack.append((child, d))
-    return {key: c for key, c in acc.items() if c}
+    return acc
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
@@ -298,9 +298,14 @@ def combine(ansatz: AnsatzSpace, vector) -> JetExpression:
 
 def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
     """Full pipeline: basis (size-checked first), split system, assemble,
-    nullspace; returns (space, list)."""
+    nullspace; returns (space, list).  The split is taken over the
+    independent variables and the jets the basis uses: the split's cost grows
+    with the arity, and the derivatives of Lam in other jets vanish for every
+    basis element."""
     ansatz = generate_ansatz_basis(pde, bounds)
-    system = split_determining_system(pde, ansatz.arity)
+    used = set().union(*(b.jets() for b in ansatz.basis))
+    arity = tuple(k for k in ansatz.arity if is_indep(k) or k in used)
+    system = split_determining_system(pde, arity)
     linsys = assemble(system, ansatz)
     vectors = nullspace(linsys)
     return ansatz, [combine(ansatz, v) for v in vectors]

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .expr import (
     ExprError,
     JetExpression,
+    _exact,
     coord_from_name,
     coord_name,
     cos_atom,
@@ -82,7 +83,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = -1  # the top-level expr is depth 0
-        self.params = {k: Fraction(v) for k, v in (params or {}).items()}
+        self.params = {k: Fraction(_exact(v)) for k, v in (params or {}).items()}
 
     def peek(self):
         return self.tokens[self.pos]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import JetExpression, ExprError, UT, UX, coord_name, is_jet
+from .expr import JetExpression, ExprError, UT, UX, _exact, coord_name, is_jet
 from .parser import parse_expression
 
 LEADINGS = ((2, 0), (1, 1), (1, 0))
@@ -71,7 +71,7 @@ def parse_pde(text: str, params=None, name: str = "") -> PdeSpec:
     if "=" not in text:
         raise PdeError("PDE text must contain '='")
     lhs_text, rhs_text = text.split("=", 1)
-    params = {k: Fraction(v) for k, v in (params or {}).items()}
+    params = {k: Fraction(_exact(v)) for k, v in (params or {}).items()}
     lhs = parse_expression(lhs_text, params)
     rhs = parse_expression(rhs_text, params)
     g = lhs - rhs

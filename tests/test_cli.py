@@ -1,5 +1,6 @@
 """Command-line interface: reports, JSON schema, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -216,6 +217,19 @@ def test_high_degree_in_u_is_enumerated_without_recursion(capsys):
     assert "ansatz size: 1201" in out
 
 
+def test_split_covers_only_the_jets_the_basis_uses(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, high = run(capsys, "derive", "--pde", KDV, "--format", "json",
+                     "--order", "10", "--deg-tx", "1", "--deg-u", "0")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    _, low = run(capsys, "derive", "--pde", KDV, "--format", "json",
+                 "--order", "0", "--deg-tx", "1", "--deg-u", "0")
+    assert json.loads(high)["laws"] == json.loads(low)["laws"]
+
+
 def test_oversized_ansatz_is_one_error_line(capsys):
     import time
 
@@ -305,3 +319,49 @@ def test_cli_fuzz_exit_codes(capsys):
         capsys.readouterr()
     assert time.perf_counter() - start < 10
     assert {0, 2} <= set(codes)
+
+
+# The paper's KdV, wave-speed and Klein-Gordon tables as nine CLI calls, with
+# the SHA-256 of their --format json output.  The digests pin the rendered
+# laws byte for byte; they change only when an answer or its rendering does.
+_ORDER2 = ["--order", "2", "--deg-tx", "1", "--deg-u", "n+1"]
+_WAVE = ["--order", "1", "--deg-tx", "2", "--deg-u", "1"]
+_KG = ["--order", "3", "--deg-tx", "1", "--deg-u", "3"]
+GOLDEN_JSON = {
+    "kdv scan n=1..4": (
+        ["scan", "--pde", "u_t + u^n*u_x + u_xxx = 0", "--scan", "n=1..4"] + _ORDER2,
+        "d5872968b412369e4a5e29c4448257b8190cef064668d303df5fad96308d9a99"),
+    "wave c=u^-2": (
+        ["derive", "--pde", "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"] + _WAVE,
+        "2638e8653ddcafc261aea058867e3e42423ac526923302132b56d6e9bc1de10e"),
+    "wave c=u": (
+        ["derive", "--pde", "u_tt = u^2*u_xx + u*u_x^2"] + _WAVE,
+        "499d2b318cc5653134b8a73b0248fdaf14c9ba48ed41349836b56d4cba7cecf1"),
+    "wave c=e^u": (
+        ["derive", "--pde", "u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2",
+         "--atoms", "exp(-1/2*u)"] + _WAVE,
+        "2e213b1aa8543eaa5a994053c51765d4e25ea31c49abf810c169348886e6d62f"),
+    "kg sin": (
+        ["derive", "--pde", "u_tx = sin(u)"] + _KG,
+        "0993560466544149fe0de0004278b848251739bc40943c80e56a7c63275546b8"),
+    "kg sinh": (
+        ["derive", "--pde", "u_tx = exp(u) + exp(-u)"] + _KG,
+        "5c10f18f140da5e81911917695bcca876ba8fec751b638bb26fb174fe36b0b79"),
+    "kg liouville": (
+        ["derive", "--pde", "u_tx = exp(u)"] + _KG,
+        "f17cc1d3c3ec043b54d7b8ba136a658a044334f0b4b0b361c09cccad33105a98"),
+    "kg u^2": (
+        ["derive", "--pde", "u_tx = u^2"] + _KG,
+        "23bdf6a7c20f98de6abab7facce15841ea1b609852848f1964487405539f363b"),
+    "kg u^3": (
+        ["derive", "--pde", "u_tx = u^3"] + _KG,
+        "40a14fe0ed234194cfb0072b1fc39c6542d2bcd7bacf4a50fc84e81b2f3b4997"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_classification_json_is_byte_identical(capsys, name):
+    argv, digest = GOLDEN_JSON[name]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
