@@ -16,6 +16,11 @@ The coefficients of the distinct gee monomials become the extra determining
 equations; the gee-free remainder is the adjoint-symmetry equation
 D_G*(Lam) = 0 on solutions (the symmetry equation for the self-adjoint
 shapes).
+
+Setting every gee atom to zero commutes with the elimination, and every term
+of the D_Lam*(G) half carries a gee atom.  So with_gee=False builds only the
+gee-free equation, from the D_G*(Lam) half eliminated on solutions: the same
+expression as the full split's first equation, at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ class DeterminingSystem:
 
     equations[0] is the adjoint-symmetry (or symmetry) equation; the rest are
     the extra equations, one per gee monomial, carried with their gee keys.
+    Built with with_gee=False, the system holds equations[0] alone and its
+    gee_keys are ((),).
     """
 
     pde: PdeSpec
@@ -73,11 +80,12 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
+def split_determining_system(pde: PdeSpec, arity, with_gee: bool = True) -> DeterminingSystem:
     """Group the eliminated condition by gee monomial; each equation's terms
-    come in canonical order."""
+    come in canonical order.  With with_gee=False only the gee-free equation
+    D_G*(Lam) = 0 on solutions is built, and gee_keys is ((),)."""
     arity = validate_arity(pde, arity)
-    q = eliminate_off_chart(pde, _product_rule_condition(pde, arity), with_gee=True)
+    q = eliminate_off_chart(pde, _product_rule_condition(pde, arity, with_gee), with_gee)
     groups: dict = {(): []}
     for (mono, atoms), c in q.terms.items():
         gees = tuple(sorted((a, p) for a, p in atoms if a[0] == "gee"))
@@ -95,11 +103,14 @@ def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
                              equations=equations, gee_keys=gee_keys)
 
 
-def _product_rule_condition(pde: PdeSpec, arity) -> JetExpression:
+def _product_rule_condition(pde: PdeSpec, arity, with_gee: bool) -> JetExpression:
     """E_u(Lam * G) as sum_v (-D)^v (dLam/dv * G + dG/dv * Lam), with G the
-    formal atom G_00, over the jets of Lam's arity and of G."""
+    formal atom G_00, over the jets of Lam's arity and of G.  Without gee,
+    only the half D_G*(Lam) = sum_v (-D)^v (dG/dv * Lam) over G's jets."""
     lam = JetExpression.atom(lam_atom(arity))
     g = pde.gee()
+    if not with_gee:
+        return euler_sum({v: g.partial(v) * lam for v in g.jets()})
     g00 = JetExpression.atom(gee_atom(0, 0))
     jets = g.jets().union(k for k in arity if is_jet(k))
     return euler_sum({v: lam.partial(v) * g00 + g.partial(v) * lam for v in jets})

@@ -15,8 +15,8 @@ arithmetic is much cheaper than Fraction arithmetic; int and Fraction hash
 and compare alike, so the normal form is still unique.  Coefficients are
 normalized where they are born or merged (`_q`).  int / int is a float, so
 exact division is Fraction(p, q) or a division by a Fraction, never p / q.
-Anything but an int or a Fraction is rejected (`CoefficientError`).  Atom
-parameters stay Fractions.
+Anything but an int or a Fraction is rejected (`CoefficientError`), as a
+coefficient and as an atom parameter.  Atom parameters stay Fractions.
 
 Everything is normalized at construction: coefficients merged, zeros pruned,
 and one rewrite step (`_rewrite`) applied to each raw term until no rule
@@ -131,19 +131,19 @@ def bump(k, direction):
 # Atoms, stored as tagged tuples with Fraction components.
 
 def exp_atom(alpha, beta=0):
-    return ("exp", Fraction(alpha), Fraction(beta))
+    return ("exp", Fraction(_exact(alpha)), Fraction(_exact(beta)))
 
 
 def sin_atom(alpha, beta=0):
-    return ("sin", Fraction(alpha), Fraction(beta))
+    return ("sin", Fraction(_exact(alpha)), Fraction(_exact(beta)))
 
 
 def cos_atom(alpha, beta=0):
-    return ("cos", Fraction(alpha), Fraction(beta))
+    return ("cos", Fraction(_exact(alpha)), Fraction(_exact(beta)))
 
 
 def pow_atom(alpha, beta, r):
-    return ("pow", Fraction(alpha), Fraction(beta), Fraction(r))
+    return ("pow", Fraction(_exact(alpha)), Fraction(_exact(beta)), Fraction(_exact(r)))
 
 
 def lam_atom(arity, index=()):
@@ -194,8 +194,8 @@ def _integer_root(n: int, q: int) -> int:
 
 def rational_pow(base, r):
     """base**r as an exact Fraction, or None when not exactly rational."""
-    base = Fraction(base)
-    r = Fraction(r)
+    base = Fraction(_exact(base))
+    r = Fraction(_exact(r))
     if base == 0:
         if r > 0:
             return Fraction(0)

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from .expr import (ExprError, JetExpression, U, _accumulate, is_indep, is_kernel_atom,
                    sig_sort_key)
 from .pde import PdeSpec
-from .detsys import DeterminingSystem, split_determining_system
+from .detsys import DeterminingSystem, determining_expression, split_determining_system
 
 
 MAX_COLUMNS = 20_000
@@ -297,17 +297,32 @@ def combine(ansatz: AnsatzSpace, vector) -> JetExpression:
 
 
 def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
-    """Full pipeline: basis (size-checked first), split system, assemble,
-    nullspace; returns (space, list).  The split is taken over the
-    independent variables and the jets the basis uses: the split's cost grows
-    with the arity, and the derivatives of Lam in other jets vanish for every
-    basis element."""
+    """Basis (size-checked first), then two stages; returns (space, list).
+
+    Multipliers are the adjoint symmetries that satisfy extra conditions
+    (Anco and Bluman, Eur. J. Appl. Math. 13, 2002, Part II).  Stage 1
+    assembles only the gee-free equation D_G*(Lam) = 0 on solutions and takes
+    its nullspace: the adjoint symmetries v_1..v_k in the basis.  Stage 2
+    solves sum_i c_i E_u(G * v_i) = 0, a system of k columns, and returns
+    sum_i c_i v_i.  Each v_i is a multiple of the reduced-echelon vector of
+    its free column, whose last nonzero entry it is, so the result is the
+    nullspace of the full split, in the same order and normalization.
+
+    Stage 1 is taken over the independent variables and the jets the basis
+    uses: its cost grows with the arity, and the derivatives of Lam in other
+    jets vanish for every basis element."""
     ansatz = generate_ansatz_basis(pde, bounds)
     used = set().union(*(b.jets() for b in ansatz.basis))
     arity = tuple(k for k in ansatz.arity if is_indep(k) or k in used)
-    system = split_determining_system(pde, arity)
-    linsys = assemble(system, ansatz)
-    vectors = nullspace(linsys)
+    system = split_determining_system(pde, arity, with_gee=False)
+    adjoint = nullspace(assemble(system, ansatz))
+    linsys = RationalLinearSystem(ncols=len(adjoint))
+    for col, v in enumerate(adjoint):
+        for sig, c in determining_expression(pde, combine(ansatz, v)).terms.items():
+            linsys.add(sig, col, c)
+    vectors = [_normalize_vector([sum(c * x for c, x in zip(coeffs, column))
+                                  for column in zip(*adjoint)])
+               for coeffs in nullspace(linsys)]
     return ansatz, [combine(ansatz, v) for v in vectors]
 
 

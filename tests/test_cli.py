@@ -230,6 +230,17 @@ def test_split_covers_only_the_jets_the_basis_uses(capsys):
     assert json.loads(high)["laws"] == json.loads(low)["laws"]
 
 
+def test_order_six_kdv_json_is_byte_identical(capsys):
+    """Six verified KdV laws at order 6, frozen from the one-stage solve."""
+    code, out = run(capsys, "derive", "--pde", KDV, "--order", "6", "--deg-tx", "1",
+                    "--deg-u", "4", "--format", "json")
+    assert code == 0
+    laws = json.loads(out)["laws"]
+    assert len(laws) == 6 and all(law["verified"] is True for law in laws)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "01e82772e8eac8e310eb7eb2e14514cf4826f76db18ec7991c4d3b0bf0716cc3"
+
+
 def test_oversized_ansatz_is_one_error_line(capsys):
     import time
 

@@ -7,7 +7,8 @@ import pytest
 
 from jetlaw.calculus import euler_operator, ibp_normal_form
 from jetlaw.detsys import split_determining_system
-from jetlaw.expr import CoefficientError, ExprError, JetExpression, U, exp_atom
+from jetlaw.expr import (CoefficientError, ExprError, JetExpression, U, cos_atom, exp_atom,
+                         pow_atom, rational_pow, sin_atom)
 from jetlaw.laws import build_law
 from jetlaw.linsolve import (
     AnsatzBounds, assemble, combine, generate_ansatz_basis, nullspace,
@@ -116,4 +117,15 @@ def test_inexact_coefficients_are_rejected(bad):
         parse_expression("a*u", {"a": bad})
     with pytest.raises(CoefficientError):
         parse_expression("u^2").at_constant_state(bad)
+    for atom in (exp_atom, sin_atom, cos_atom):
+        with pytest.raises(CoefficientError):
+            atom(bad)
+        with pytest.raises(CoefficientError):
+            atom(1, bad)
+    for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+        with pytest.raises(CoefficientError):
+            pow_atom(*args)
+    for args in ((bad, 2), (2, bad)):
+        with pytest.raises(CoefficientError):
+            rational_pow(*args)
     assert issubclass(CoefficientError, ExprError)

@@ -192,6 +192,10 @@ def _assert_split_matches_reference(pde, arity):
     for got, ref in zip(system.equations, equations):
         assert list(got.terms.items()) == sorted(ref.terms.items(),
                                                  key=lambda t: sig_sort_key(t[0]))
+    gee_free = split_determining_system(pde, arity, with_gee=False)
+    assert gee_free.equations == (system.equations[0],)
+    assert gee_free.gee_keys == ((),)
+    assert list(gee_free.equations[0].terms) == list(system.equations[0].terms)
 
 
 @pytest.mark.parametrize("source, params, order", CLASSIFY_CASES + SCALE_CASES)

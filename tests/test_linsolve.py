@@ -260,6 +260,46 @@ def test_klein_gordon_quadratic_interaction_only_translation():
 
 
 # ---------------------------------------------------------------------------
+# Reference for the two-stage solve: the one-stage pipeline, the full split
+# assembled over the basis, then its nullspace.
+
+_ORDER2 = dict(order=2, deg_tx=1)
+_WAVE = dict(order=1, deg_tx=2, deg_u=1)
+_KG = dict(order=3, deg_tx=1, deg_u=3)
+TWO_STAGE_CASES = {
+    **{"kdv n=%d" % n: (KDV, {"n": n}, AnsatzBounds(deg_u=n + 1, **_ORDER2))
+       for n in (1, 2, 3, 4)},
+    "wave c=u^-2": (WAVE, {}, AnsatzBounds(**_WAVE)),
+    "wave c=u": ("u_tt = u^2*u_xx + u*u_x^2", {}, AnsatzBounds(**_WAVE)),
+    "wave c=e^u": ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {},
+                   AnsatzBounds(atoms=(exp_atom(Fraction(-1, 2)),), **_WAVE)),
+    "kg sin": ("u_tx = sin(u)", {}, AnsatzBounds(**_KG)),
+    "kg sinh": ("u_tx = exp(u) + exp(-u)", {}, AnsatzBounds(**_KG)),
+    "kg liouville": ("u_tx = exp(u)", {}, AnsatzBounds(**_KG)),
+    "kg u^2": ("u_tx = u^2", {}, AnsatzBounds(**_KG)),
+    "kg u^3": ("u_tx = u^3", {}, AnsatzBounds(**_KG)),
+    "kdv order 4": (KDV, {"n": 1}, AnsatzBounds(order=4, deg_tx=1, deg_u=3)),
+    "sine-gordon order 4": ("u_tx = sin(u)", {}, AnsatzBounds(order=4, deg_tx=1, deg_u=4)),
+    "liouville order 4": ("u_tx = exp(u)", {}, AnsatzBounds(order=4, deg_tx=1, deg_u=4)),
+    "kdv order 6": (KDV, {"n": 1}, AnsatzBounds(order=6, deg_tx=1, deg_u=3)),
+}
+
+
+def _one_stage_multipliers(pde, bounds):
+    ansatz = generate_ansatz_basis(pde, bounds)
+    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    return [_combine(ansatz, v) for v in nullspace(assemble(system, ansatz))]
+
+
+@pytest.mark.parametrize("name", TWO_STAGE_CASES)
+def test_two_stage_solve_matches_one_stage_reference(name):
+    source, params, bounds = TWO_STAGE_CASES[name]
+    pde = parse_pde(source, params)
+    _, mults = solve_multipliers(pde, bounds)
+    assert mults == _one_stage_multipliers(pde, bounds)
+
+
+# ---------------------------------------------------------------------------
 # Oracle for assembly: the plain per-term substitution, one chain of partials
 # per equation term, then one product per term.
 
