@@ -220,8 +220,7 @@ def multiplier_from_density(pde: PdeSpec, density_t: JetExpression) -> JetExpres
     return restricted_euler(density_t, EULER_BASE[pde.leading])
 
 
-def build_law(pde: PdeSpec, lam: JetExpression, utilde=None,
-              normalize: bool = True) -> ConservationLaw:
+def build_law(pde: PdeSpec, lam: JetExpression, utilde=None) -> ConservationLaw:
     """Construct, normalize and verify the conservation law of a multiplier."""
     ref = _as_reference(utilde)
     density = homotopy_density(pde, lam, ref)
@@ -229,8 +228,7 @@ def build_law(pde: PdeSpec, lam: JetExpression, utilde=None,
         pde=pde, multiplier=lam, density_t=density,
         density_x=flux_density(pde, lam, density),
         utilde=ref)
-    if normalize:
-        cl = normalize_density(cl)
+    cl = normalize_density(cl)
     return replace(cl, verified=verify(cl))
 
 

@@ -8,7 +8,9 @@ Substituting the ansatz into a determining system and collecting coefficients
 of distinct free-coordinate monomial signatures yields a sparse linear system
 over the rationals.  It is solved exactly by one fraction-free elimination:
 rows are scaled to coprime integers, duplicates dropped, and each elimination
-step row <- p[lead]*row - row[lead]*p is divided by its content.
+step row <- p[lead]*row - row[lead]*p is divided by its content.  Rows and
+nullspace vectors share one normal form (_normalized): coprime integers whose
+first nonzero entry is positive, so every vector is a list of int.
 
 Substitution works on equations grouped by Lam derivative index: an equation
 is sum_g c_g * d^(index_g) Lam.  The indices of all equations form one tree
@@ -19,11 +21,9 @@ per child and pruning at the first zero partial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
-from .expr import (ExprError, JetExpression, U, _accumulate, is_indep, is_kernel_atom,
-                   sig_sort_key)
+from .expr import ExprError, JetExpression, U, _accumulate, is_indep, is_kernel_atom
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
 
@@ -223,6 +223,12 @@ def _primitive(row: dict) -> dict:
     return row if content < 2 else {c: v // content for c, v in row.items()}
 
 
+def _normalized(row: dict) -> dict:
+    """The primitive integer row, negated if its lowest-column entry is negative."""
+    row = _primitive(row)
+    return row if row[min(row)] > 0 else {c: -v for c, v in row.items()}
+
+
 def _eliminate(row: dict, pivot: dict, col) -> dict:
     """Clear row[col] fraction-free: pivot[col]*row - row[col]*pivot."""
     g = gcd(pivot[col], row[col])
@@ -243,9 +249,7 @@ def _echelon(rows) -> dict:
     distinct = {}
     for row in filter(None, rows):
         den = lcm(*(v.denominator for v in row.values()))
-        sign = 1 if row[min(row)] > 0 else -1
-        ints = _primitive({c: sign * den // v.denominator * v.numerator
-                           for c, v in row.items()})
+        ints = _normalized({c: den // v.denominator * v.numerator for c, v in row.items()})
         distinct.setdefault(frozenset(ints.items()), ints)
     pivots: dict = {}
     for row in distinct.values():
@@ -262,8 +266,9 @@ def nullspace(linsys: RationalLinearSystem) -> list:
     """Exact basis of the solution space, deterministically ordered.
 
     The reduced row echelon form is unique, so the basis does not depend on
-    row order: one vector per free column, normalized with first nonzero
-    entry one, then denominators cleared to give coprime integers.
+    row order: one vector per free column f, ascending, a dense list of int
+    in the _normalized form.  That is the reduced-echelon vector (1 at f)
+    divided by its first nonzero entry with denominators cleared.
     """
     ncols = linsys.ncols
     pivots = _echelon(linsys.rows.values())
@@ -273,27 +278,17 @@ def nullspace(linsys: RationalLinearSystem) -> list:
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for lead, row in pivots.items():
-            vec[lead] = Fraction(-row.get(f, 0), row[lead])
-        basis.append(_normalize_vector(vec))
+        rows = [(lead, row) for lead, row in pivots.items() if f in row]
+        scale = lcm(*(row[lead] for lead, row in rows))
+        vec = _normalized({f: scale} | {lead: -row[f] * scale // row[lead] for lead, row in rows})
+        basis.append([vec.get(c, 0) for c in range(ncols)])
     return basis
 
 
-def _normalize_vector(vec: list) -> list:
-    lead = next(v for v in vec if v != 0)
-    vec = [v / lead for v in vec]
-    den = lcm(*(v.denominator for v in vec))
-    return [Fraction(int(v * den)) for v in vec]
-
-
 def combine(ansatz: AnsatzSpace, vector) -> JetExpression:
-    out = JetExpression.zero()
-    for coeff, b in zip(vector, ansatz.basis):
-        if coeff:
-            out = out + b * Fraction(coeff)
-    return out
+    """sum_i vector[i] * basis[i]."""
+    return JetExpression(_accumulate((x * c, sig) for x, b in zip(vector, ansatz.basis) if x
+                                     for sig, c in b.terms.items()))
 
 
 def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
@@ -320,28 +315,27 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
     for col, v in enumerate(adjoint):
         for sig, c in determining_expression(pde, combine(ansatz, v)).terms.items():
             linsys.add(sig, col, c)
-    vectors = [_normalize_vector([sum(c * x for c, x in zip(coeffs, column))
-                                  for column in zip(*adjoint)])
-               for coeffs in nullspace(linsys)]
-    return ansatz, [combine(ansatz, v) for v in vectors]
+    ncols = len(ansatz.basis)
+    multipliers = []
+    for coeffs in nullspace(linsys):
+        vec = _normalized(_accumulate((c * x, col) for c, v in zip(coeffs, adjoint) if c
+                                      for col, x in enumerate(v) if x))
+        multipliers.append(combine(ansatz, [vec.get(col, 0) for col in range(ncols)]))
+    return ansatz, multipliers
 
 
 # ---------------------------------------------------------------------------
 # Exact span comparisons used by classification fixtures.
 
-def _expression_matrix(exprs):
-    sigs = sorted({sig for e in exprs for sig in e.terms}, key=sig_sort_key)
-    index = {s: i for i, s in enumerate(sigs)}
-    return [{index[sig]: c for sig, c in e.terms.items()} for e in exprs], len(sigs)
-
-
 def span_rank(exprs) -> int:
-    rows, _ = _expression_matrix([e for e in exprs if not e.is_zero()])
-    return len(_echelon(rows))
+    """Rank of the coefficient rows; columns are signatures in first-seen order."""
+    index: dict = {}
+    return len(_echelon([{index.setdefault(sig, len(index)): c for sig, c in e.terms.items()}
+                         for e in exprs]))
 
 
 def in_span(e: JetExpression, exprs) -> bool:
-    base = [x for x in exprs if not x.is_zero()]
+    base = list(exprs)
     return span_rank(base + [e]) == span_rank(base)
 
 

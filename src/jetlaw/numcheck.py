@@ -44,7 +44,6 @@ class GridConfig:
     n: int
     dt: float
     t_end: float
-    save_every: int = 0  # 0: choose automatically (~80 snapshots)
 
     def __post_init__(self):
         if self.n < 64:
@@ -181,7 +180,7 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     length = cfg.length
     leading = pde.leading
     nsteps = int(round(cfg.t_end / cfg.dt))
-    stride = cfg.save_every or max(1, nsteps // 80)
+    stride = max(1, nsteps // 80)  # about 80 snapshots
     traj = Trajectory(pde=pde, cfg=cfg, x=x)
     top = _jet_orders([pde.rhs])
 
@@ -286,7 +285,7 @@ def refinement_drifts(pde: PdeSpec, initial, cfg: GridConfig,
     out = [[] for _ in laws]
     for level in range(levels):
         scaled = GridConfig(length=cfg.length, n=cfg.n, dt=cfg.dt / 2 ** level,
-                            t_end=cfg.t_end, save_every=cfg.save_every)
+                            t_end=cfg.t_end)
         traj = integrate_pde(pde, initial, scaled)
         for i, cl in enumerate(laws):
             out[i].append(conserved_drift(cl, traj))

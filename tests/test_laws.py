@@ -111,7 +111,11 @@ def test_flux_rejects_invalid_density():
 
 def test_normalize_density_spec_cases():
     sg = parse_pde("u_tx = sin(u)")
-    raw = build_law(sg, P("u_xxx + u_x^3/2"), normalize=False)
+    lam = P("u_xxx + u_x^3/2")
+    density = homotopy_density(sg, lam)
+    raw = ConservationLaw(pde=sg, multiplier=lam, density_t=density,
+                          density_x=flux_density(sg, lam, density),
+                          utilde=JetExpression.zero())
     assert raw.density_t == P("u_x*u_xxx/2 + u_x^4/8")
     squeezed = normalize_density(raw)
     assert squeezed.density_t == P("-u_xx^2/2 + u_x^4/8")

@@ -131,7 +131,7 @@ def test_sine_gordon_projection_inactive_on_antiperiodic_data():
 
 def test_quantity_series_rows_and_drift_shape():
     kdv = parse_pde(KDV)
-    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=0.05, save_every=10)
+    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=0.05)
     x = grid(cfg)
     u0 = np.sin(2 * np.pi * x / 40)
     traj = integrate_pde(kdv, u0, cfg)
