@@ -9,8 +9,11 @@ quantities are periodic trapezoid integrals of the density over the grid.
 Each piece of work in the inner loop is done once.  A field's x-derivatives
 come from one rfft and one batched irfft against cached rows of (ik)^b.
 Each expression is compiled once into float coefficients and distinct
-(base, power) factors, and the jet orders an expression set needs are
-scanned once per integration or quantity series, not per evaluation.
+(base, power) factors.  The jet orders an expression set uses are scanned
+once per integration or quantity series, not per evaluation, and only the
+x-orders it reads are transformed.  The RK4 loop and the quantity series
+hold floating-point warnings off once for the whole run; a blow-up or a
+singular density is reported by their own checks.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ class GridConfig:
     t_end: float
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError("grid size n must be an integer")
         if self.n < 64:
             raise ValueError("grid must have at least 64 points")
         for name in ("length", "dt", "t_end"):
@@ -80,16 +85,20 @@ def _ik_rows(n: int, length: float, orders: tuple) -> np.ndarray:
 
 def spectral_derivative(u: np.ndarray, length: float, order) -> np.ndarray:
     """d_x^order u.  An integer order gives one array (u itself for order 0);
-    a sequence of orders gives one row per order from one transform pair."""
+    a sequence of orders gives one row per order from one transform pair.
+    A tuple of int orders is used as it is."""
     scalar = isinstance(order, (int, np.integer))
-    if scalar and order == 0:
-        return u
-    orders = (int(order),) if scalar else tuple(int(b) for b in order)
+    if scalar:
+        if order == 0:
+            return u
+        orders = (int(order),)
+    else:
+        orders = order if type(order) is tuple else tuple(int(b) for b in order)
     n = u.shape[0]
     out = np.fft.irfft(_ik_rows(n, length, orders) * np.fft.rfft(u), n=n)
-    for i, b in enumerate(orders):
-        if b == 0:
-            out[i] = u  # the field itself, not its transform round trip
+    if 0 in orders:
+        # the field itself, not its transform round trip
+        out[[i for i, b in enumerate(orders) if b == 0]] = u
     return out[0] if scalar else out
 
 
@@ -97,9 +106,9 @@ def spectral_antiderivative(f: np.ndarray, length: float) -> np.ndarray:
     """Zero-mean antiderivative in x; the mean mode is projected out."""
     ik = _ik_rows(f.shape[0], length, (1,))[0]
     fh = np.fft.rfft(f)
-    out = np.zeros_like(fh)
-    out[1:] = fh[1:] / ik[1:]
-    return np.fft.irfft(out, n=f.shape[0])
+    fh[0] = 0.0
+    fh[1:] /= ik[1:]
+    return np.fft.irfft(fh, n=f.shape[0])
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,42 +148,68 @@ def _factor(base, p, t, x, jets):
 def evaluate_on_grid(expr, t: float, x: np.ndarray, jets: dict) -> np.ndarray:
     """Vectorized expression evaluation; jets maps jet coordinates to arrays.
 
-    Singular values become inf/nan here and are reported by the callers."""
+    Singular values become inf/nan here and are reported by the callers,
+    which hold floating-point warnings off with np.errstate; this function
+    does not.  The terms are summed in order into the first one."""
     factors, terms = _compile(expr)
-    out = np.zeros_like(x)
-    with np.errstate(all="ignore"):
-        values = [_factor(base, p, t, x, jets) for base, p in factors]
-        for c, idx in terms:
-            term = c
-            for i in idx:
-                term *= values[i]  # the first product is a new array, never a factor
+    values = [_factor(base, p, t, x, jets) for base, p in factors]
+    out = None
+    for c, idx in terms:
+        term = c
+        for i in idx:
+            term *= values[i]  # the first product is a new array, never a factor
+        if out is not None:
             out += term
-    return out
+        elif isinstance(term, np.ndarray):
+            out = term
+        else:
+            out = np.full_like(x, term)  # a constant term
+    return np.zeros_like(x) if out is None else out
 
 
 def _jet_orders(exprs) -> dict:
-    """Highest x-order b of the jets (a, b) that exprs use, keyed by a."""
-    top: dict = {}
+    """Sorted x-orders b >= 1 of the jets (a, b) that exprs use, keyed by a.
+
+    Every time order a that is used has a key, with an empty tuple when
+    only (a, 0) is used."""
+    used: dict = {}
     for e in exprs:
         for (a, b) in e.jets():
-            top[a] = max(top.get(a, 0), b)
-    return top
+            used.setdefault(a, set()).add(b)
+    return {a: tuple(sorted(bs - {0})) for a, bs in used.items()}
 
 
-def _add_jets(jets: dict, a: int, f: np.ndarray, length: float, top: dict) -> dict:
-    """Jets (a, b) = d_x^b f for b up to top[a], from one transform pair."""
+def _add_jets(jets: dict, a: int, f: np.ndarray, length: float, orders: dict) -> dict:
+    """Jets (a, 0) = f and (a, b) = d_x^b f for b in orders[a], from one
+    transform pair."""
     jets[(a, 0)] = f
-    m = top.get(a, 0)
-    if m:
-        rows = spectral_derivative(f, length, range(1, m + 1))
-        jets.update(((a, b), row) for b, row in enumerate(rows, 1))
+    bs = orders.get(a)
+    if bs:
+        jets.update(zip([(a, b) for b in bs], spectral_derivative(f, length, bs)))
     return jets
+
+
+def _initial_state(initial, leading: tuple, n: int) -> np.ndarray:
+    """initial as the RK4 state: one (n,) array u, or for the u_tt shape a
+    pair of (n,) arrays (u, u_t) stacked to (2, n)."""
+    want = (2, n) if leading == (2, 0) else (n,)
+    try:
+        y = np.asarray(initial, float)
+        got = y.shape
+    except ValueError:  # a ragged pair
+        y = None
+        got = tuple(np.shape(f) for f in initial)
+    if got != want:
+        what = "a pair of (%d,) arrays" % n if leading == (2, 0) else "one (%d,) array" % n
+        raise ExprError("initial state must be %s, shape %s; got shape %s"
+                        % (what, want, got))
+    return y
 
 
 def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     """Time series of fields for the three supported shapes.
 
-    initial: array u0 for u_t/u_tx leading; tuple (u0, v0) for u_tt leading.
+    initial: array u0 for u_t/u_tx leading; pair (u0, v0) for u_tt leading.
     """
     x = grid(cfg)
     length = cfg.length
@@ -182,31 +217,25 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     nsteps = int(round(cfg.t_end / cfg.dt))
     stride = max(1, nsteps // 80)  # about 80 snapshots
     traj = Trajectory(pde=pde, cfg=cfg, x=x)
-    top = _jet_orders([pde.rhs])
+    orders = _jet_orders([pde.rhs])
+    y = _initial_state(initial, leading, cfg.n)
 
     if leading == (2, 0):
-        u0, v0 = initial
-        y = np.stack([np.asarray(u0, float), np.asarray(v0, float)])
-
         def rhs(t, y):
-            jets = _add_jets(_add_jets({}, 0, y[0], length, top), 1, y[1], length, top)
+            jets = _add_jets(_add_jets({}, 0, y[0], length, orders), 1, y[1], length, orders)
             return np.stack([y[1], evaluate_on_grid(pde.rhs, t, x, jets)])
 
         def snapshot(y):
             return {"u": y[0].copy(), "ut": y[1].copy()}
     elif leading == (1, 0):
-        y = np.asarray(initial, float)
-
         def rhs(t, y):
-            return evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, top))
+            return evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, orders))
 
         def snapshot(y):
             return {"u": y.copy()}
     else:
-        y = np.asarray(initial, float)
-
         def rhs(t, y):
-            g = evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, top))
+            g = evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, orders))
             return spectral_antiderivative(g - g.mean(), length)
 
         def snapshot(y):
@@ -219,8 +248,9 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     record(0.0, y)
     t = 0.0
     dt = cfg.dt
-    # Overflow on the way to a blow-up is reported by the norm check below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow on the way to a blow-up, and singular values of the right-hand
+    # side, are reported by the norm check below.
+    with np.errstate(all="ignore"):
         for step in range(1, nsteps + 1):
             k1 = rhs(t, y)
             k2 = rhs(t + dt / 2, y + dt / 2 * k1)
@@ -237,36 +267,38 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     return traj
 
 
-def _state_jets(pde: PdeSpec, top: dict, state: dict, length: float,
+def _state_jets(pde: PdeSpec, orders: dict, state: dict, length: float,
                 t: float, x: np.ndarray) -> dict:
-    """Jets of a snapshot up to the orders in top, which covers pde.rhs."""
-    jets = _add_jets({}, 0, state["u"], length, top)
+    """Jets of a snapshot at the x-orders in orders, which cover pde.rhs."""
+    jets = _add_jets({}, 0, state["u"], length, orders)
     if pde.leading == (2, 0):
-        return _add_jets(jets, 1, state["ut"], length, top)
-    if pde.leading == (1, 1) and any(a >= 1 for a in top):
+        return _add_jets(jets, 1, state["ut"], length, orders)
+    if pde.leading == (1, 1) and any(a >= 1 for a in orders):
         g = evaluate_on_grid(pde.rhs, t, x, jets)
         ut = spectral_antiderivative(g - g.mean(), length)
-        return _add_jets(jets, 1, ut, length, top)
+        return _add_jets(jets, 1, ut, length, orders)
     return jets
 
 
 def quantity_series(cl: ConservationLaw, traj: Trajectory):
     """Rows (t, Q, drift) with Q the periodic trapezoid integral of Phi^t."""
     dx = traj.cfg.length / traj.cfg.n
-    top = _jet_orders([cl.density_t, cl.pde.rhs])
+    orders = _jet_orders([cl.density_t, cl.pde.rhs])
     rows = []
     q0 = None
-    for t, state in zip(traj.times, traj.states):
-        jets = _state_jets(cl.pde, top, state, traj.cfg.length, t, traj.x)
-        density = evaluate_on_grid(cl.density_t, t, traj.x, jets)
-        if not np.all(np.isfinite(density)):
-            bad = int(np.argmin(np.isfinite(density)))
-            raise ValueError(
-                "density evaluation singular at t=%.4f, x=%.4f" % (t, traj.x[bad]))
-        q = float(density.sum() * dx)
-        if q0 is None:
-            q0 = q
-        rows.append((t, q, abs(q - q0) / max(1.0, abs(q0))))
+    # A singular density is reported by the finiteness check below.
+    with np.errstate(all="ignore"):
+        for t, state in zip(traj.times, traj.states):
+            jets = _state_jets(cl.pde, orders, state, traj.cfg.length, t, traj.x)
+            density = evaluate_on_grid(cl.density_t, t, traj.x, jets)
+            if not np.all(np.isfinite(density)):
+                bad = int(np.argmin(np.isfinite(density)))
+                raise ValueError(
+                    "density evaluation singular at t=%.4f, x=%.4f" % (t, traj.x[bad]))
+            q = float(density.sum() * dx)
+            if q0 is None:
+                q0 = q
+            rows.append((t, q, abs(q - q0) / max(1.0, abs(q0))))
     return rows
 
 

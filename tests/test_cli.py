@@ -376,3 +376,32 @@ def test_classification_json_is_byte_identical(capsys, name):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Three numcheck calls, one per supported shape, with the SHA-256 of their
+# --format json output.  The digests pin every drift bit for bit; they change
+# only when the integrator's arithmetic or the report's rendering does.
+NUMCHECK_JSON = {
+    "kdv periodic": (
+        ["--pde", KDV, "--order", "2", "--deg-tx", "0", "--deg-u", "2",
+         "--grid-n", "256", "--dt", "3e-4", "--length", "40", "--horizon", "0.1"],
+        "20a6f32e180f928621059a4ddd9bcf7d943d55e067480741b69dc7a963210b54"),
+    "wave c=u^-2 bumps": (
+        ["--pde", "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2", "--order", "1",
+         "--deg-tx", "2", "--deg-u", "1", "--initial", "bumps", "--length", "20",
+         "--dt", "2e-2", "--horizon", "1"],
+        "f4863d2f0488fde0289b0c3413ba7d7ade962185a0628658ad980b0b67ff0687"),
+    "sine-gordon harmonics": (
+        ["--pde", "u_tx = sin(u)", "--order", "3", "--deg-tx", "0", "--deg-u", "3",
+         "--initial", "harmonics", "--length", "6.283185307179586", "--grid-n", "128",
+         "--dt", "5e-2", "--horizon", "1"],
+        "7a3e84b6ab34a8934830d4645d554b23fcae09b1a8ef3aa5457af011b4c774ab"),
+}
+
+
+@pytest.mark.parametrize("name", NUMCHECK_JSON)
+def test_numcheck_json_is_byte_identical(capsys, name):
+    argv, digest = NUMCHECK_JSON[name]
+    code, out = run(capsys, "numcheck", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,13 +8,14 @@ detection.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_expression
 from jetlaw import numcheck
-from jetlaw.expr import U, JetExpression, gee_atom, lam_atom
+from jetlaw.expr import U, ExprError, JetExpression, gee_atom, lam_atom
 from jetlaw.parser import parse_expression as P
 from jetlaw.pde import parse_pde
 from jetlaw.laws import ConservationLaw, build_law
@@ -84,9 +85,14 @@ def test_grid_config_validation():
         (10.0, 64, 1e-3, math.inf),
         (10.0, 64, 1e-300, 1e10),  # the step count overflows
         (10.0, 64, 1e-9, 1.0),  # 10^9 steps, over MAX_STEPS
+        (10.0, 100.5, 1e-3, 1.0),  # a grid size must be an integer
+        (10.0, 128.0, 1e-3, 1.0),
+        (10.0, "128", 1e-3, 1.0),
+        (10.0, None, 1e-3, 1.0),
     ]:
         with pytest.raises(ValueError):
             GridConfig(length=length, n=n, dt=dt, t_end=t_end)
+    assert GridConfig(length=10.0, n=np.int64(64), dt=1e-3, t_end=1.0).n == 64
 
 
 def test_blowup_detection():
@@ -95,6 +101,40 @@ def test_blowup_detection():
     x = grid(cfg)
     with pytest.raises(IntegrationBlowUp):
         integrate_pde(kdv, kdv_soliton(x), cfg)
+
+
+def test_blowup_and_singular_density_raise_without_runtime_warnings():
+    """Overflow on the way to a blow-up and a pole of the density are
+    reported by their own errors, with floating-point warnings held off."""
+    kdv = parse_pde(KDV)
+    cfg = GridConfig(length=40.0, n=128, dt=5e-2, t_end=2.0)
+    wave = parse_pde(WAVE)
+    wave_cfg = GridConfig(length=20.0, n=64, dt=1e-2, t_end=0.05)
+    u0 = gaussian_bump(grid(wave_cfg))
+    traj = integrate_pde(wave, (u0, np.zeros_like(u0)), wave_cfg)
+    pole = _control(wave, "pow(u - 2, -2)")  # u = 2 at x = +-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowUp):
+            integrate_pde(kdv, kdv_soliton(grid(cfg)), cfg)
+        with pytest.raises(ValueError, match="singular"):
+            quantity_series(pole, traj)
+
+
+@pytest.mark.parametrize("text,initial,expected,received", [
+    (KDV, np.zeros(100), "(128,)", "(100,)"),
+    (KDV, np.zeros((2, 128)), "(128,)", "(2, 128)"),
+    ("u_tx = sin(u)", np.zeros((128, 1)), "(128,)", "(128, 1)"),
+    (WAVE, np.full(128, 2.0), "(2, 128)", "(128,)"),
+    (WAVE, (np.full(128, 2.0), np.zeros(64)), "(2, 128)", "((128,), (64,))"),
+    (WAVE, (np.full(128, 2.0),) * 3, "(2, 128)", "(3, 128)"),
+])
+def test_initial_state_shape_checked_up_front(text, initial, expected, received):
+    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=1e-3)
+    with pytest.raises(ExprError) as info:
+        integrate_pde(parse_pde(text), initial, cfg)
+    message = str(info.value)
+    assert "shape %s" % expected in message and "got shape %s" % received in message
 
 
 def test_kdv_mass_conserved_to_roundoff():
@@ -252,3 +292,26 @@ def test_one_transform_pair_per_rhs_evaluation(monkeypatch, text, initial):
                         counted("rhs", numcheck.evaluate_on_grid))
     integrate_pde(pde, u0, cfg)
     assert counts == {"rfft": 4, "irfft": 4, "rhs": 4}
+
+
+@pytest.mark.parametrize("text,initial,orders", [
+    (KDV, kdv_soliton, {(1, 3)}),
+    (WAVE, lambda x: (gaussian_bump(x), np.zeros_like(x)), {(1, 2)}),
+    ("u_tx = sin(u)", lambda x: odd_harmonic_profile(x, 40.0), set()),
+])
+def test_rhs_transforms_only_the_orders_it_uses(monkeypatch, text, initial, orders):
+    """KdV's RHS reads u_x and u_xxx, not u_xx; sine-Gordon's reads no
+    x-derivative at all."""
+    asked = []
+
+    def recorded(u, length, order):
+        asked.append(order)
+        return spectral_derivative(u, length, order)
+
+    pde = parse_pde(text)
+    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=1e-3)
+    u0 = initial(grid(cfg))
+    monkeypatch.setattr(numcheck, "spectral_derivative", recorded)
+    integrate_pde(pde, u0, cfg)
+    assert len(asked) == (4 if orders else 0)
+    assert set(asked) == orders
