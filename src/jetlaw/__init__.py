@@ -3,8 +3,9 @@ scalar PDEs in two independent variables, with numerical cross-checks."""
 
 from .expr import JetExpression, ExprError, U, UT, UX
 from .parser import parse_expression, render, ParseError
-from .pde import PdeSpec, parse_pde, linearization, adjoint_linearization
+from .pde import PdeSpec, parse_pde, linearization
 from .calculus import (
+    adjoint_linearization,
     euler_operator,
     ibp_normal_form,
     invert_total_x_derivative,

@@ -102,6 +102,13 @@ def euler_sum(rows: dict) -> JetExpression:
     return _horner(inner, "t")
 
 
+def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
+    """D_G*(omega) = sum over G's jets v of (-D)^v (dG/dv * omega), the formal
+    adjoint of the linearization."""
+    g = pde.gee()
+    return euler_sum({v: g.partial(v) * omega for v in g.jets()})
+
+
 def euler_operator(e: JetExpression) -> JetExpression:
     """Variational derivative: sum over jets v of (-D)^v (de/dv)."""
     return euler_sum({v: e.partial(v) for v in set().union(*map(term_jets, e.terms))})

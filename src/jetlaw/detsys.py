@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .expr import (ExprError, JetExpression, gee_atom, is_jet, is_indep, lam_atom,
                    sig_sort_key)
 from .pde import PdeSpec, on_chart
-from .calculus import eliminate_off_chart, euler_operator, euler_sum
+from .calculus import adjoint_linearization, eliminate_off_chart, euler_operator, euler_sum
 
 
 class ArityError(ExprError):
@@ -72,12 +72,8 @@ class DeterminingSystem:
     """
 
     pde: PdeSpec
-    unknown_arity: tuple
     equations: tuple
     gee_keys: tuple
-
-    def __len__(self):
-        return len(self.equations)
 
 
 def split_determining_system(pde: PdeSpec, arity, with_gee: bool = True) -> DeterminingSystem:
@@ -99,8 +95,7 @@ def split_determining_system(pde: PdeSpec, arity, with_gee: bool = True) -> Dete
     equations = tuple(
         JetExpression(dict(sorted(groups[key], key=lambda t: sig_sort_key(t[0]))))
         for key in gee_keys)
-    return DeterminingSystem(pde=pde, unknown_arity=arity,
-                             equations=equations, gee_keys=gee_keys)
+    return DeterminingSystem(pde=pde, equations=equations, gee_keys=gee_keys)
 
 
 def _product_rule_condition(pde: PdeSpec, arity, with_gee: bool) -> JetExpression:
@@ -108,9 +103,9 @@ def _product_rule_condition(pde: PdeSpec, arity, with_gee: bool) -> JetExpressio
     formal atom G_00, over the jets of Lam's arity and of G.  Without gee,
     only the half D_G*(Lam) = sum_v (-D)^v (dG/dv * Lam) over G's jets."""
     lam = JetExpression.atom(lam_atom(arity))
-    g = pde.gee()
     if not with_gee:
-        return euler_sum({v: g.partial(v) * lam for v in g.jets()})
+        return adjoint_linearization(pde, lam)
+    g = pde.gee()
     g00 = JetExpression.atom(gee_atom(0, 0))
     jets = g.jets().union(k for k in arity if is_jet(k))
     return euler_sum({v: lam.partial(v) * g00 + g.partial(v) * lam for v in jets})

@@ -3,8 +3,10 @@
 Periodic pseudo-spectral discretization in x with classical four-stage
 Runge-Kutta in time.  The u_tt shape integrates the first-order system in
 (u, u_t); the u_tx shape evolves u_t = D_x^{-1} g(u) with the inverse
-derivative realized spectrally under zero-mean projection.  Conserved
-quantities are periodic trapezoid integrals of the density over the grid.
+derivative realized spectrally under zero-mean projection.  A trajectory's
+snapshots are copies of the RK4 state; _rate gives its time derivative and
+_state_jets its jets, for each shape.  Conserved quantities are periodic
+trapezoid integrals of the density over the grid.
 
 Each piece of work in the inner loop is done once.  A field's x-derivatives
 come from one rfft and one batched irfft against cached rows of (ik)^b.
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprError, U, is_kernel_atom
+from .expr import ExprError, U, coord_name, is_kernel_atom
 from .pde import PdeSpec
 from .laws import ConservationLaw
 
@@ -54,7 +57,8 @@ class GridConfig:
         if self.n < 64:
             raise ValueError("grid must have at least 64 points")
         for name in ("length", "dt", "t_end"):
-            if not 0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ValueError("%s must be finite and positive" % name)
         steps = self.t_end / self.dt
         if not (steps < math.inf and 1 <= round(steps) <= MAX_STEPS):
@@ -67,7 +71,7 @@ class Trajectory:
     cfg: GridConfig
     x: np.ndarray
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)  # dict coord-array snapshots
+    states: list = field(default_factory=list)  # copies of the RK4 state y
 
 
 def grid(cfg: GridConfig) -> np.ndarray:
@@ -207,55 +211,27 @@ def _initial_state(initial, leading: tuple, n: int) -> np.ndarray:
 
 
 def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
-    """Time series of fields for the three supported shapes.
+    """Time series of RK4 states for the three supported shapes.
 
     initial: array u0 for u_t/u_tx leading; pair (u0, v0) for u_tt leading.
     """
-    x = grid(cfg)
-    length = cfg.length
-    leading = pde.leading
     nsteps = int(round(cfg.t_end / cfg.dt))
     stride = max(1, nsteps // 80)  # about 80 snapshots
-    traj = Trajectory(pde=pde, cfg=cfg, x=x)
+    traj = Trajectory(pde=pde, cfg=cfg, x=grid(cfg))
     orders = _jet_orders([pde.rhs])
-    y = _initial_state(initial, leading, cfg.n)
-
-    if leading == (2, 0):
-        def rhs(t, y):
-            jets = _add_jets(_add_jets({}, 0, y[0], length, orders), 1, y[1], length, orders)
-            return np.stack([y[1], evaluate_on_grid(pde.rhs, t, x, jets)])
-
-        def snapshot(y):
-            return {"u": y[0].copy(), "ut": y[1].copy()}
-    elif leading == (1, 0):
-        def rhs(t, y):
-            return evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, orders))
-
-        def snapshot(y):
-            return {"u": y.copy()}
-    else:
-        def rhs(t, y):
-            g = evaluate_on_grid(pde.rhs, t, x, _add_jets({}, 0, y, length, orders))
-            return spectral_antiderivative(g - g.mean(), length)
-
-        def snapshot(y):
-            return {"u": y.copy()}
-
-    def record(t, y):
-        traj.times.append(t)
-        traj.states.append(snapshot(y))
-
-    record(0.0, y)
+    y = _initial_state(initial, pde.leading, cfg.n)
+    traj.times.append(0.0)
+    traj.states.append(y.copy())
     t = 0.0
     dt = cfg.dt
     # Overflow on the way to a blow-up, and singular values of the right-hand
     # side, are reported by the norm check below.
     with np.errstate(all="ignore"):
         for step in range(1, nsteps + 1):
-            k1 = rhs(t, y)
-            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-            k4 = rhs(t + dt, y + dt * k3)
+            k1 = _rate(traj, orders, t, y)
+            k2 = _rate(traj, orders, t + dt / 2, y + dt / 2 * k1)
+            k3 = _rate(traj, orders, t + dt / 2, y + dt / 2 * k2)
+            k4 = _rate(traj, orders, t + dt, y + dt * k3)
             y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t = step * dt
             if step % 25 == 0 or step == nsteps:
@@ -263,25 +239,49 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
                 if not np.isfinite(norm) or norm > 1e8:
                     raise IntegrationBlowUp(t, norm)
             if step % stride == 0 or step == nsteps:
-                record(t, y)
+                traj.times.append(t)
+                traj.states.append(y.copy())
     return traj
 
 
-def _state_jets(pde: PdeSpec, orders: dict, state: dict, length: float,
-                t: float, x: np.ndarray) -> dict:
-    """Jets of a snapshot at the x-orders in orders, which cover pde.rhs."""
-    jets = _add_jets({}, 0, state["u"], length, orders)
-    if pde.leading == (2, 0):
-        return _add_jets(jets, 1, state["ut"], length, orders)
-    if pde.leading == (1, 1) and any(a >= 1 for a in orders):
-        g = evaluate_on_grid(pde.rhs, t, x, jets)
-        ut = spectral_antiderivative(g - g.mean(), length)
-        return _add_jets(jets, 1, ut, length, orders)
+def _rate(traj: Trajectory, orders: dict, t: float, y: np.ndarray, jets=None) -> np.ndarray:
+    """d/dt of the RK4 state y at time t: the RHS for the u_t shape, the pair
+    (u_t, RHS) for u_tt, and the zero-mean antiderivative of the RHS for u_tx.
+    jets are y's jets at orders, which cover the RHS; they are built from y
+    when not given."""
+    if jets is None:
+        jets = _state_jets(traj, orders, t, y)
+    g = evaluate_on_grid(traj.pde.rhs, t, traj.x, jets)
+    if traj.pde.leading == (1, 0):
+        return g
+    if traj.pde.leading == (2, 0):
+        return np.stack([y[1], g])
+    return spectral_antiderivative(g - g.mean(), traj.cfg.length)
+
+
+def _state_jets(traj: Trajectory, orders: dict, t: float, y: np.ndarray) -> dict:
+    """Jets of the RK4 state y at the x-orders in orders, which cover the RHS.
+    u comes from y, or from y[0] with u_t from y[1] for the u_tt shape; for
+    the u_tx shape u_t is the rate, added only when orders reads it."""
+    length = traj.cfg.length
+    if traj.pde.leading == (2, 0):
+        return _add_jets(_add_jets({}, 0, y[0], length, orders), 1, y[1], length, orders)
+    jets = _add_jets({}, 0, y, length, orders)
+    if traj.pde.leading == (1, 1) and 1 in orders:
+        return _add_jets(jets, 1, _rate(traj, orders, t, y, jets), length, orders)
     return jets
 
 
 def quantity_series(cl: ConservationLaw, traj: Trajectory):
     """Rows (t, Q, drift) with Q the periodic trapezoid integral of Phi^t."""
+    if cl.pde != traj.pde:
+        raise ExprError("a law of %s on a trajectory of %s" % (cl.pde, traj.pde))
+    # A state gives the t-derivatives below the order of the leading one:
+    # u, and u_t for the second-order shapes u_tt and u_tx.
+    unheld = sorted(k for k in cl.density_t.jets() if k[0] >= sum(traj.pde.leading))
+    if unheld:
+        raise ExprError("the density reads %s, which a trajectory of %s does not hold"
+                        % (coord_name(unheld[0]), traj.pde))
     dx = traj.cfg.length / traj.cfg.n
     orders = _jet_orders([cl.density_t, cl.pde.rhs])
     rows = []
@@ -289,7 +289,7 @@ def quantity_series(cl: ConservationLaw, traj: Trajectory):
     # A singular density is reported by the finiteness check below.
     with np.errstate(all="ignore"):
         for t, state in zip(traj.times, traj.states):
-            jets = _state_jets(cl.pde, orders, state, traj.cfg.length, t, traj.x)
+            jets = _state_jets(traj, orders, t, state)
             density = evaluate_on_grid(cl.density_t, t, traj.x, jets)
             if not np.all(np.isfinite(density)):
                 bad = int(np.argmin(np.isfinite(density)))

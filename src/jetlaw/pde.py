@@ -12,10 +12,10 @@ with the three shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import JetExpression, ExprError, UT, UX, _exact, coord_name, is_jet
+from .expr import JetExpression, ExprError, coord_name
 from .parser import parse_expression
 
 LEADINGS = ((2, 0), (1, 1), (1, 0))
@@ -43,8 +43,6 @@ class PdeSpec:
 
     leading: tuple
     rhs: JetExpression
-    name: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.leading not in LEADINGS:
@@ -66,12 +64,11 @@ class PdeSpec:
         return "%s = %s" % (coord_name(self.leading), self.rhs)
 
 
-def parse_pde(text: str, params=None, name: str = "") -> PdeSpec:
+def parse_pde(text: str, params=None) -> PdeSpec:
     """Parse '<lhs> = <rhs>' or '<expr> = 0' into a validated PdeSpec."""
     if "=" not in text:
         raise PdeError("PDE text must contain '='")
     lhs_text, rhs_text = text.split("=", 1)
-    params = {k: Fraction(_exact(v)) for k, v in (params or {}).items()}
     lhs = parse_expression(lhs_text, params)
     rhs = parse_expression(rhs_text, params)
     g = lhs - rhs
@@ -90,7 +87,7 @@ def parse_pde(text: str, params=None, name: str = "") -> PdeSpec:
             raise PdeError("leading derivative must appear alone and linearly")
         coeff = c
     rhs_expr = (JetExpression.coordinate(leading) - g * (Fraction(1) / coeff))
-    return PdeSpec(leading=leading, rhs=rhs_expr, name=name, params=params)
+    return PdeSpec(leading=leading, rhs=rhs_expr)
 
 
 def iterated_total(e: JetExpression, a: int, b: int) -> JetExpression:
@@ -108,14 +105,4 @@ def linearization(pde: PdeSpec, eta: JetExpression) -> JetExpression:
     out = JetExpression.zero()
     for v in sorted(g.jets()):
         out = out + g.partial(v) * iterated_total(eta, *v)
-    return out
-
-
-def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
-    """Formal adjoint of the linearization: sum_v (-D)^v (dG/dv * omega)."""
-    g = pde.gee()
-    out = JetExpression.zero()
-    for v in sorted(g.jets()):
-        term = iterated_total(g.partial(v) * omega, *v)
-        out = out + term * Fraction((-1) ** sum(v))
     return out

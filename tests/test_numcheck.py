@@ -6,6 +6,7 @@ checks: stability, convergence of the stepper, zero data, and blow-up
 detection.
 """
 
+import hashlib
 import math
 import random
 import warnings
@@ -68,7 +69,7 @@ def test_zero_data_stays_zero_for_vanishing_interaction():
     kg = parse_pde("u_tx = sin(u)")
     cfg = GridConfig(length=2 * np.pi, n=64, dt=1e-2, t_end=0.5)
     traj = integrate_pde(kg, np.zeros(64), cfg)
-    assert max(float(np.max(np.abs(s["u"]))) for s in traj.states) == 0.0
+    assert max(float(np.max(np.abs(s))) for s in traj.states) == 0.0
 
 
 def test_grid_config_validation():
@@ -89,6 +90,12 @@ def test_grid_config_validation():
         (10.0, 128.0, 1e-3, 1.0),
         (10.0, "128", 1e-3, 1.0),
         (10.0, None, 1e-3, 1.0),
+        ("40", 64, 1e-3, 1.0),  # length, dt and t_end must be numbers
+        (None, 64, 1e-3, 1.0),
+        (10.0, 64, "1e-3", 1.0),
+        (10.0, 64, None, 1.0),
+        (10.0, 64, 1e-3, "1.0"),
+        (10.0, 64, 1e-3, None),
     ]:
         with pytest.raises(ValueError):
             GridConfig(length=length, n=n, dt=dt, t_end=t_end)
@@ -165,7 +172,7 @@ def test_sine_gordon_projection_inactive_on_antiperiodic_data():
     u0 = odd_harmonic_profile(x, cfg.length)
     assert abs(np.sin(u0).mean()) < 1e-15
     traj = integrate_pde(sg, u0, cfg)
-    u_end = traj.states[-1]["u"]
+    u_end = traj.states[-1]
     assert abs(np.sin(u_end).mean()) < 1e-13
 
 
@@ -180,6 +187,44 @@ def test_quantity_series_rows_and_drift_shape():
     assert rows[0][0] == 0.0 and rows[0][2] == 0.0
     assert len(rows) == len(traj.times)
     assert conserved_drift(law, traj) == max(r[2] for r in rows)
+
+
+def test_rate_feeds_u_t_density_on_sine_gordon():
+    """For the u_tx shape a density in u_t reads the rate of each state; the
+    rows are frozen by the SHA-256 of their repr, bit for bit."""
+    sg = parse_pde("u_tx = sin(u)")
+    cfg = GridConfig(length=2 * np.pi, n=64, dt=5e-2, t_end=0.5)
+    traj = integrate_pde(sg, odd_harmonic_profile(grid(cfg), cfg.length), cfg)
+    rows = quantity_series(_control(sg, "u_t^2"), traj)
+    assert len(rows) == 11
+    assert rows[-1] == (0.5, 3.062168710698905, 0.0007802786878762455)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "2603a90e78e5e32f5d96ea7c7b609808e178b98be76222df47c934dccc4a0b9b"
+
+
+@pytest.mark.parametrize("text,initial,density,coordinate", [
+    (KDV, kdv_soliton, "u_t", "u_t"),
+    ("u_tt = u_xx", lambda x: (gaussian_bump(x), np.zeros_like(x)), "u_tt", "u_tt"),
+    ("u_tx = sin(u)", lambda x: odd_harmonic_profile(x, 40.0), "u_tt + u_x", "u_tt"),
+])
+def test_density_beyond_the_state_raises(text, initial, density, coordinate):
+    pde = parse_pde(text)
+    cfg = GridConfig(length=40.0, n=64, dt=1e-3, t_end=2e-3)
+    traj = integrate_pde(pde, initial(grid(cfg)), cfg)
+    with pytest.raises(ExprError, match="density reads %s," % coordinate):
+        quantity_series(_control(pde, density), traj)
+
+
+def test_law_of_another_pde_raises():
+    cfg = GridConfig(length=40.0, n=64, dt=1e-3, t_end=2e-3)
+    x = grid(cfg)
+    kdv, wave = parse_pde(KDV), parse_pde("u_tt = u_xx")
+    kdv_traj = integrate_pde(kdv, kdv_soliton(x), cfg)
+    wave_traj = integrate_pde(wave, (gaussian_bump(x), np.zeros_like(x)), cfg)
+    for law, traj in [(_control(wave, "u_t^2 + u_x^2"), kdv_traj),
+                      (build_law(kdv, P("u")), wave_traj)]:
+        with pytest.raises(ExprError, match="a law of .* on a trajectory of"):
+            quantity_series(law, traj)
 
 
 def test_density_singularity_reported_with_location():

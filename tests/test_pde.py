@@ -4,8 +4,8 @@ import pytest
 
 from jetlaw.expr import U, UT, UX
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import PdeError, parse_pde, linearization, adjoint_linearization
-from jetlaw.calculus import euler_operator
+from jetlaw.pde import PdeError, parse_pde, linearization
+from jetlaw.calculus import adjoint_linearization, euler_operator
 
 from conftest import random_expression
 from oracle_jet import euler as oracle_euler, to_sympy, same
