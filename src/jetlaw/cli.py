@@ -19,7 +19,7 @@ from .expr import ExprError, JetExpression
 from .parser import _single_atom, parse_expression, render
 from .pde import parse_pde
 from .linsolve import AnsatzBounds, solve_multipliers
-from .laws import ConservationLaw, build_law, flux_density, homotopy_density
+from .laws import build_law, flux_density, homotopy_density
 from .detsys import determining_expression
 from . import numcheck as nc
 
@@ -143,10 +143,16 @@ def cmd_derive(args):
     return 0 if all(cl.verified for cl in laws) else 1
 
 
-def cmd_verify(args):
+def _pde_and_multiplier(args):
+    """The params, the PDE and the multiplier of verify and density, parsed
+    in that order."""
     params = _parse_params(args.param)
     pde = parse_pde(_pde_text(args), params)
-    lam = parse_expression(args.multiplier, params)
+    return params, pde, parse_expression(args.multiplier, params)
+
+
+def cmd_verify(args):
+    params, pde, lam = _pde_and_multiplier(args)
     residual = determining_expression(pde, lam)
     if not residual.is_zero():
         payload = {"pde": str(pde), "lambda": render(lam), "verified": False,
@@ -165,9 +171,7 @@ def cmd_verify(args):
 
 
 def cmd_density(args):
-    params = _parse_params(args.param)
-    pde = parse_pde(_pde_text(args), params)
-    lam = parse_expression(args.multiplier, params)
+    params, pde, lam = _pde_and_multiplier(args)
     utilde = _utilde(args, params)
     phi_t = homotopy_density(pde, lam, utilde)
     phi_x = flux_density(pde, lam, phi_t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .expr import ExprError, JetExpression, U, UT, UX, is_indep, is_kernel_atom
+from .expr import ExprError, JetExpression, U, UT, UX, is_kernel_atom
 from .pde import PdeSpec, iterated_total
 from .calculus import (
     NotXDerivative,
@@ -67,36 +67,11 @@ def _as_reference(utilde) -> JetExpression:
     return utilde
 
 
-# -- polynomial-in-lambda machinery -----------------------------------------
-
-def _lp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, e in b.items():
-        out[d] = out.get(d, JetExpression.zero()) + e
-    return out
-
-
-def _lp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for d1, e1 in a.items():
-        for d2, e2 in b.items():
-            d = d1 + d2
-            prod = e1 * e2
-            out[d] = out.get(d, JetExpression.zero()) + prod
-    return out
-
-
-def _lp_integrate(a: dict) -> JetExpression:
-    out = JetExpression.zero()
-    for d, e in a.items():
-        out = out + e * Fraction(1, d + 1)
-    return out
-
-
-def _scaled_multiplier(lam: JetExpression, substitutions: dict) -> dict:
-    """lam with each coordinate k replaced by lam*k + (1-lam)*ref_k, as a
-    polynomial in the homotopy parameter."""
-    for (mono, atoms), _ in lam.terms.items():
+def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
+    """int_0^1 e[k -> a_k + lam*b_k] dlam over each coordinate k in subs,
+    with subs[k] = (a_k, b_k).  Each term expands as its list of
+    lam-coefficients, and the coefficient of lam^d is divided by d + 1."""
+    for _mono, atoms in e.terms:
         for a, _p in atoms:
             if is_kernel_atom(a) and a[1] != 0:
                 raise HomotopyError(
@@ -104,18 +79,17 @@ def _scaled_multiplier(lam: JetExpression, substitutions: dict) -> dict:
                     "(kernel atom %s in the multiplier)" % (a,))
             if a[0] in ("lam", "gee"):
                 raise HomotopyError("formal atom in a concrete multiplier")
-    result: dict = {}
-    for (mono, atoms), c in lam.terms.items():
-        piece = {0: JetExpression({((), atoms): c})}
+    zero = out = JetExpression.zero()
+    for (mono, atoms), c in e.terms.items():
+        coeffs = [JetExpression({(tuple(f for f in mono if f[0] not in subs), atoms): c})]
         for k, p in mono:
-            if k in substitutions:
-                factor = substitutions[k]
-            else:
-                factor = {0: JetExpression.coordinate(k)}
-            for _ in range(p):
-                piece = _lp_mul(piece, factor)
-        result = _lp_add(result, piece)
-    return result
+            if k in subs:
+                a, b = subs[k]
+                for _ in range(p):
+                    coeffs = [a * q + b * r for q, r in zip(coeffs + [zero], [zero] + coeffs)]
+        for d, q in enumerate(coeffs):
+            out = out + q * Fraction(1, d + 1)
+    return out
 
 
 def homotopy_density(pde: PdeSpec, lam: JetExpression,
@@ -130,19 +104,15 @@ def homotopy_density(pde: PdeSpec, lam: JetExpression,
         return _wave_two_point_density(pde, lam, ref)
     if any(k[0] > 0 for k in lam.jets()):
         raise HomotopyError("homotopy implemented for the pure-x multiplier chart")
-    order = lam.maximal_order()[1]
     subs = {}
-    for b in range(order + 1):
-        k = (0, b)
+    for b in range(lam.maximal_order()[1] + 1):
         ref_k = iterated_total(ref, 0, b)
-        subs[k] = {1: JetExpression.coordinate(k) - ref_k, 0: ref_k}
-    scaled = _scaled_multiplier(lam, subs)
+        subs[(0, b)] = (ref_k, JetExpression.coordinate((0, b)) - ref_k)
     if leading == (1, 0):
         lead_factor = JetExpression.coordinate(U) - ref
     else:
         lead_factor = JetExpression.coordinate(UX) - iterated_total(ref, 0, 1)
-    integrand = {d: lead_factor * e for d, e in scaled.items()}
-    return _lp_integrate(integrand)
+    return lead_factor * _homotopy_integral(lam, subs)
 
 
 def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:
@@ -196,16 +166,9 @@ def _k_correction(pde: PdeSpec, lam: JetExpression, ref: JetExpression) -> JetEx
     ref_tt = ref.total("t").total("t")
     gee_at_ref = ref_tt - _state_substitute(pde.rhs, ref)
     k_expr = gee_at_ref * _state_substitute(lam, ref)
-    if k_expr.is_zero():
-        return JetExpression.zero()
-    scaled: dict = {}
-    for (mono, atoms), c in k_expr.terms.items():
-        if any(is_kernel_atom(a) and a[1] != 0 for a, _ in atoms):
-            raise HomotopyError("K correction outside the polynomial fragment")
-        degree = sum(p for k, p in mono if is_indep(k))
-        term = JetExpression({(mono, atoms): c})
-        scaled[degree] = scaled.get(degree, JetExpression.zero()) + term
-    return JetExpression.coordinate("t") * _lp_integrate(scaled)
+    t, x = JetExpression.coordinate("t"), JetExpression.coordinate("x")
+    zero = JetExpression.zero()
+    return t * _homotopy_integral(k_expr, {"t": (zero, t), "x": (zero, x)})
 
 
 def flux_density(pde: PdeSpec, lam: JetExpression,

@@ -256,7 +256,7 @@ def _rate(traj: Trajectory, orders: dict, t: float, y: np.ndarray, jets=None) ->
         return g
     if traj.pde.leading == (2, 0):
         return np.stack([y[1], g])
-    return spectral_antiderivative(g - g.mean(), traj.cfg.length)
+    return spectral_antiderivative(g, traj.cfg.length)
 
 
 def _state_jets(traj: Trajectory, orders: dict, t: float, y: np.ndarray) -> dict:

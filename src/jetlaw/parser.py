@@ -20,7 +20,6 @@ from .expr import (
     coord_name,
     cos_atom,
     exp_atom,
-    is_kernel_atom,
     pow_atom,
     rational_pow,
     sin_atom,

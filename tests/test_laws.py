@@ -83,6 +83,34 @@ def test_wave_reference_state_shift_still_verifies():
     assert cl.verified
 
 
+# Laws at references that depend on t and x, frozen as rendered text: the
+# homotopy density as constructed, then the normalized density.  On u_tt = u_xx
+# the reference x^2 is not a solution, so the density carries the K correction
+# t * int_0^1 K(lam t, lam x) dlam: -2*t*x for u_x and -4/3*t*x^2 for the
+# conformal multiplier.  It is trivial, and normalization drops it.
+NONCONSTANT_REFERENCE = [
+    ("u_t + u*u_x + u_xxx = 0", "u_xx + u^2/2", "x",
+     "-1/2*x*u_xx - 1/6*x^3 + 1/2*u*u_xx + 1/6*u^3", "1/6*u^3 - 1/2*u_x^2"),
+    ("u_t + u*u_x + u_xxx = 0", "x - t*u", "t*x + 1",
+     "1/2*t - t*x^2 - 1/2*t*u^2 + t^2*x + 1/2*t^3*x^2 - x + x*u", "-1/2*t*u^2 + x*u"),
+    ("u_tx = sin(u)", "u_xxx + u_x^3/2", "x",
+     "-1/8 + 1/2*u_x*u_xxx + 1/8*u_x^4 - 1/2*u_xxx", "1/8*u_x^4 - 1/2*u_xx^2"),
+    ("u_tt = u_xx", "u_x", "x^2", "-2*t*x + u_x*u_t", "u_x*u_t"),
+    ("u_tt = u_xx", "t*u_t + x*u_x", "x^2",
+     "-4/3*t*x^2 + 1/2*t*u_x^2 + 1/2*t*u_t^2 + x*u_x*u_t",
+     "1/2*t*u_x^2 + 1/2*t*u_t^2 + x*u_x*u_t"),
+]
+
+
+@pytest.mark.parametrize("text,lam,ref,constructed,normalized", NONCONSTANT_REFERENCE)
+def test_nonconstant_reference_densities(text, lam, ref, constructed, normalized):
+    equation = parse_pde(text)
+    assert render(homotopy_density(equation, P(lam), P(ref))) == constructed
+    cl = build_law(equation, P(lam), P(ref))
+    assert render(cl.density_t) == normalized
+    assert cl.verified
+
+
 def test_liouville_arbitrary_function_instances():
     lv = parse_pde("u_tx = exp(u)")
     fx = build_law(lv, P("1 + x*u_x"))

@@ -23,6 +23,7 @@ from jetlaw.laws import ConservationLaw, build_law
 from jetlaw.numcheck import (
     GridConfig,
     IntegrationBlowUp,
+    Trajectory,
     conserved_drift,
     convergence_orders,
     evaluate_on_grid,
@@ -174,6 +175,20 @@ def test_sine_gordon_projection_inactive_on_antiperiodic_data():
     traj = integrate_pde(sg, u0, cfg)
     u_end = traj.states[-1]
     assert abs(np.sin(u_end).mean()) < 1e-13
+
+
+def test_u_tx_rate_is_the_zero_mean_antiderivative():
+    """The rate of a u_tx state projects out the mean of the RHS, here
+    u^2 on a state with a nonzero mean."""
+    tx = parse_pde("u_tx = u^2")
+    cfg = GridConfig(length=2 * np.pi, n=64, dt=1e-2, t_end=0.1)
+    traj = Trajectory(pde=tx, cfg=cfg, x=grid(cfg))
+    y = 1.5 + np.sin(traj.x) + 0.25 * np.cos(3 * traj.x)
+    g = y ** 2
+    assert g.mean() > 1.0
+    rate = numcheck._rate(traj, numcheck._jet_orders([tx.rhs]), 0.0, y)
+    want = spectral_antiderivative(g - g.mean(), cfg.length)
+    assert np.max(np.abs(rate - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_quantity_series_rows_and_drift_shape():
