@@ -26,7 +26,6 @@ from .expr import (
     ExprError,
     JetExpression,
     U,
-    UT,
     _accumulate,
     gee_atom,
     is_kernel_atom,
@@ -115,20 +114,19 @@ def euler_operator(e: JetExpression) -> JetExpression:
 
 
 def restricted_euler(e: JetExpression, base: str) -> JetExpression:
-    """Truncated Euler operators relating densities back to multipliers.
+    """Truncated Euler operators relating densities back to multipliers, each
+    the x-variational derivative over the jets of one t-order:
 
     base "U_fullX": d/du - D_x d/du_x + D_x^2 d/du_xx - ...
-    base "U_t":     d/du_t
     base "U_x":     d/du_x - D_x d/du_xx + ...
+    base "U_t":     d/du_t - D_x d/du_tx + D_x^2 d/du_txx - ...
     """
-    if base == "U_t":
-        return e.partial(UT)
-    start = 0 if base == "U_fullX" else 1
-    if base not in ("U_fullX", "U_x"):
+    if base not in ("U_fullX", "U_x", "U_t"):
         raise ExprError("unknown restricted Euler base %r" % base)
+    row, start = int(base == "U_t"), int(base == "U_x")
     jets = set().union(*map(term_jets, e.terms))
-    return _horner({b - start: e.partial((0, b)) for (a, b) in jets
-                    if a == 0 and b >= start}, "x")
+    return _horner({b - start: e.partial((a, b)) for (a, b) in jets
+                    if a == row and b >= start}, "x")
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,8 @@ class JetExpression:
                 return JetExpression.zero()
             return JetExpression({sig: _q(c * q) for sig, c in self.terms.items()})
         other = _coerce(other)
+        if not (self.terms and other.terms):
+            return JetExpression.zero()
         right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
         pairs = []
         for sig1, c1 in self.terms.items():

@@ -1,17 +1,18 @@
 """Conserved densities from multipliers: homotopy reconstruction, flux
 recovery, trivial-part normalization, and full symbolic verification.
 
-Density construction by PDE shape:
+One construction serves the three PDE shapes.  With P = G * Lam, v = u - utilde
+and the path u_lam = utilde + lam * v,
 
-  u_t  leading: Phi^t = int_0^1 (u - utilde) Lam[lam*u + (1-lam)*utilde] dlam
-  u_tx leading: Phi^t = int_0^1 (u_x - utilde_x) Lam[...] dlam
-  u_tt leading: the reduced two-point formula for first-order multipliers,
-                plus the t * int_0^1 K(lam*t, lam*x) dlam correction, which
-                vanishes for constant reference states.
+  Phi^t = sum over jets J = (a, b) of P with a >= 1, and over i < a, of
+          int_0^1 [(-D_t)^i dP/du_J][u_lam] dlam * D_t^(a-1-i) D_x^b v,
 
-The scaling substitution requires the multiplier to be polynomial in the
-scaled coordinates (kernel atoms of u are rejected there); the two-point
-formula has no such restriction.
+restricted to solutions.  Then D_t Phi^t + D_x Phi^x = -P[utilde] on
+solutions for some Phi^x, and P[utilde] depends on t and x alone, so the flux
+inversion absorbs it.  The lam-integral needs P polynomial along the path
+(kernel atoms of u are rejected there).  On u_tt, when it meets one, the
+reduced two-point formula for first-order multipliers and wave-speed
+right-hand sides takes over; it has no such restriction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .expr import ExprError, JetExpression, U, UT, UX, is_kernel_atom
 from .pde import PdeSpec, iterated_total
 from .calculus import (
     NotXDerivative,
+    eliminate_off_chart,
     ibp_normal_form,
     invert_total_x_derivative,
     restricted_euler,
@@ -76,7 +78,7 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
             if is_kernel_atom(a) and a[1] != 0:
                 raise HomotopyError(
                     "non-polynomial dependence on the homotopy parameter "
-                    "(kernel atom %s in the multiplier)" % (a,))
+                    "(kernel atom %s in G*Lam)" % (a,))
             if a[0] in ("lam", "gee"):
                 raise HomotopyError("formal atom in a concrete multiplier")
     zero = out = JetExpression.zero()
@@ -94,25 +96,27 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
 
 def homotopy_density(pde: PdeSpec, lam: JetExpression,
                      utilde=None) -> JetExpression:
-    """Reconstruct Phi^t from a multiplier via the shape's homotopy formula."""
+    """Reconstruct Phi^t from a multiplier via the characteristic form."""
     check_admissible(pde, lam)
     ref = _as_reference(utilde)
-    if any(k for k in ref.jets()):
+    if ref.jets():
         raise HomotopyError("reference state must not involve jet coordinates")
-    leading = pde.leading
-    if leading == (2, 0):
+    g, v = pde.gee(), JetExpression.coordinate(U) - ref
+    density = JetExpression.zero()
+    try:
+        for a, b in sorted(k for k in g.jets() | lam.jets() if k[0]):
+            dp = g.partial((a, b)) * lam + g * lam.partial((a, b))
+            for i in range(a):
+                subs = {k: (iterated_total(ref, *k), iterated_total(v, *k))
+                        for k in dp.jets()}
+                density = density + _homotopy_integral(dp, subs) \
+                    * iterated_total(v, a - 1 - i, b)
+                dp = -dp.total("t")
+    except HomotopyError:
+        if pde.leading != (2, 0):
+            raise
         return _wave_two_point_density(pde, lam, ref)
-    if any(k[0] > 0 for k in lam.jets()):
-        raise HomotopyError("homotopy implemented for the pure-x multiplier chart")
-    subs = {}
-    for b in range(lam.maximal_order()[1] + 1):
-        ref_k = iterated_total(ref, 0, b)
-        subs[(0, b)] = (ref_k, JetExpression.coordinate((0, b)) - ref_k)
-    if leading == (1, 0):
-        lead_factor = JetExpression.coordinate(U) - ref
-    else:
-        lead_factor = JetExpression.coordinate(UX) - iterated_total(ref, 0, 1)
-    return lead_factor * _homotopy_integral(lam, subs)
+    return eliminate_off_chart(pde, density, with_gee=False)
 
 
 def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:
@@ -133,7 +137,8 @@ def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:
 
 def _wave_two_point_density(pde: PdeSpec, lam: JetExpression,
                             ref: JetExpression) -> JetExpression:
-    """Reduced two-point construction for first-order u_tt multipliers."""
+    """Reduced two-point construction for first-order u_tt multipliers, the
+    fallback when the characteristic form meets a kernel atom of u."""
     order = lam.maximal_order()
     if order[0] + order[1] > 1:
         raise HomotopyError("u_tt homotopy supports first-order multipliers")
@@ -155,20 +160,7 @@ def _wave_two_point_density(pde: PdeSpec, lam: JetExpression,
     first = ut * (lam + at_ref(lam) + ((u - ref) * at_ref(lam_ux)).total("x")) * half
     second = (ref - u) * (lam_t + at_ref(lam_t) + ut * at_ref(lam_u)) * half
     third = ux ** 2 * csq * at_ref(lam_ut) * half
-    correction = _k_correction(pde, lam, ref)
-    return first + second + third + correction
-
-
-def _k_correction(pde: PdeSpec, lam: JetExpression, ref: JetExpression) -> JetExpression:
-    """t * int_0^1 K(lam t, lam x) dlam with K = G[ref] * Lam[ref]."""
-    if ref.is_constant():
-        return JetExpression.zero()
-    ref_tt = ref.total("t").total("t")
-    gee_at_ref = ref_tt - _state_substitute(pde.rhs, ref)
-    k_expr = gee_at_ref * _state_substitute(lam, ref)
-    t, x = JetExpression.coordinate("t"), JetExpression.coordinate("x")
-    zero = JetExpression.zero()
-    return t * _homotopy_integral(k_expr, {"t": (zero, t), "x": (zero, x)})
+    return first + second + third
 
 
 def flux_density(pde: PdeSpec, lam: JetExpression,

@@ -33,6 +33,24 @@ def random_expression(rng: random.Random, max_order=4, max_terms=8,
     return JetExpression.from_raw(raw)
 
 
+def random_rhs(rng: random.Random, leading, with_atoms) -> JetExpression:
+    """A random right-hand side on the chart of the given leading derivative."""
+    atoms = (exp_atom(Fraction(-1, 2)), sin_atom(1), pow_atom(1, 2, -1))
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        factors = {}
+        for _ in range(rng.randint(0, 2)):
+            b = rng.randint(0, 3)
+            a = rng.randint(0, 1) if leading == (2, 0) and b < 2 else 0
+            factors[(a, b)] = factors.get((a, b), 0) + 1
+        if rng.random() < 0.3:
+            factors[rng.choice(("t", "x"))] = 1
+        if with_atoms and rng.random() < 0.5:
+            factors[rng.choice(atoms)] = 1
+        raw.append((Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)), factors))
+    return JetExpression.from_raw(raw)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -142,6 +142,9 @@ def test_restricted_euler_spec_cases():
     assert restricted_euler(P("u_t^2/2 + pow(u,-4)*u_x^2/2"), "U_t") == P("u_t")
     assert restricted_euler(P("-u_x^2/2"), "U_fullX") == P("u_xx")
     assert restricted_euler(P("u_x*u_t"), "U_x") == P("u_t")
+    assert restricted_euler(P("u*u_txx + u_x*u_t"), "U_t") == P("u_xx + u_x")
+    with pytest.raises(ExprError):
+        restricted_euler(P("u_t"), "U_tx")
 
 
 def test_invert_total_x_spec_cases():

@@ -74,6 +74,22 @@ def test_verify_liouville_instance(capsys):
     assert "PASS" in out
 
 
+def test_derive_wave_with_tx_weights_verifies_every_law(capsys):
+    code, out = run(capsys, "derive", "--pde", "u_tt = u_xx", "--format", "json",
+                    "--order", "1", "--deg-tx", "2", "--deg-u", "1")
+    assert code == 0
+    laws = json.loads(out)["laws"]
+    assert len(laws) == 11
+    assert all(rec["verified"] is True for rec in laws)
+
+
+def test_verify_wave_conformal_characteristic(capsys):
+    code, out = run(capsys, "verify", "--pde", "u_tt = u_xx",
+                    "--multiplier", "2*t*x*u_x + t^2*u_t + x^2*u_t")
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_verify_failure_renders_residual(capsys):
     code, out = run(capsys, "verify", "--pde", KDV, "--multiplier", "u_x")
     assert code == 1

@@ -2,13 +2,11 @@
 
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
 from jetlaw.calculus import eliminate_off_chart
-from jetlaw.expr import (ExprError, JetExpression, T, U, X, exp_atom, lam_atom, pow_atom,
-                         sig_sort_key, sin_atom, term_jets)
+from jetlaw.expr import ExprError, JetExpression, T, U, X, lam_atom, sig_sort_key, term_jets
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, iterated_total, parse_pde
 from jetlaw.detsys import (
@@ -20,6 +18,7 @@ from jetlaw.detsys import (
 )
 from jetlaw.linsolve import instantiate, multiplier_arity
 
+from conftest import random_rhs
 from oracle_jet import euler as oracle_euler, same, to_sympy
 
 
@@ -204,30 +203,12 @@ def test_split_matches_direct_expansion(source, params, order):
     _assert_split_matches_reference(pde, multiplier_arity(pde, order))
 
 
-def _random_rhs(rng, leading, with_atoms):
-    """A random right-hand side on the chart of the given leading derivative."""
-    atoms = (exp_atom(Fraction(-1, 2)), sin_atom(1), pow_atom(1, 2, -1))
-    raw = []
-    for _ in range(rng.randint(1, 4)):
-        factors = {}
-        for _ in range(rng.randint(0, 2)):
-            b = rng.randint(0, 3)
-            a = rng.randint(0, 1) if leading == (2, 0) and b < 2 else 0
-            factors[(a, b)] = factors.get((a, b), 0) + 1
-        if rng.random() < 0.3:
-            factors[rng.choice(("t", "x"))] = 1
-        if with_atoms and rng.random() < 0.5:
-            factors[rng.choice(atoms)] = 1
-        raw.append((Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)), factors))
-    return JetExpression.from_raw(raw)
-
-
 @pytest.mark.parametrize("leading, order", [((1, 0), 2), ((2, 0), 1), ((1, 1), 2)])
 @pytest.mark.parametrize("with_atoms", [False, True])
 def test_split_matches_direct_expansion_on_random_pdes(leading, order, with_atoms):
     rng = random.Random("%s:%d:%s" % (leading, order, with_atoms))
     for _ in range(6):
-        rhs = _random_rhs(rng, leading, with_atoms)
+        rhs = random_rhs(rng, leading, with_atoms)
         pde = PdeSpec(leading=leading, rhs=rhs)
         _assert_split_matches_reference(pde, multiplier_arity(pde, order))
 
