@@ -45,7 +45,9 @@ lowering the power of a coordinate, trading one formal atom for another and
 multiplying by a jet other than u keep a term normalized.  The total
 derivative is one chain rule on the per-term partial, D = d/d(direction) +
 sum_k u_(k+direction) d/du_k over the jets k the term depends on, so only
-the derivatives of kernel atoms reach the rewrite step.
+the derivatives of kernel atoms reach the rewrite step.  `_products` gives a
+product's normalized (coefficient, signature) pairs before they are merged,
+so a caller that sums many products into one dict hashes each signature once.
 """
 
 from __future__ import annotations
@@ -409,6 +411,26 @@ def _swap_atom(atoms, old, new):
     return out if len(out) < 2 else tuple(sorted(out, key=_atoms_key))
 
 
+def _products(terms1: dict, terms2: dict) -> list:
+    """The normalized (coefficient, signature) pairs of the product of two
+    {signature: coefficient} dicts, one or more per pair of terms, unmerged."""
+    right = [(sig, c) + _term_kinds(sig) for sig, c in terms2.items()]
+    pairs = []
+    for sig1, c1 in terms1.items():
+        kernel1, live1, u1 = _term_kinds(sig1)
+        for sig2, c2, kernel2, live2, u2 in right:
+            if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
+                f = _sig_factors(sig1)
+                for k, p in _sig_factors(sig2).items():
+                    f[k] = f.get(k, 0) + p
+                pairs.extend(_canon_term(c1 * c2, f))
+            else:
+                pairs.append((c1 * c2, (
+                    _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
+                    _merge_factors(sig1[1], sig2[1], _atoms_key))))
+    return pairs
+
+
 def _term_partial(c, mono, atoms, v) -> list:
     """d/dv of the normalized term c*mono*atoms as normalized (coefficient,
     signature) pairs; gee atoms are constants here, and only the derivatives
@@ -523,21 +545,7 @@ class JetExpression:
         other = _coerce(other)
         if not (self.terms and other.terms):
             return JetExpression.zero()
-        right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
-        pairs = []
-        for sig1, c1 in self.terms.items():
-            kernel1, live1, u1 = _term_kinds(sig1)
-            for sig2, c2, kernel2, live2, u2 in right:
-                if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
-                    f = _sig_factors(sig1)
-                    for k, p in _sig_factors(sig2).items():
-                        f[k] = f.get(k, 0) + p
-                    pairs.extend(_canon_term(c1 * c2, f))
-                else:
-                    pairs.append((c1 * c2, (
-                        _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
-                        _merge_factors(sig1[1], sig2[1], _atoms_key))))
-        return JetExpression(_accumulate(pairs))
+        return JetExpression(_accumulate(_products(self.terms, other.terms)))
 
     __rmul__ = __mul__
 

@@ -178,12 +178,9 @@ def multiplier_from_density(pde: PdeSpec, density_t: JetExpression) -> JetExpres
 def build_law(pde: PdeSpec, lam: JetExpression, utilde=None) -> ConservationLaw:
     """Construct, normalize and verify the conservation law of a multiplier."""
     ref = _as_reference(utilde)
-    density = homotopy_density(pde, lam, ref)
-    cl = ConservationLaw(
-        pde=pde, multiplier=lam, density_t=density,
-        density_x=flux_density(pde, lam, density),
-        utilde=ref)
-    cl = normalize_density(cl)
+    cl = normalize_density(ConservationLaw(
+        pde=pde, multiplier=lam, density_t=homotopy_density(pde, lam, ref),
+        density_x=None, utilde=ref))
     return replace(cl, verified=verify(cl))
 
 
@@ -193,19 +190,21 @@ def normalize_density(cl: ConservationLaw) -> ConservationLaw:
     Discarding an exact part can change the multiplier recovered through the
     restricted Euler operator (on the u_tx chart D_x theta may pair with a
     flux that leaves the pure-x coordinates); in that case the density is
-    kept as constructed.
+    kept as constructed.  A law without a flux (density_x None) gets the flux
+    of the density kept, so a flux is inverted once per law.
     """
     core, _theta = ibp_normal_form(cl.density_t)
-    if core == cl.density_t:
-        return cl
-    recovered = multiplier_from_density(cl.pde, cl.density_t)
-    if multiplier_from_density(cl.pde, core) != recovered:
-        return cl
-    try:
-        flux = flux_density(cl.pde, cl.multiplier, core)
-    except NotXDerivative:
-        return cl
-    return replace(cl, density_t=core, density_x=flux)
+    if core != cl.density_t and multiplier_from_density(cl.pde, core) \
+            == multiplier_from_density(cl.pde, cl.density_t):
+        try:
+            flux = flux_density(cl.pde, cl.multiplier, core)
+        except NotXDerivative:
+            pass
+        else:
+            return replace(cl, density_t=core, density_x=flux)
+    if cl.density_x is None:
+        return replace(cl, density_x=flux_density(cl.pde, cl.multiplier, cl.density_t))
+    return cl
 
 
 def densities_match(pde: PdeSpec, a: JetExpression, b: JetExpression) -> bool:

@@ -6,7 +6,9 @@ Bounds that give more than MAX_COLUMNS columns, counted in closed form, are
 refused before anything is enumerated or split.
 Substituting the ansatz into a determining system and collecting coefficients
 of distinct free-coordinate monomial signatures yields a sparse linear system
-over the rationals.  It is solved exactly by one fraction-free elimination:
+over the rationals.  Elimination first settles the columns that one-entry
+rows pin to zero, cascading as rows shrink; on these systems that settles
+most columns.  The rest is solved exactly by one fraction-free elimination:
 rows are scaled to coprime integers, duplicates dropped, and each elimination
 step row <- p[lead]*row - row[lead]*p is divided by its content.  Rows and
 nullspace vectors share one normal form (_normalized): coprime integers whose
@@ -15,7 +17,9 @@ first nonzero entry is positive, so every vector is a list of int.
 Substitution works on equations grouped by Lam derivative index: an equation
 is sum_g c_g * d^(index_g) Lam.  The indices of all equations form one tree
 closed under prefixes; each basis element walks it once, taking one partial
-per child and pruning at the first zero partial.
+per child and pruning at the first zero partial.  The products it yields are
+summed straight into the rows, so each product's signature is hashed once and
+no product expression is built.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .expr import ExprError, JetExpression, U, _accumulate, is_indep, is_kernel_atom
+from .expr import (ExprError, JetExpression, U, _accumulate, _products, _q, is_indep,
+                   is_kernel_atom)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
 
@@ -180,40 +185,51 @@ def _lam_tree(equations) -> tuple:
     return uses, children
 
 
-def _substitute(tree, candidate: JetExpression) -> dict:
-    """Nonzero {(equation, signature): coefficient} with Lam := candidate,
-    taking one partial per tree node and pruning at the first zero."""
+def _substitute(tree, candidate: JetExpression):
+    """The (equation, coefficient, signature) products with Lam := candidate,
+    unmerged, taking one partial per tree node and pruning at the first zero."""
     uses, children = tree
-    acc: dict = {}
     stack = [((), candidate)] if candidate.terms else []
     while stack:
         index, value = stack.pop()
         for ei, coefficient in uses.get(index, ()):
-            _accumulate(((c, (ei, sig)) for sig, c in (coefficient * value).terms.items()), acc)
+            for c, sig in _products(coefficient.terms, value.terms):
+                yield ei, c, sig
         for child in children.get(index, ()):
             d = value.partial(child[-1])
             if d.terms:
                 stack.append((child, d))
-    return acc
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
     """Replace every Lam derivative atom by the matching partial of candidate."""
-    entries = _substitute(_lam_tree([equation]), candidate)
-    return JetExpression({sig: c for (_, sig), c in entries.items()})
+    return JetExpression(_accumulate((c, sig) for _, c, sig in
+                                     _substitute(_lam_tree([equation]), candidate)))
 
 
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
     """One row per (equation, monomial signature); one column per basis element.
 
     Each column walks the equations' index tree once, so a partial of a basis
-    element is taken once per index, not once per equation.
+    element is taken once per index, not once per equation.  Its products go
+    straight into the rows, one hash of (equation, signature) each; entries
+    that cancel and the rows they empty are dropped at the end.
     """
     linsys = RationalLinearSystem(ncols=len(ansatz.basis))
+    rows = linsys.rows
     tree = _lam_tree(system.equations)
     for col, candidate in enumerate(ansatz.basis):
-        for key, c in _substitute(tree, candidate).items():
-            linsys.add(key, col, c)
+        for ei, c, sig in _substitute(tree, candidate):
+            row = rows.setdefault((ei, sig), {})
+            row[col] = row.get(col, 0) + c
+    for row in rows.values():
+        for col, v in list(row.items()):
+            if not v:
+                del row[col]
+            elif type(v) is not int:
+                row[col] = _q(v)
+    for key in [key for key, row in rows.items() if not row]:
+        del rows[key]
     return linsys
 
 
@@ -244,14 +260,34 @@ def _eliminate(row: dict, pivot: dict, col) -> dict:
 
 
 def _echelon(rows) -> dict:
-    """Row echelon form {leading column: integer row} of rational rows, each
-    first made coprime integers with a positive lead and deduplicated."""
+    """Row echelon form {leading column: integer row} of rational rows.
+
+    A row with one entry pins its column to zero: the column is settled as
+    the pivot {column: 1} and taken out of every row, which can leave more
+    one-entry rows and empty ones.  The rows left are made coprime integers
+    with a positive lead, deduplicated and eliminated fraction-free."""
+    rows = [dict(row) for row in rows if row]
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, []).append(i)
+    pivots: dict = {}
+    pinned = [c for row in rows if len(row) == 1 for c in row]
+    while pinned:
+        col = pinned.pop()
+        if col in pivots:
+            continue
+        pivots[col] = {col: 1}
+        for i in where[col]:
+            row = rows[i]
+            del row[col]
+            if len(row) == 1:
+                pinned.extend(row)
     distinct = {}
     for row in filter(None, rows):
         den = lcm(*(v.denominator for v in row.values()))
         ints = _normalized({c: den // v.denominator * v.numerator for c, v in row.items()})
         distinct.setdefault(frozenset(ints.items()), ints)
-    pivots: dict = {}
     for row in distinct.values():
         while row:
             lead = min(row)

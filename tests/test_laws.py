@@ -176,6 +176,28 @@ def test_normalize_density_spec_cases():
     assert normalize_density(cl).density_t.is_zero()
 
 
+def test_build_law_inverts_one_flux_per_law(monkeypatch):
+    from jetlaw import laws
+
+    wave = parse_pde("u_tt = u^2*u_xx + u*u_x^2")
+    _, mults = solve_multipliers(wave, AnsatzBounds(order=1, deg_tx=2, deg_u=1))
+    inverted = []
+    flux = laws.flux_density
+
+    def counting_flux(pde, lam, density):
+        inverted.append(density)
+        return flux(pde, lam, density)
+
+    monkeypatch.setattr(laws, "flux_density", counting_flux)
+    built = [build_law(wave, lam, ref) for lam in mults for ref in (None, P("x"))]
+    assert all(cl.verified for cl in built)
+    assert inverted == [cl.density_t for cl in built]
+    # Some laws keep a normalized density: inverting the constructed
+    # density's flux as well would show there as a second call.
+    assert any(cl.density_t != homotopy_density(wave, cl.multiplier, cl.utilde)
+               for cl in built)
+
+
 def test_normalize_keeps_density_when_pairing_would_break():
     lv = parse_pde("u_tx = exp(u)")
     cl = build_law(lv, P("1 + x*u_x"))

@@ -6,14 +6,16 @@ from math import comb, gcd
 
 import pytest
 
-from jetlaw.expr import (ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
+from jetlaw import linsolve
+from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
                          sin_atom)
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
-from jetlaw.detsys import determining_expression, split_determining_system
+from jetlaw.detsys import DeterminingSystem, determining_expression, split_determining_system
 from jetlaw.linsolve import (
     MAX_COLUMNS,
     AnsatzBounds,
+    AnsatzSpace,
     AnsatzTooLarge,
     ansatz_columns,
     RationalLinearSystem,
@@ -339,6 +341,29 @@ def test_assemble_matches_per_term_oracle(source, params, bounds):
     assert nullspace(linsys) == nullspace(reference)
 
 
+def test_assemble_drops_entries_that_cancel_in_one_column():
+    # Lam and u*Lam_u are two tree nodes; for Lam = u both give the signature
+    # u, with opposite signs, so row (0, u) sums to zero and must not stay.
+    kdv = parse_pde(KDV, {"n": 1})
+    arity = ("t", "x", U)
+    lam, lam_u = (JetExpression.atom(lam_atom(arity, index)) for index in ((), (U,)))
+    for equation, basis in ((P("u") * lam_u - lam, ("u", "u^2")),
+                            ((P("u") * lam_u - lam) * Fraction(1, 2), ("u", "u^2", "u^3"))):
+        system = DeterminingSystem(pde=kdv, equations=(equation,), gee_keys=((),))
+        ansatz = AnsatzSpace(pde=kdv, bounds=AnsatzBounds(order=0, deg_u=3), arity=arity,
+                             basis=tuple(P(b) for b in basis))
+        linsys = assemble(system, ansatz)
+        assert linsys.rows == _reference_assemble(system, ansatz).rows
+        assert (0, next(iter(P("u").terms))) not in linsys.rows
+        for row in linsys.rows.values():
+            assert row
+            for v in row.values():
+                assert v != 0
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    # The halved equation gives u^3 the entry 3/2 - 1/2, which must be int 1.
+    assert linsys.rows[(0, next(iter(P("u^3").terms)))] == {2: 1}
+
+
 def test_instantiate_matches_per_term_oracle():
     kg = parse_pde("u_tx = sin(u)")
     system = split_determining_system(kg, multiplier_arity(kg, 3))
@@ -488,6 +513,60 @@ def test_span_rank_matches_sympy_rank():
         assert len(_reference_echelon(rows)) == expected
 
 
+def _cascading_system(rng, ncols, npinned, nrest):
+    """Rows that settle in a cascade: pinned column p_j gets a row over p_j and
+    some earlier pinned columns, which has one entry only once those are
+    settled; rows inside the pinned columns vanish, and nrest random rows
+    over all columns are left for the elimination."""
+    pinned = rng.sample(range(ncols), npinned)
+    rows = [{pinned[0]: _random_rational(rng)}]
+    for j in range(1, npinned):
+        row = {c: _random_rational(rng) for c in rng.sample(pinned[:j], rng.randint(1, min(j, 3)))}
+        row[pinned[j]] = _random_rational(rng)
+        rows.append(row)
+    for _ in range(npinned // 2):
+        rows.append({c: _random_rational(rng)
+                     for c in rng.sample(pinned, rng.randint(2, min(npinned, 4)))})
+    for _ in range(nrest):
+        rows.append({c: _random_rational(rng) for c in range(ncols) if rng.random() < 0.4}
+                    or {rng.randrange(ncols): Fraction(1)})
+    rng.shuffle(rows)
+    linsys = RationalLinearSystem(ncols=ncols)
+    for i, row in enumerate(rows):
+        linsys.rows[(i, "r")] = row
+    return linsys, pinned
+
+
+def _cascading_systems():
+    rng = random.Random("settle cascade")
+    systems = []
+    for _ in range(40):
+        ncols = rng.randint(3, 16)
+        npinned = rng.randint(2, ncols)
+        systems.append(_cascading_system(rng, ncols, npinned, rng.randint(0, ncols - npinned + 2)))
+    return systems
+
+
+def test_settled_columns_cascade_and_match_fraction_elimination():
+    from sympy import Matrix, Rational
+
+    deficient = 0
+    for linsys, pinned in _cascading_systems():
+        rows = list(linsys.rows.values())
+        before = [dict(row) for row in rows]
+        pivots = linsolve._echelon(rows)
+        assert rows == before
+        assert all(pivots[p] == {p: 1} for p in pinned)
+        vectors = nullspace(linsys)
+        assert vectors == _reference_nullspace(linsys)
+        assert all(vec[p] == 0 for vec in vectors for p in pinned)
+        dense = [[Rational(str(row.get(c, 0))) for c in range(linsys.ncols)] for row in rows]
+        assert span_rank([_column_expression(row) for row in rows]) \
+            == Matrix(dense).rank() == len(pivots)
+        deficient += bool(vectors)
+    assert deficient >= 5
+
+
 def _paper_system(source, params, bounds):
     pde = parse_pde(source, params)
     system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
@@ -504,3 +583,53 @@ def _paper_system(source, params, bounds):
 def test_nullspace_matches_fraction_elimination_on_paper_systems(source, params, bounds):
     linsys = _paper_system(source, params, bounds)
     assert nullspace(linsys) == _reference_nullspace(linsys)
+
+
+# Stage 1 of the three `scale` systems: shape frozen from the fraction-free
+# elimination without the settle (rows, nnz, rank), and a bound on the
+# _eliminate calls of one nullspace, where that elimination made 1430, 2495
+# and 3544.  Settling one-entry rows first leaves 31, 4 and 532.  Assembly
+# sums products straight into the rows, with no product expression built.
+STAGE_ONE = {
+    "kdv order 4": (453, 1060, 163, 40),
+    "sine-gordon order 4": (1248, 2782, 250, 8),
+    "liouville order 4": (931, 2782, 246, 640),
+}
+
+
+@pytest.mark.parametrize("name", STAGE_ONE)
+def test_stage_one_shape_and_elimination_work(name, monkeypatch):
+    source, params, bounds = TWO_STAGE_CASES[name]
+    systems, calls, products = [], [], []
+    eliminate, assemble_, nullspace_ = linsolve._eliminate, linsolve.assemble, linsolve.nullspace
+    mul = JetExpression.__mul__
+
+    def counting_mul(*args):
+        products.append(args)
+        return mul(*args)
+
+    def counting_eliminate(*args):
+        calls[-1] += 1
+        return eliminate(*args)
+
+    def recording_assemble(*args):
+        monkeypatch.setattr(JetExpression, "__mul__", counting_mul)
+        systems.append(assemble_(*args))
+        monkeypatch.setattr(JetExpression, "__mul__", mul)
+        return systems[-1]
+
+    def counting_nullspace(linsys):
+        calls.append(0)
+        return nullspace_(linsys)
+
+    monkeypatch.setattr(linsolve, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linsolve, "assemble", recording_assemble)
+    monkeypatch.setattr(linsolve, "nullspace", counting_nullspace)
+    solve_multipliers(parse_pde(source, params), bounds)
+    (stage_one,) = systems
+    assert not products
+    rows, nnz, rank, max_calls = STAGE_ONE[name]
+    assert len(calls) == 2 and max(calls) <= max_calls
+    assert len(stage_one.rows) == rows
+    assert sum(len(row) for row in stage_one.rows.values()) == nnz
+    assert len(linsolve._echelon(stage_one.rows.values())) == rank
