@@ -45,9 +45,17 @@ lowering the power of a coordinate, trading one formal atom for another and
 multiplying by a jet other than u keep a term normalized.  The total
 derivative is one chain rule on the per-term partial, D = d/d(direction) +
 sum_k u_(k+direction) d/du_k over the jets k the term depends on, so only
-the derivatives of kernel atoms reach the rewrite step.  `_products` gives a
-product's normalized (coefficient, signature) pairs before they are merged,
-so a caller that sums many products into one dict hashes each signature once.
+the derivatives of kernel atoms reach the rewrite step.
+
+Bulk work on many products and partials (stage-1 assembly) runs on packed
+terms (`_Packing`): a term is (coefficient, atom-id, packed monomial), the
+atom-id numbering the term's atom tuple and the packed monomial being one int
+that holds each coordinate's exponent in a fixed-width field.  A product that
+needs no rewrite is then an integer addition and a partial in a coordinate an
+exponent shift; the cases above that reach the rewrite step, and the partials
+of lam and live kernel atoms, are unpacked, sent through `_canon_term` or
+`_term_partial`, and packed again.  A power too wide to pack with a bit to
+spare raises ExprError.
 """
 
 from __future__ import annotations
@@ -411,24 +419,13 @@ def _swap_atom(atoms, old, new):
     return out if len(out) < 2 else tuple(sorted(out, key=_atoms_key))
 
 
-def _products(terms1: dict, terms2: dict) -> list:
-    """The normalized (coefficient, signature) pairs of the product of two
-    {signature: coefficient} dicts, one or more per pair of terms, unmerged."""
-    right = [(sig, c) + _term_kinds(sig) for sig, c in terms2.items()]
-    pairs = []
-    for sig1, c1 in terms1.items():
-        kernel1, live1, u1 = _term_kinds(sig1)
-        for sig2, c2, kernel2, live2, u2 in right:
-            if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
-                f = _sig_factors(sig1)
-                for k, p in _sig_factors(sig2).items():
-                    f[k] = f.get(k, 0) + p
-                pairs.extend(_canon_term(c1 * c2, f))
-            else:
-                pairs.append((c1 * c2, (
-                    _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
-                    _merge_factors(sig1[1], sig2[1], _atoms_key))))
-    return pairs
+def _canon_product(c, sig1, sig2) -> list:
+    """The normalized (coefficient, signature) pairs of c * sig1 * sig2,
+    through the rewrite step."""
+    f = _sig_factors(sig1)
+    for k, p in _sig_factors(sig2).items():
+        f[k] = f.get(k, 0) + p
+    return _canon_term(c, f)
 
 
 def _term_partial(c, mono, atoms, v) -> list:
@@ -545,7 +542,18 @@ class JetExpression:
         other = _coerce(other)
         if not (self.terms and other.terms):
             return JetExpression.zero()
-        return JetExpression(_accumulate(_products(self.terms, other.terms)))
+        right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
+        pairs = []
+        for sig1, c1 in self.terms.items():
+            kernel1, live1, u1 = _term_kinds(sig1)
+            for sig2, c2, kernel2, live2, u2 in right:
+                if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
+                    pairs.extend(_canon_product(c1 * c2, sig1, sig2))
+                else:
+                    pairs.append((c1 * c2, (
+                        _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
+                        _merge_factors(sig1[1], sig2[1], _atoms_key))))
+        return JetExpression(_accumulate(pairs))
 
     __rmul__ = __mul__
 
@@ -757,6 +765,118 @@ def _atom_value(a, env) -> float:
     if tag == "cos":
         return cos(arg)
     return arg ** float(a[3])
+
+
+# ---------------------------------------------------------------------------
+# Packed terms.  A _Packing numbers atom tuples and gives each coordinate a
+# _FIELD-bit field of one int, u's the lowest.  An exponent enters a packed
+# monomial only below _FIELD_LIMIT, half the field, so the sum of two never
+# carries into the next field.
+
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+_FIELD_LIMIT = 1 << (_FIELD - 1)
+
+
+class _Packing:
+    """The tables of one bulk computation on packed terms, keyed (atom-id,
+    packed monomial).  They belong to the object, so they cannot grow over a
+    run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has
+    kernel atoms, has a live pow atom, has a gee atom, the coordinates whose
+    partial goes through _term_partial)."""
+
+    def __init__(self):
+        self.shift = {U: 0}
+        self.fields = [(U, 0)]
+        self.atoms = [()]
+        self.atom_ids = {(): 0}
+        self.kinds = [(False, False, False, frozenset())]
+        self.decoded = {}
+
+    def _atom_id(self, atoms) -> int:
+        aid = self.atom_ids.get(atoms)
+        if aid is None:
+            aid = self.atom_ids[atoms] = len(self.atoms)
+            self.atoms.append(atoms)
+            slow = set()
+            for a, _ in atoms:
+                if a[0] == "lam":
+                    slow.update(a[1])
+                elif is_kernel_atom(a) and a[1] != 0:
+                    slow.add(U)
+            self.kinds.append((any(is_kernel_atom(a) for a, _ in atoms),
+                               any(a[0] == "pow" and a[1] != 0 for a, _ in atoms),
+                               any(a[0] == "gee" for a, _ in atoms), frozenset(slow)))
+        return aid
+
+    def encode(self, sig) -> tuple:
+        """(atom-id, packed monomial) of a normalized signature."""
+        mono, atoms = sig
+        m = 0
+        for k, p in mono:
+            if p >= _FIELD_LIMIT:
+                raise ExprError("power %d of %s is too large to pack" % (p, coord_name(k)))
+            shift = self.shift.get(k)
+            if shift is None:
+                shift = self.shift[k] = _FIELD * len(self.fields)
+                self.fields = sorted(self.fields + [(k, shift)], key=_mono_key)
+            m += p << shift
+        return self._atom_id(atoms), m
+
+    def decode(self, aid, m) -> tuple:
+        """The normalized signature of a packed term."""
+        sig = self.decoded.get((aid, m))
+        if sig is None:
+            mono = tuple(_pair(k, m >> shift & _FIELD_MASK) for k, shift in self.fields
+                         if m >> shift & _FIELD_MASK)
+            sig = self.decoded[(aid, m)] = (mono, self.atoms[aid])
+        return sig
+
+    def pack(self, terms: dict) -> dict:
+        """{(atom-id, packed): coefficient} of a {signature: coefficient} dict."""
+        return {self.encode(sig): c for sig, c in terms.items()}
+
+    def products(self, left: dict, right: dict) -> list:
+        """The (coefficient, atom-id, packed) terms of the product of two packed
+        term dicts, one or more per pair of terms, unmerged, in the order and
+        with the coefficients of JetExpression.__mul__."""
+        kinds = self.kinds
+        right = [(c2, a2, m2) + kinds[a2][:2] + (m2 & _FIELD_MASK,)
+                 for (a2, m2), c2 in right.items()]
+        out = []
+        for (a1, m1), c1 in left.items():
+            kernel1, live1 = kinds[a1][:2]
+            u1 = m1 & _FIELD_MASK
+            for c2, a2, m2, kernel2, live2, u2 in right:
+                if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
+                    out.extend((c,) + self.encode(sig) for c, sig in _canon_product(
+                        c1 * c2, self.decode(a1, m1), self.decode(a2, m2)))
+                elif a1 and a2:
+                    aid = self._atom_id(_merge_factors(self.atoms[a1], self.atoms[a2], _atoms_key))
+                    out.append((c1 * c2, aid, m1 + m2))
+                else:
+                    out.append((c1 * c2, a1 or a2, m1 + m2))
+        return out
+
+    def partial(self, terms: dict, v) -> dict:
+        """d/dv of a packed term dict, merged as by JetExpression.partial."""
+        shift = self.shift.get(v)
+        pairs = []
+        for (aid, m), c in terms.items():
+            if aid:
+                _, _, gee, slow = self.kinds[aid]
+                if gee:
+                    raise ExprError("cannot take partials through a gee atom")
+                if v in slow:
+                    mono, atoms = self.decode(aid, m)
+                    pairs.extend((dc, self.encode(sig))
+                                 for dc, sig in _term_partial(c, mono, atoms, v))
+                    continue
+            if shift is not None:
+                p = (m >> shift) & _FIELD_MASK
+                if p:
+                    pairs.append((c * p, (aid, m - (1 << shift))))
+        return _accumulate(pairs) if pairs else {}
 
 
 def sig_sort_key(sig):

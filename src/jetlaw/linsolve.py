@@ -17,9 +17,12 @@ first nonzero entry is positive, so every vector is a list of int.
 Substitution works on equations grouped by Lam derivative index: an equation
 is sum_g c_g * d^(index_g) Lam.  The indices of all equations form one tree
 closed under prefixes; each basis element walks it once, taking one partial
-per child and pruning at the first zero partial.  The products it yields are
-summed straight into the rows, so each product's signature is hashed once and
-no product expression is built.
+per child and pruning at the first zero partial.  The walk runs on packed
+terms (expr._Packing), local to one call: coefficients and basis elements
+are packed once, a product is an integer addition and a partial an exponent
+shift.  Products are summed straight into rows keyed (equation, atom-id,
+packed monomial), and each row left is keyed by its (equation, signature)
+once at the end, in first-seen order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .expr import (ExprError, JetExpression, U, _accumulate, _products, _q, is_indep,
+from .expr import (ExprError, JetExpression, U, _Packing, _accumulate, _q, is_indep,
                    is_kernel_atom)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
@@ -158,12 +161,13 @@ class RationalLinearSystem:
             row[col] = nv
 
 
-def _lam_tree(equations) -> tuple:
+def _lam_tree(equations, packing: _Packing) -> tuple:
     """Group equations linear in Lam by derivative index, as (uses, children).
 
     uses maps an index to [(equation, coefficient)], with each equation the
-    sum of coefficient * d^index Lam over its groups.  children maps an index
-    to its one-coordinate extensions; the indices are closed under prefixes.
+    sum of coefficient * d^index Lam over its groups and each coefficient a
+    packed term dict of packing.  children maps an index to its
+    one-coordinate extensions; the indices are closed under prefixes.
     """
     groups: dict = {}
     for ei, equation in enumerate(equations):
@@ -178,58 +182,64 @@ def _lam_tree(equations) -> tuple:
     uses: dict = {}
     children: dict = {}
     for (index, ei), terms in groups.items():
-        uses.setdefault(index, []).append((ei, JetExpression(terms)))
+        uses.setdefault(index, []).append((ei, packing.pack(terms)))
         while index and index not in children.get(index[:-1], ()):
             children.setdefault(index[:-1], {})[index] = None
             index = index[:-1]
     return uses, children
 
 
-def _substitute(tree, candidate: JetExpression):
-    """The (equation, coefficient, signature) products with Lam := candidate,
-    unmerged, taking one partial per tree node and pruning at the first zero."""
+def _walk(tree, candidate: JetExpression, packing: _Packing):
+    """Per (tree node, equation), the equation and its packed (coefficient,
+    atom-id, packed) products with Lam := candidate, unmerged; one partial is
+    taken per tree node, pruning at the first zero."""
     uses, children = tree
-    stack = [((), candidate)] if candidate.terms else []
+    stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
     while stack:
         index, value = stack.pop()
         for ei, coefficient in uses.get(index, ()):
-            for c, sig in _products(coefficient.terms, value.terms):
-                yield ei, c, sig
+            yield ei, packing.products(coefficient, value)
         for child in children.get(index, ()):
-            d = value.partial(child[-1])
-            if d.terms:
+            d = packing.partial(value, child[-1])
+            if d:
                 stack.append((child, d))
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
     """Replace every Lam derivative atom by the matching partial of candidate."""
-    return JetExpression(_accumulate((c, sig) for _, c, sig in
-                                     _substitute(_lam_tree([equation]), candidate)))
+    packing = _Packing()
+    terms = _accumulate((c, (aid, m)) for _, products in
+                        _walk(_lam_tree([equation], packing), candidate, packing)
+                        for c, aid, m in products)
+    return JetExpression({packing.decode(aid, m): c for (aid, m), c in terms.items()})
 
 
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
     """One row per (equation, monomial signature); one column per basis element.
 
     Each column walks the equations' index tree once, so a partial of a basis
-    element is taken once per index, not once per equation.  Its products go
-    straight into the rows, one hash of (equation, signature) each; entries
-    that cancel and the rows they empty are dropped at the end.
+    element is taken once per index, not once per equation.  Its products are
+    summed straight into rows keyed (equation, atom-id, packed monomial);
+    entries that cancel and the rows they empty are dropped at the end, and
+    each row left is keyed by its (equation, signature) once.
     """
-    linsys = RationalLinearSystem(ncols=len(ansatz.basis))
-    rows = linsys.rows
-    tree = _lam_tree(system.equations)
+    packing = _Packing()
+    tree = _lam_tree(system.equations, packing)
+    sums: dict = {}
     for col, candidate in enumerate(ansatz.basis):
-        for ei, c, sig in _substitute(tree, candidate):
-            row = rows.setdefault((ei, sig), {})
-            row[col] = row.get(col, 0) + c
-    for row in rows.values():
+        for ei, products in _walk(tree, candidate, packing):
+            for c, aid, m in products:
+                row = sums.setdefault((ei, aid, m), {})
+                row[col] = row.get(col, 0) + c
+    linsys = RationalLinearSystem(ncols=len(ansatz.basis))
+    for (ei, aid, m), row in sums.items():
         for col, v in list(row.items()):
             if not v:
                 del row[col]
             elif type(v) is not int:
                 row[col] = _q(v)
-    for key in [key for key, row in rows.items() if not row]:
-        del rows[key]
+        if row:
+            linsys.rows[(ei, packing.decode(aid, m))] = row
     return linsys
 
 

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from jetlaw import linsolve
+from jetlaw import expr, linsolve
 from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
                          sin_atom)
 from jetlaw.parser import parse_expression as P, render
@@ -329,7 +329,10 @@ def _reference_assemble(system, ansatz):
     ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {},
      AnsatzBounds(order=1, deg_tx=2, deg_u=1, atoms=(exp_atom(Fraction(-1, 2)),))),
     ("u_tx = sin(u)", {}, AnsatzBounds(order=3, deg_tx=1, deg_u=3)),
-], ids=["kdv-n2", "wave-exp", "kg-sin"])
+    (WAVE, {}, AnsatzBounds(order=1, deg_tx=2, deg_u=1)),
+    (KDV, {"n": 1}, AnsatzBounds(order=2, deg_tx=1, deg_u=2,
+                                 atoms=(pow_atom(1, 1, Fraction(-1, 2)),))),
+], ids=["kdv-n2", "wave-exp", "kg-sin", "wave-pow", "kdv-pow-atom"])
 def test_assemble_matches_per_term_oracle(source, params, bounds):
     pde = parse_pde(source, params)
     system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
@@ -367,9 +370,31 @@ def test_assemble_drops_entries_that_cancel_in_one_column():
 def test_instantiate_matches_per_term_oracle():
     kg = parse_pde("u_tx = sin(u)")
     system = split_determining_system(kg, multiplier_arity(kg, 3))
-    for lam in (P("x*u_xxx + u_x*u_xx"), P("u_x^3*cos(u)"), P("0"), P("t")):
+    for lam in (P("x*u_xxx + u_x*u_xx"), P("u_x^3*cos(u)"), P("0"), P("t"),
+                P("t*u*exp(2*u)"), P("x*u*pow(u + 1, -1/2)"), P("t*x*u_x*pow(u, -1/3)"),
+                P("x*u^2*exp(-u) + t*u_xx*pow(2*u + 1, 3/2)")):
         for eq in system.equations:
             assert instantiate(eq, lam) == _reference_instantiate(eq, lam)
+
+
+def test_packed_powers_leave_a_bit_to_spare():
+    # Assembly packs each coordinate's power into a field of expr._FIELD bits
+    # of one int.  A power enters a field only below half of it, so the sum of
+    # two never carries: candidates, coefficients and rewrite results alike.
+    limit = expr._FIELD_LIMIT
+    arity = ("t", "x", U)
+    lam, lam_u = (JetExpression.atom(lam_atom(arity, index)) for index in ((), (U,)))
+    equation = P("x") * lam + P("u") * lam_u
+    near = JetExpression.from_raw([(1, {"x": limit - 1, U: 2})])
+    assert instantiate(equation, near) == _reference_instantiate(equation, near) \
+        == JetExpression.from_raw([(1, {"x": limit, U: 2}), (2, {"x": limit - 1, U: 2})])
+    wide = JetExpression.from_raw([(1, {"x": limit, U: 2})])
+    for eq, candidate in ((equation, wide),
+                          (JetExpression.from_raw([(1, {"x": limit})]) * lam, P("u")),
+                          (P("x*exp(u)") * lam, near * P("exp(u)"))):
+        assert not _reference_instantiate(eq, candidate).is_zero()
+        with pytest.raises(ExprError, match="too large to pack"):
+            instantiate(eq, candidate)
 
 
 def test_instantiate_rejects_lam_free_and_nonlinear_terms():
@@ -589,7 +614,9 @@ def test_nullspace_matches_fraction_elimination_on_paper_systems(source, params,
 # elimination without the settle (rows, nnz, rank), and a bound on the
 # _eliminate calls of one nullspace, where that elimination made 1430, 2495
 # and 3544.  Settling one-entry rows first leaves 31, 4 and 532.  Assembly
-# sums products straight into the rows, with no product expression built.
+# sums products straight into the rows, with no product expression built,
+# and on packed terms no basis element reaches JetExpression.partial or the
+# rewrite step.
 STAGE_ONE = {
     "kdv order 4": (453, 1060, 163, 40),
     "sine-gordon order 4": (1248, 2782, 250, 8),
@@ -600,22 +627,28 @@ STAGE_ONE = {
 @pytest.mark.parametrize("name", STAGE_ONE)
 def test_stage_one_shape_and_elimination_work(name, monkeypatch):
     source, params, bounds = TWO_STAGE_CASES[name]
-    systems, calls, products = [], [], []
+    systems, calls, expression_calls = [], [], []
     eliminate, assemble_, nullspace_ = linsolve._eliminate, linsolve.assemble, linsolve.nullspace
-    mul = JetExpression.__mul__
+    mul, partial, canon = JetExpression.__mul__, JetExpression.partial, expr._canon_term
 
-    def counting_mul(*args):
-        products.append(args)
-        return mul(*args)
+    def counting(name, function):
+        def count(*args):
+            expression_calls.append(name)
+            return function(*args)
+        return count
 
     def counting_eliminate(*args):
         calls[-1] += 1
         return eliminate(*args)
 
     def recording_assemble(*args):
-        monkeypatch.setattr(JetExpression, "__mul__", counting_mul)
+        monkeypatch.setattr(JetExpression, "__mul__", counting("__mul__", mul))
+        monkeypatch.setattr(JetExpression, "partial", counting("partial", partial))
+        monkeypatch.setattr(expr, "_canon_term", counting("_canon_term", canon))
         systems.append(assemble_(*args))
         monkeypatch.setattr(JetExpression, "__mul__", mul)
+        monkeypatch.setattr(JetExpression, "partial", partial)
+        monkeypatch.setattr(expr, "_canon_term", canon)
         return systems[-1]
 
     def counting_nullspace(linsys):
@@ -627,7 +660,7 @@ def test_stage_one_shape_and_elimination_work(name, monkeypatch):
     monkeypatch.setattr(linsolve, "nullspace", counting_nullspace)
     solve_multipliers(parse_pde(source, params), bounds)
     (stage_one,) = systems
-    assert not products
+    assert expression_calls == []
     rows, nnz, rank, max_calls = STAGE_ONE[name]
     assert len(calls) == 2 and max(calls) <= max_calls
     assert len(stage_one.rows) == rows
