@@ -100,17 +100,32 @@ class UnsoundMultiplier(ExprError):
 
 def _derive_laws(args, params, text):
     """Parse the PDE, the ansatz bounds and the reference state, in that
-    order, then derive and check every multiplier in the ansatz."""
+    order, then derive and check every multiplier in the ansatz.
+
+    The soundness gate is verify's first check, E_u(G * Lam) = 0, so a
+    verified law passes it.  The determining expression is computed here only
+    to tell a non-multiplier (UnsoundMultiplier) from a multiplier whose law
+    did not verify, or whose build_law raised (the error is raised again)."""
     pde = parse_pde(text, params)
     bounds = _bounds(args, params)
     utilde = _utilde(args, params)
     ansatz, multipliers = solve_multipliers(pde, bounds)
     laws = []
     for lam in multipliers:
-        if not determining_expression(pde, lam).is_zero():
-            raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
-        laws.append(build_law(pde, lam, utilde))
+        try:
+            cl = build_law(pde, lam, utilde)
+        except ExprError:
+            _check_multiplier(pde, lam)
+            raise
+        if not cl.verified:
+            _check_multiplier(pde, lam)
+        laws.append(cl)
     return pde, bounds, ansatz, laws
+
+
+def _check_multiplier(pde, lam):
+    if not determining_expression(pde, lam).is_zero():
+        raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
 
 
 def _ansatz_record(bounds):

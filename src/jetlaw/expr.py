@@ -54,8 +54,12 @@ that holds each coordinate's exponent in a fixed-width field.  A product that
 needs no rewrite is then an integer addition and a partial in a coordinate an
 exponent shift; the cases above that reach the rewrite step, and the partials
 of lam and live kernel atoms, are unpacked, sent through `_canon_term` or
-`_term_partial`, and packed again.  A power too wide to pack with a bit to
-spare raises ExprError.
+`_term_partial`, and packed again.  These slow paths are memoized per packing
+in one table each: since the rebase reads only u, a slow product is keyed by
+its two atom-ids and its summed u exponent, and a slow partial in v by its
+atom-id and the exponent of v.  The rest of the monomial is an integer offset
+added back, and the coefficient scales the memoized factors.  A power too
+wide to pack with a bit to spare raises ExprError, memoized or not.
 """
 
 from __future__ import annotations
@@ -783,15 +787,28 @@ class _Packing:
     packed monomial).  They belong to the object, so they cannot grow over a
     run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has
     kernel atoms, has a live pow atom, has a gee atom, the coordinates whose
-    partial goes through _term_partial)."""
+    partial goes through _term_partial).
+
+    The two slow paths are memoized.  A product that needs the rewrite step
+    depends only on its two atom tuples and its summed u exponent, and a slow
+    partial in v only on the atom tuple and the exponent of v, because the
+    rebase is the one rule that reads a coordinate and it reads only u.  So
+    slow_products maps (atom-id, atom-id, u exponent) and slow_partials (v,
+    atom-id, exponent of v) to the (coefficient factor, atom-id, packed) terms
+    of that part at coefficient 1; the rest of the monomial is added back as
+    an integer offset, and the factors are scaled by the term's coefficient,
+    which the rewrite step is linear in."""
 
     def __init__(self):
         self.shift = {U: 0}
         self.fields = [(U, 0)]
+        self.top_bits = _FIELD_LIMIT
         self.atoms = [()]
         self.atom_ids = {(): 0}
         self.kinds = [(False, False, False, frozenset())]
         self.decoded = {}
+        self.slow_products = {}
+        self.slow_partials = {}
 
     def _atom_id(self, atoms) -> int:
         aid = self.atom_ids.get(atoms)
@@ -820,8 +837,16 @@ class _Packing:
             if shift is None:
                 shift = self.shift[k] = _FIELD * len(self.fields)
                 self.fields = sorted(self.fields + [(k, shift)], key=_mono_key)
+                self.top_bits |= _FIELD_LIMIT << shift
             m += p << shift
         return self._atom_id(atoms), m
+
+    def _check_packable(self, m):
+        """Raise as encode does when a field of m has its top bit set."""
+        if m & self.top_bits:
+            k, shift = next((k, s) for k, s in self.fields if m >> s & _FIELD_LIMIT)
+            raise ExprError("power %d of %s is too large to pack"
+                            % (m >> shift & _FIELD_MASK, coord_name(k)))
 
     def decode(self, aid, m) -> tuple:
         """The normalized signature of a packed term."""
@@ -840,7 +865,7 @@ class _Packing:
         """The (coefficient, atom-id, packed) terms of the product of two packed
         term dicts, one or more per pair of terms, unmerged, in the order and
         with the coefficients of JetExpression.__mul__."""
-        kinds = self.kinds
+        kinds, slow = self.kinds, self.slow_products
         right = [(c2, a2, m2) + kinds[a2][:2] + (m2 & _FIELD_MASK,)
                  for (a2, m2), c2 in right.items()]
         out = []
@@ -849,13 +874,46 @@ class _Packing:
             u1 = m1 & _FIELD_MASK
             for c2, a2, m2, kernel2, live2, u2 in right:
                 if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
-                    out.extend((c,) + self.encode(sig) for c, sig in _canon_product(
-                        c1 * c2, self.decode(a1, m1), self.decode(a2, m2)))
+                    key = (a1, a2, u1 + u2)
+                    memo = slow.get(key)
+                    if memo is None:
+                        memo = slow[key] = [(f,) + self.encode(sig) for f, sig in _canon_product(
+                            1, self.decode(a1, u1 + u2), self.decode(a2, 0))]
+                    rest = m1 + m2 - u1 - u2
+                    if memo:
+                        self._check_packable(rest)
+                    c = c1 * c2
+                    out.extend((c * f, aid, m + rest) for f, aid, m in memo)
                 elif a1 and a2:
                     aid = self._atom_id(_merge_factors(self.atoms[a1], self.atoms[a2], _atoms_key))
                     out.append((c1 * c2, aid, m1 + m2))
                 else:
                     out.append((c1 * c2, a1 or a2, m1 + m2))
+        return out
+
+    def partials(self, terms: dict, coordinates: dict) -> list:
+        """[(key, d/dv of terms)] for each key: v of coordinates, in order,
+        whose partial is nonzero.  A v whose field is zero in every packed
+        monomial (one OR over them all) and that no slow atom reads has a zero
+        partial, so none is taken."""
+        if not coordinates:
+            return []
+        present = 0
+        slow = set()
+        for aid, m in terms:
+            present |= m
+            if aid:
+                _, _, gee, reads = self.kinds[aid]
+                if gee:
+                    raise ExprError("cannot take partials through a gee atom")
+                slow |= reads
+        out = []
+        for key, v in coordinates.items():
+            shift = self.shift.get(v)
+            if v in slow or (shift is not None and present >> shift & _FIELD_MASK):
+                d = self.partial(terms, v)
+                if d:
+                    out.append((key, d))
         return out
 
     def partial(self, terms: dict, v) -> dict:
@@ -868,9 +926,15 @@ class _Packing:
                 if gee:
                     raise ExprError("cannot take partials through a gee atom")
                 if v in slow:
-                    mono, atoms = self.decode(aid, m)
-                    pairs.extend((dc, self.encode(sig))
-                                 for dc, sig in _term_partial(c, mono, atoms, v))
+                    part = 0 if shift is None else m & (_FIELD_MASK << shift)
+                    key = (v, aid, part)
+                    memo = self.slow_partials.get(key)
+                    if memo is None:
+                        mono, atoms = self.decode(aid, part)
+                        memo = self.slow_partials[key] = [
+                            (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
+                    rest = m - part
+                    pairs.extend((c * f, (a, mv + rest)) for f, a, mv in memo)
                     continue
             if shift is not None:
                 p = (m >> shift) & _FIELD_MASK

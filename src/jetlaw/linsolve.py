@@ -167,7 +167,8 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
     uses maps an index to [(equation, coefficient)], with each equation the
     sum of coefficient * d^index Lam over its groups and each coefficient a
     packed term dict of packing.  children maps an index to its
-    one-coordinate extensions; the indices are closed under prefixes.
+    one-coordinate extensions, each to the coordinate it adds; the indices
+    are closed under prefixes.
     """
     groups: dict = {}
     for ei, equation in enumerate(equations):
@@ -184,7 +185,7 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
     for (index, ei), terms in groups.items():
         uses.setdefault(index, []).append((ei, packing.pack(terms)))
         while index and index not in children.get(index[:-1], ()):
-            children.setdefault(index[:-1], {})[index] = None
+            children.setdefault(index[:-1], {})[index] = index[-1]
             index = index[:-1]
     return uses, children
 
@@ -192,17 +193,15 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
 def _walk(tree, candidate: JetExpression, packing: _Packing):
     """Per (tree node, equation), the equation and its packed (coefficient,
     atom-id, packed) products with Lam := candidate, unmerged; one partial is
-    taken per tree node, pruning at the first zero."""
+    taken per tree node, pruning at the first zero; a zero that the packed
+    monomials and atoms show is pruned without a partial (_Packing.partials)."""
     uses, children = tree
     stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
     while stack:
         index, value = stack.pop()
         for ei, coefficient in uses.get(index, ()):
             yield ei, packing.products(coefficient, value)
-        for child in children.get(index, ()):
-            d = packing.partial(value, child[-1])
-            if d:
-                stack.append((child, d))
+        stack.extend(packing.partials(value, children.get(index, {})))
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:

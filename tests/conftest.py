@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,3 +55,28 @@ def random_rhs(rng: random.Random, leading, with_atoms) -> JetExpression:
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps the function owner.name in a counter
+    and returns it; counter.calls is the number of calls since.  The wrapper
+    replaces the function in owner (a module or a class) and in every
+    attribute of a jetlaw module that binds it, so calls through a module
+    that imported the function by name are counted too."""
+    def install(owner, name):
+        function = getattr(owner, name)
+        counter = SimpleNamespace(calls=0)
+
+        def counting(*args, **kwargs):
+            counter.calls += 1
+            return function(*args, **kwargs)
+
+        modules = [m for n, m in sys.modules.items()
+                   if (n == "jetlaw" or n.startswith("jetlaw.")) and m is not owner]
+        for target in [owner] + modules:
+            for attr, value in list(vars(target).items()):
+                if value is function:
+                    monkeypatch.setattr(target, attr, counting)
+        return counter
+    return install

@@ -190,12 +190,43 @@ def test_non_multiplier_from_the_solver_is_a_typed_error(monkeypatch, capsys):
     from jetlaw.expr import ExprError
 
     assert issubclass(jetlaw.cli.UnsoundMultiplier, ExprError)
-    monkeypatch.setattr(jetlaw.cli, "solve_multipliers",
-                        lambda pde, bounds: (None, [P("u^2")]))
+    # For KdV, build_law raises NotXDerivative on u^2 and returns an
+    # unverified law for u_x; either way the gate names the non-multiplier.
+    for lam in ("u^2", "u_x"):
+        monkeypatch.setattr(jetlaw.cli, "solve_multipliers",
+                            lambda pde, bounds: (None, [P("u"), P(lam)]))
+        code = main(["derive", "--pde", KDV, "--order", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: solver emitted a non-multiplier: %s\n" % lam
+
+
+def test_build_law_error_on_a_multiplier_is_raised_again(monkeypatch, capsys):
+    import jetlaw.cli
+    from jetlaw.expr import ExprError
+
+    def failing(pde, lam, utilde):
+        raise ExprError("no law for %s" % lam)
+
+    monkeypatch.setattr(jetlaw.cli, "solve_multipliers", lambda pde, bounds: (None, [P("u")]))
+    monkeypatch.setattr(jetlaw.cli, "build_law", failing)
     code = main(["derive", "--pde", KDV, "--order", "1"])
-    err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: solver emitted a non-multiplier: u^2\n"
+    assert capsys.readouterr().err == "error: no law for u\n"
+
+
+def test_derive_computes_each_determining_expression_once(count_calls, capsys):
+    # Wave c = u has 3 multipliers.  Stage 2 of the solve evaluates one
+    # determining expression per adjoint symmetry and verify one per law; the
+    # soundness gate reads verify's result, where it used to compute its own
+    # (10 calls).
+    from jetlaw import detsys
+
+    calls = count_calls(detsys, "determining_expression")
+    code, out = run(capsys, "derive", "--pde", "u_tt = u^2*u_xx + u*u_x^2", *_WAVE)
+    assert code == 0
+    assert "multipliers found: 3" in out
+    assert calls.calls == 7
 
 
 def test_zero_denominator_param_is_an_error(capsys):

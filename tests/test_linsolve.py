@@ -1,5 +1,6 @@
 """Ansatz enumeration, assembly, and exact rational nullspaces."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -7,8 +8,8 @@ from math import comb, gcd
 import pytest
 
 from jetlaw import expr, linsolve
-from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
-                         sin_atom)
+from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, gee_atom, lam_atom,
+                         pow_atom, sin_atom)
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.detsys import DeterminingSystem, determining_expression, split_determining_system
@@ -332,7 +333,13 @@ def _reference_assemble(system, ansatz):
     (WAVE, {}, AnsatzBounds(order=1, deg_tx=2, deg_u=1)),
     (KDV, {"n": 1}, AnsatzBounds(order=2, deg_tx=1, deg_u=2,
                                  atoms=(pow_atom(1, 1, Fraction(-1, 2)),))),
-], ids=["kdv-n2", "wave-exp", "kg-sin", "wave-pow", "kdv-pow-atom"])
+    # At deg_u 2 the memoized slow products meet u^2 beside a pow atom, and
+    # exp(-1/2*u) beside jets of u, so their u-offset is exercised.
+    (WAVE, {}, AnsatzBounds(order=1, deg_tx=2, deg_u=2)),
+    ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {},
+     AnsatzBounds(order=1, deg_tx=2, deg_u=2, atoms=(exp_atom(Fraction(-1, 2)),))),
+], ids=["kdv-n2", "wave-exp", "kg-sin", "wave-pow", "kdv-pow-atom", "wave-pow-deg2",
+        "wave-exp-deg2"])
 def test_assemble_matches_per_term_oracle(source, params, bounds):
     pde = parse_pde(source, params)
     system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
@@ -403,6 +410,9 @@ def test_instantiate_rejects_lam_free_and_nonlinear_terms():
         instantiate(lam + P("u"), P("u^2"))
     with pytest.raises(ExprError):
         instantiate(lam * lam, P("u^2"))
+    # No u in the candidate's monomial, but the gee atom depends on u.
+    with pytest.raises(ExprError, match="gee atom"):
+        instantiate(lam, JetExpression.atom(gee_atom()) * P("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +676,59 @@ def test_stage_one_shape_and_elimination_work(name, monkeypatch):
     assert len(stage_one.rows) == rows
     assert sum(len(row) for row in stage_one.rows.values()) == nnz
     assert len(linsolve._echelon(stage_one.rows.values())) == rank
+
+
+def _stage_one_inputs(monkeypatch, name):
+    """The (system, ansatz) that solve_multipliers passes to assemble."""
+    source, params, bounds = TWO_STAGE_CASES[name]
+    calls = []
+    assemble_ = linsolve.assemble
+
+    def recording(*args):
+        calls.append(args)
+        return assemble_(*args)
+
+    monkeypatch.setattr(linsolve, "assemble", recording)
+    solve_multipliers(parse_pde(source, params), bounds)
+    monkeypatch.setattr(linsolve, "assemble", assemble_)
+    (args,) = calls
+    return args
+
+
+# _Packing.partial calls in one stage-1 assembly of the three `scale`
+# systems, and the SHA-256 of the repr of its rows in order.  Taking one
+# partial per child of every tree node made 3402, 3822 and 3822 calls, 6857
+# of them empty; the rows and their order are the same.
+WALK_PARTIALS = {
+    "kdv order 4": (997, "09e32c9afe132dbfb056303723e9e23b3b59c7b477b91c73c7062ef44cb4c63f"),
+    "sine-gordon order 4": (
+        1596, "805dd7075832476473d485ded34d090d449643797b4f0884e4b9ca8a0c84ebbc"),
+    "liouville order 4": (
+        1596, "8b76b07fcac6ac25352fbf48ba18d22398b6fdbf1799c4f86eb567ce3b15a565"),
+}
+
+
+@pytest.mark.parametrize("name", WALK_PARTIALS)
+def test_walk_takes_only_partials_the_value_reads(name, monkeypatch, count_calls):
+    system, ansatz = _stage_one_inputs(monkeypatch, name)
+    partials = count_calls(expr._Packing, "partial")
+    rows = assemble(system, ansatz).rows
+    calls, digest = WALK_PARTIALS[name]
+    assert partials.calls == calls
+    assert hashlib.sha256(repr(list(rows.items())).encode()).hexdigest() == digest
+
+
+# _canon_term calls in one stage-1 assembly of the two kernel-atom wave
+# systems of the classification.  Sending every slow product and partial
+# through the rewrite step made 16 and 277 calls; memoized per packing, one
+# call serves each distinct (atom-id, atom-id, u exponent) product and each
+# distinct (coordinate, atom-id, exponent) partial.
+WAVE_CANON_TERMS = {"wave c=u^-2": 3, "wave c=e^u": 4}
+
+
+@pytest.mark.parametrize("name", WAVE_CANON_TERMS)
+def test_assemble_rewrites_each_slow_product_once(name, monkeypatch, count_calls):
+    system, ansatz = _stage_one_inputs(monkeypatch, name)
+    canon = count_calls(expr, "_canon_term")
+    assemble(system, ansatz)
+    assert canon.calls == WAVE_CANON_TERMS[name]
