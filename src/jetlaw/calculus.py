@@ -27,7 +27,6 @@ from .expr import (
     JetExpression,
     U,
     _accumulate,
-    gee_atom,
     is_kernel_atom,
     term_jets,
 )
@@ -51,13 +50,10 @@ def total_derivative(e: JetExpression, direction: str) -> JetExpression:
     return e.total(direction)
 
 
-def eliminate_off_chart(pde: PdeSpec, e: JetExpression, with_gee: bool) -> JetExpression:
-    """Rewrite coordinates excluded by the PDE chart through the equation.
-
-    With with_gee=True the leading derivative and its total derivatives are
-    kept as opaque gee atoms (off-solution bookkeeping); otherwise they are
-    substituted away entirely (on-solution restriction).
-    """
+def eliminate_off_chart(pde: PdeSpec, e: JetExpression) -> JetExpression:
+    """Rewrite coordinates excluded by the PDE chart through the equation:
+    the leading derivative and its total derivatives are substituted away
+    (on-solution restriction)."""
     leading = pde.leading
     while True:
         off = [k for k in e.jets() if not on_chart(leading, k)]
@@ -66,10 +62,7 @@ def eliminate_off_chart(pde: PdeSpec, e: JetExpression, with_gee: bool) -> JetEx
         w = max(off)
         a, b = w
         j = (a - leading[0], b - leading[1])
-        repl = iterated_total(pde.rhs, *j)
-        if with_gee:
-            repl = repl + JetExpression.atom(gee_atom(*j))
-        e = e.substitute(w, repl)
+        e = e.substitute(w, iterated_total(pde.rhs, *j))
 
 
 def solution_total_derivative(pde: PdeSpec, e: JetExpression) -> JetExpression:
@@ -79,7 +72,7 @@ def solution_total_derivative(pde: PdeSpec, e: JetExpression) -> JetExpression:
             raise ExprError(
                 "expression not in solution-space coordinates: contains %s"
                 % (k,))
-    return eliminate_off_chart(pde, e.total("t"), with_gee=False)
+    return eliminate_off_chart(pde, e.total("t"))
 
 
 def _horner(coeffs: dict, direction: str) -> JetExpression:

@@ -4,10 +4,9 @@ A coordinate is either an independent variable ("t" or "x") or a jet
 coordinate (a, b) standing for d_t^a d_x^b u, with (0, 0) being u itself.
 A term multiplies a coefficient, a monomial in coordinates, and
 kernel atoms: exp/sin/cos of an affine form a*u + b, and (a*u + b)^r with
-rational exponent r.  Two opaque atom families support the determining-system
+rational exponent r.  One opaque atom family supports the determining-system
 machinery: "lam" atoms carry partial derivatives of an unknown multiplier of
-declared arity, and "gee" atoms stand for total derivatives of the PDE
-left-hand side during off-solution splitting.
+declared arity.
 
 A coefficient is exact: an int when it is integral, else a Fraction with
 denominator > 1.  Integral coefficients are the common case, and int
@@ -165,11 +164,6 @@ def lam_atom(arity, index=()):
     return ("lam", tuple(arity), tuple(sorted(index, key=coord_sort_key)))
 
 
-def gee_atom(a=0, b=0):
-    """Placeholder for D_t^a D_x^b of the PDE expression G."""
-    return ("gee", a, b)
-
-
 def lam_bump(atom, coord):
     tag, arity, index = atom
     return (tag, arity, tuple(sorted(index + (coord,), key=coord_sort_key)))
@@ -249,8 +243,8 @@ def _canon_term(coeff, factors: dict) -> list:
         if c == 0:
             continue
         f = {k: p for k, p in f.items() if p != 0}
-        if any(p < 0 and k[0] in ("sin", "cos", "lam", "gee") for k, p in f.items()):
-            raise ExprError("negative power of a sin, cos, lam or gee atom")
+        if any(p < 0 and k[0] in ("sin", "cos", "lam") for k, p in f.items()):
+            raise ExprError("negative power of a sin, cos or lam atom")
         rewritten = _rewrite(c, f)
         if rewritten is not None:
             stack.extend(rewritten)
@@ -434,8 +428,8 @@ def _canon_product(c, sig1, sig2) -> list:
 
 def _term_partial(c, mono, atoms, v) -> list:
     """d/dv of the normalized term c*mono*atoms as normalized (coefficient,
-    signature) pairs; gee atoms are constants here, and only the derivatives
-    of kernel atoms go through the rewrite step."""
+    signature) pairs; only the derivatives of kernel atoms go through the
+    rewrite step."""
     out = []
     for i, (k, p) in enumerate(mono):
         if k == v:
@@ -614,7 +608,7 @@ class JetExpression:
     def has_formal(self) -> bool:
         for (_, atoms) in self.terms:
             for a, _ in atoms:
-                if a[0] in ("lam", "gee"):
+                if a[0] == "lam":
                     return True
         return False
 
@@ -632,15 +626,13 @@ class JetExpression:
         """Partial derivative with respect to one coordinate."""
         pairs = []
         for (mono, atoms), c in self.terms.items():
-            if any(a[0] == "gee" for a, _ in atoms):
-                raise ExprError("cannot take partials through a gee atom")
             pairs.extend(_term_partial(c, mono, atoms, v))
         return JetExpression(_accumulate(pairs))
 
     def total(self, direction) -> "JetExpression":
         """Formal total derivative D_t or D_x.  Per term, D is the partial in
         the direction plus u_(k+direction) times the partial in each jet k of
-        term_jets, and each gee atom G_ab steps to G_(a+1)b or G_a(b+1)."""
+        term_jets."""
         if direction not in ("t", "x"):
             raise ExprError("direction must be 't' or 'x'")
         pairs = []
@@ -651,10 +643,6 @@ class JetExpression:
                 step = (_pair(bump(k, direction), 1),)
                 for dc, (m, a) in _term_partial(c, mono, atoms, k):
                     pairs.append((dc, (_merge_factors(m, step, _mono_key, _pair), a)))
-            for a, p in atoms:
-                if a[0] == "gee":
-                    na = ("gee", a[1] + 1, a[2]) if direction == "t" else ("gee", a[1], a[2] + 1)
-                    pairs.append((c * p, (mono, _swap_atom(atoms, a, na))))
         return JetExpression(_accumulate(pairs))
 
     def substitute(self, target, replacement) -> "JetExpression":
@@ -786,8 +774,8 @@ class _Packing:
     """The tables of one bulk computation on packed terms, keyed (atom-id,
     packed monomial).  They belong to the object, so they cannot grow over a
     run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has
-    kernel atoms, has a live pow atom, has a gee atom, the coordinates whose
-    partial goes through _term_partial).
+    kernel atoms, has a live pow atom, the coordinates whose partial goes
+    through _term_partial).
 
     The two slow paths are memoized.  A product that needs the rewrite step
     depends only on its two atom tuples and its summed u exponent, and a slow
@@ -805,7 +793,7 @@ class _Packing:
         self.top_bits = _FIELD_LIMIT
         self.atoms = [()]
         self.atom_ids = {(): 0}
-        self.kinds = [(False, False, False, frozenset())]
+        self.kinds = [(False, False, frozenset())]
         self.decoded = {}
         self.slow_products = {}
         self.slow_partials = {}
@@ -823,7 +811,7 @@ class _Packing:
                     slow.add(U)
             self.kinds.append((any(is_kernel_atom(a) for a, _ in atoms),
                                any(a[0] == "pow" and a[1] != 0 for a, _ in atoms),
-                               any(a[0] == "gee" for a, _ in atoms), frozenset(slow)))
+                               frozenset(slow)))
         return aid
 
     def encode(self, sig) -> tuple:
@@ -903,10 +891,7 @@ class _Packing:
         for aid, m in terms:
             present |= m
             if aid:
-                _, _, gee, reads = self.kinds[aid]
-                if gee:
-                    raise ExprError("cannot take partials through a gee atom")
-                slow |= reads
+                slow |= self.kinds[aid][2]
         out = []
         for key, v in coordinates.items():
             shift = self.shift.get(v)
@@ -921,21 +906,17 @@ class _Packing:
         shift = self.shift.get(v)
         pairs = []
         for (aid, m), c in terms.items():
-            if aid:
-                _, _, gee, slow = self.kinds[aid]
-                if gee:
-                    raise ExprError("cannot take partials through a gee atom")
-                if v in slow:
-                    part = 0 if shift is None else m & (_FIELD_MASK << shift)
-                    key = (v, aid, part)
-                    memo = self.slow_partials.get(key)
-                    if memo is None:
-                        mono, atoms = self.decode(aid, part)
-                        memo = self.slow_partials[key] = [
-                            (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
-                    rest = m - part
-                    pairs.extend((c * f, (a, mv + rest)) for f, a, mv in memo)
-                    continue
+            if aid and v in self.kinds[aid][2]:
+                part = 0 if shift is None else m & (_FIELD_MASK << shift)
+                key = (v, aid, part)
+                memo = self.slow_partials.get(key)
+                if memo is None:
+                    mono, atoms = self.decode(aid, part)
+                    memo = self.slow_partials[key] = [
+                        (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
+                rest = m - part
+                pairs.extend((c * f, (a, mv + rest)) for f, a, mv in memo)
+                continue
             if shift is not None:
                 p = (m >> shift) & _FIELD_MASK
                 if p:

@@ -79,7 +79,7 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
                 raise HomotopyError(
                     "non-polynomial dependence on the homotopy parameter "
                     "(kernel atom %s in G*Lam)" % (a,))
-            if a[0] in ("lam", "gee"):
+            if a[0] == "lam":
                 raise HomotopyError("formal atom in a concrete multiplier")
     zero = out = JetExpression.zero()
     for (mono, atoms), c in e.terms.items():
@@ -116,7 +116,7 @@ def homotopy_density(pde: PdeSpec, lam: JetExpression,
         if pde.leading != (2, 0):
             raise
         return _wave_two_point_density(pde, lam, ref)
-    return eliminate_off_chart(pde, density, with_gee=False)
+    return eliminate_off_chart(pde, density)
 
 
 def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:

@@ -341,12 +341,13 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
 
     Multipliers are the adjoint symmetries that satisfy extra conditions
     (Anco and Bluman, Eur. J. Appl. Math. 13, 2002, Part II).  Stage 1
-    assembles only the gee-free equation D_G*(Lam) = 0 on solutions and takes
-    its nullspace: the adjoint symmetries v_1..v_k in the basis.  Stage 2
-    solves sum_i c_i E_u(G * v_i) = 0, a system of k columns, and returns
-    sum_i c_i v_i.  Each v_i is a multiple of the reduced-echelon vector of
-    its free column, whose last nonzero entry it is, so the result is the
-    nullspace of the full split, in the same order and normalization.
+    assembles the adjoint-symmetry equation D_G*(Lam) = 0 on solutions and
+    takes its nullspace: the adjoint symmetries v_1..v_k in the basis.
+    Stage 2 solves sum_i c_i E_u(G * v_i) = 0, a system of k columns, and
+    returns sum_i c_i v_i.  Each v_i is a multiple of the reduced-echelon
+    vector of its free column, whose last nonzero entry it is, so the result
+    is the nullspace of the full split (tests/conftest.py::full_split), in
+    the same order and normalization.
 
     Stage 1 is taken over the independent variables and the jets the basis
     uses: its cost grows with the arity, and the derivatives of Lam in other
@@ -354,7 +355,7 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
     ansatz = generate_ansatz_basis(pde, bounds)
     used = set().union(*(b.jets() for b in ansatz.basis))
     arity = tuple(k for k in ansatz.arity if is_indep(k) or k in used)
-    system = split_determining_system(pde, arity, with_gee=False)
+    system = split_determining_system(pde, arity)
     adjoint = nullspace(assemble(system, ansatz))
     linsys = RationalLinearSystem(ncols=len(adjoint))
     for col, v in enumerate(adjoint):

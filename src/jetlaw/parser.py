@@ -276,8 +276,6 @@ def _render_atom(a) -> str:
     if tag == "lam":
         index = "".join("_" + coord_name(k) for k in a[2])
         return "Lam" + index
-    if tag == "gee":
-        return "G" + ("_" + "t" * a[1] + "x" * a[2] if a[1] or a[2] else "")
     raise ExprError("unknown atom %r" % (a,))
 
 

@@ -8,7 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from jetlaw.expr import JetExpression, exp_atom, sin_atom, cos_atom, pow_atom
+from jetlaw.detsys import DeterminingSystem, validate_arity
+from jetlaw.expr import (JetExpression, cos_atom, exp_atom, lam_atom, pow_atom, sig_sort_key,
+                         sin_atom, term_jets)
+from jetlaw.pde import iterated_total, on_chart
 
 
 ATOM_POOL = (exp_atom(1), sin_atom(1), cos_atom(1), pow_atom(1, -2, -1))
@@ -50,6 +53,51 @@ def random_rhs(rng: random.Random, leading, with_atoms) -> JetExpression:
             factors[rng.choice(atoms)] = 1
         raw.append((Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)), factors))
     return JetExpression.from_raw(raw)
+
+
+def _straight_euler(e):
+    """sum_v (-1)^|v| D^v (de/dv), one jet at a time, without Horner nesting."""
+    out = JetExpression.zero()
+    for v in sorted(set().union(*map(term_jets, e.terms))):
+        out = out + iterated_total(e.partial(v), *v) * (-1) ** sum(v)
+    return out
+
+
+_FULL_SPLITS: dict = {}
+
+
+def full_split(pde, arity):
+    """The one-stage reference: E_u(G * Lam) split by total derivatives of G,
+    as (gee keys, DeterminingSystem).  The whole condition is expanded
+    straight with G concrete.  Each off-chart jet D_t^a D_x^b (leading) is
+    replaced by D_t^a D_x^b (rhs) plus an atom ("gee", a, b) standing for
+    D_t^a D_x^b G, which is only substituted, never differentiated.  Chart
+    coordinates and these atoms are coordinates on the jet space, so the
+    coefficient of each gee monomial must vanish; the gee-free one is the
+    adjoint-symmetry equation.  Keys are sorted by (degree, monomial), and
+    each equation's terms come in sig_sort_key order.  Computed once per PDE
+    text and arity."""
+    arity = validate_arity(pde, arity)
+    cache = (str(pde), arity)
+    if cache not in _FULL_SPLITS:
+        q = _straight_euler(pde.gee() * JetExpression.atom(lam_atom(arity)))
+        while True:
+            off = [k for k in q.jets() if not on_chart(pde.leading, k)]
+            if not off:
+                break
+            w = max(off)
+            j = (w[0] - pde.leading[0], w[1] - pde.leading[1])
+            q = q.substitute(w, iterated_total(pde.rhs, *j) + JetExpression.atom(("gee",) + j))
+        groups = {(): []}
+        for (mono, atoms), c in q.terms.items():
+            gees = tuple(sorted(ap for ap in atoms if ap[0][0] == "gee"))
+            rest = tuple(ap for ap in atoms if ap[0][0] != "gee")
+            groups.setdefault(gees, []).append(((mono, rest), c))
+        keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
+        equations = tuple(JetExpression(dict(sorted(groups[k], key=lambda t: sig_sort_key(t[0]))))
+                          for k in keys)
+        _FULL_SPLITS[cache] = keys, DeterminingSystem(pde=pde, equations=equations)
+    return _FULL_SPLITS[cache]
 
 
 @pytest.fixture

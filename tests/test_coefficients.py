@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from jetlaw.calculus import euler_operator, ibp_normal_form
-from jetlaw.detsys import split_determining_system
 from jetlaw.expr import (CoefficientError, ExprError, JetExpression, U, cos_atom, exp_atom,
                          pow_atom, rational_pow, sin_atom)
 from jetlaw.laws import build_law
@@ -16,7 +15,7 @@ from jetlaw.linsolve import (
 from jetlaw.parser import parse_expression
 from jetlaw.pde import parse_pde
 
-from conftest import random_expression
+from conftest import full_split, random_expression
 
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
@@ -57,7 +56,7 @@ def test_pipeline_coefficients_are_normal(name):
     source, params, bounds = PIPELINES[name]
     pde = parse_pde(source, params)
     ansatz = generate_ansatz_basis(pde, bounds)
-    system = split_determining_system(pde, ansatz.arity)
+    _, system = full_split(pde, ansatz.arity)
     for equation in system.equations:
         _assert_normal_expression(equation)
     linsys = assemble(system, ansatz)

@@ -1,24 +1,18 @@
-"""Determining condition and the split into adjoint/symmetry + extra equations."""
+"""Determining condition, the adjoint-symmetry equation, and the one-stage
+reference split into adjoint/symmetry + extra equations."""
 
 import hashlib
 import random
 
 import pytest
 
-from jetlaw.calculus import eliminate_off_chart
-from jetlaw.expr import ExprError, JetExpression, T, U, X, lam_atom, sig_sort_key, term_jets
+from jetlaw.expr import T, U, X
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import PdeSpec, iterated_total, parse_pde
-from jetlaw.detsys import (
-    ArityError,
-    SplitError,
-    _check_first_order_wave_split,
-    determining_expression,
-    split_determining_system,
-)
+from jetlaw.pde import PdeSpec, parse_pde
+from jetlaw.detsys import ArityError, determining_expression, split_determining_system
 from jetlaw.linsolve import instantiate, multiplier_arity
 
-from conftest import random_rhs
+from conftest import full_split, random_rhs
 from oracle_jet import euler as oracle_euler, same, to_sympy
 
 
@@ -61,10 +55,10 @@ def test_inadmissible_dependence_rejected():
 
 def test_kdv_split_structure():
     kdv = parse_pde(KDV, {"n": 1})
-    sys = split_determining_system(kdv, (T, X, U, (0, 1), (0, 2)))
+    keys, sys = full_split(kdv, (T, X, U, (0, 1), (0, 2)))
     # adjoint equation + two extra families (one is a differential consequence)
     assert len(sys.equations) == 3
-    assert sys.gee_keys[0] == ()
+    assert keys[0] == ()
     # the plain-G coefficient is the paper-shaped u_x / u_xx relation:
     # instantiating it must reproduce -2*(Lam_ux - D_x Lam_uxx)
     direct = sys.equations[2]
@@ -76,9 +70,9 @@ def test_kdv_split_structure():
 
 def test_wave_split_is_two_equations():
     wave = parse_pde(WAVE)
-    sys = split_determining_system(wave, (T, X, U, (1, 0), (0, 1)))
+    keys, sys = full_split(wave, (T, X, U, (1, 0), (0, 1)))
     assert len(sys.equations) == 2
-    assert sys.gee_keys == ((), ((("gee", 0, 0), 1),))
+    assert keys == ((), ((("gee", 0, 0), 1),))
     # extra equation instantiated: 2 Lam_u + D_t Lam_ut - D_x Lam_ux
     from jetlaw.calculus import solution_total_derivative
     for cand in ("u_t", "x^2*u_x + x*u", "t*u"):
@@ -92,20 +86,12 @@ def test_wave_split_is_two_equations():
 
 def test_klein_gordon_split_counts():
     kg = parse_pde("u_tx = sin(u)")
-    sys = split_determining_system(kg, (X, U, (0, 1), (0, 2), (0, 3)))
+    _, sys = full_split(kg, (X, U, (0, 1), (0, 2), (0, 3)))
     assert len(sys.equations) == 4  # symmetry + three extra equations
     # last extra: proportional to Lam_uxx - D_x Lam_uxxx
     lam = P("x*u_xxx + u_x*u_xx")
     expect = (lam.partial((0, 2)) - lam.partial((0, 3)).total("x")) * 2
     assert instantiate(sys.equations[3], lam) == expect
-
-
-def test_unexpected_wave_split_key_is_typed_error():
-    _check_first_order_wave_split(((), ((("gee", 0, 0), 1),)))
-    with pytest.raises(ExprError) as err:
-        _check_first_order_wave_split(((), ((("gee", 1, 0), 1),)))
-    assert isinstance(err.value, SplitError)
-    assert "gee" in str(err.value)
 
 
 def test_split_soundness_on_fixture_multipliers():
@@ -117,9 +103,9 @@ def test_split_soundness_on_fixture_multipliers():
          "u_xxx + u_x^3/2"),
     ]
     for pde, arity, lam_text in cases:
-        sys = split_determining_system(pde, arity)
+        _, sys = full_split(pde, arity)
         lam = P(lam_text)
-        for eq in sys.equations:
+        for eq in sys.equations + split_determining_system(pde, arity).equations:
             assert instantiate(eq, lam).is_zero()
         assert determining_expression(pde, lam).is_zero()
 
@@ -132,19 +118,24 @@ def test_zero_multiplier_satisfies_every_equation():
 
 
 def test_split_equations_equivalent_to_direct_condition(rng):
-    """A candidate satisfies all split equations iff E_u(G*cand) == 0."""
+    """A candidate satisfies all split equations iff E_u(G*cand) == 0, and
+    every multiplier satisfies the adjoint-symmetry equation."""
     kdv = parse_pde(KDV, {"n": 1})
-    sys = split_determining_system(kdv, (T, X, U, (0, 1), (0, 2)))
+    arity = (T, X, U, (0, 1), (0, 2))
+    _, sys = full_split(kdv, arity)
+    (adjoint,) = split_determining_system(kdv, arity).equations
     probes = ["u_xx + u^2/2", "t*u - x", "u_xx", "u_x^2", "x*u_xx + u"]
     for text in probes:
         lam = P(text)
         split_zero = all(instantiate(eq, lam).is_zero() for eq in sys.equations)
         direct_zero = determining_expression(kdv, lam).is_zero()
         assert split_zero == direct_zero
+        assert instantiate(adjoint, lam).is_zero() or not direct_zero
 
 
 # ---------------------------------------------------------------------------
-# The split against the direct expansion of E_u(G * Lam).
+# The adjoint-symmetry equation against the gee-free equation of the direct
+# expansion of E_u(G * Lam).
 
 # The nine classify calls (the KdV scan as n = 1..4) and the three scale
 # systems, at their ansatz orders.
@@ -161,40 +152,12 @@ CLASSIFY_CASES = [(KDV, {"n": n}, 2) for n in (1, 2, 3, 4)] + [
 SCALE_CASES = [(KDV, {"n": 1}, 4), ("u_tx = sin(u)", {}, 4), ("u_tx = exp(u)", {}, 4)]
 
 
-def _straight_euler(e):
-    """sum_v (-1)^|v| D^v (de/dv), one jet at a time, without Horner nesting."""
-    out = JetExpression.zero()
-    for v in sorted(set().union(*map(term_jets, e.terms))):
-        out = out + iterated_total(e.partial(v), *v) * (-1) ** sum(v)
-    return out
-
-
-def _reference_split(pde, arity):
-    """(gee keys, equations) from E_u(G * Lam) expanded over the whole jet
-    space with G concrete, then eliminated and grouped by gee monomial."""
-    lam = JetExpression.atom(lam_atom(arity))
-    q = eliminate_off_chart(pde, _straight_euler(pde.gee() * lam), with_gee=True)
-    groups = {(): {}}
-    for (mono, atoms), c in q.terms.items():
-        gees = tuple(sorted((a, p) for a, p in atoms if a[0] == "gee"))
-        rest = tuple(ap for ap in atoms if ap[0][0] != "gee")
-        groups.setdefault(gees, {})[(mono, rest)] = c
-    keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
-    return keys, [JetExpression(groups[k]) for k in keys]
-
-
 def _assert_split_matches_reference(pde, arity):
     system = split_determining_system(pde, arity)
-    keys, equations = _reference_split(pde, arity)
-    assert system.gee_keys == keys
-    assert list(system.equations) == equations
-    for got, ref in zip(system.equations, equations):
-        assert list(got.terms.items()) == sorted(ref.terms.items(),
-                                                 key=lambda t: sig_sort_key(t[0]))
-    gee_free = split_determining_system(pde, arity, with_gee=False)
-    assert gee_free.equations == (system.equations[0],)
-    assert gee_free.gee_keys == ((),)
-    assert list(gee_free.equations[0].terms) == list(system.equations[0].terms)
+    _, reference = full_split(pde, arity)
+    assert system.equations == (reference.equations[0],)
+    assert list(system.equations[0].terms.items()) == \
+        list(reference.equations[0].terms.items())
 
 
 @pytest.mark.parametrize("source, params, order", CLASSIFY_CASES + SCALE_CASES)
@@ -213,16 +176,11 @@ def test_split_matches_direct_expansion_on_random_pdes(leading, order, with_atom
         _assert_split_matches_reference(pde, multiplier_arity(pde, order))
 
 
-def _split_digest(system):
-    text = "\n".join(sorted(render(eq) for eq in system.equations)
-                     + [repr(system.gee_keys)])
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def test_kdv_order_six_split_digest():
-    """The order-6 KdV split, frozen from the direct expansion."""
+    """The order-6 KdV adjoint-symmetry equation, frozen from the direct
+    expansion."""
     kdv = parse_pde(KDV, {"n": 1})
-    system = split_determining_system(kdv, multiplier_arity(kdv, 6))
-    assert len(system.equations) == 7
-    assert _split_digest(system) == \
-        "fab296fd1809ab044d13a832d5334e69b97a81261c60628ba9120d49adb72104"
+    (equation,) = split_determining_system(kdv, multiplier_arity(kdv, 6)).equations
+    assert len(equation.terms) == 190
+    assert hashlib.sha256(render(equation).encode()).hexdigest() == \
+        "559f608de76107b2096141c9dd4d84c02ff5889d3b848984ddecc84c416e261b"

@@ -9,17 +9,16 @@ import pytest
 
 import jetlaw.expr as expr_module
 from jetlaw.expr import (
-    JetExpression, ExprError, U, UT, UX, cos_atom, exp_atom, gee_atom,
-    lam_atom, lam_bump, pow_atom, rational_pow, sin_atom,
+    JetExpression, ExprError, U, UT, UX, cos_atom, exp_atom, lam_atom, lam_bump,
+    pow_atom, rational_pow, sin_atom,
 )
-from jetlaw.detsys import split_determining_system
 from jetlaw.linsolve import (
     AnsatzBounds, assemble, generate_ansatz_basis, multiplier_arity,
 )
 from jetlaw.parser import ParseError, parse_expression, render
 from jetlaw.pde import parse_pde
 
-from conftest import random_expression
+from conftest import full_split, random_expression
 
 P = parse_expression
 
@@ -114,7 +113,7 @@ def test_u_beside_two_same_base_pow_atoms():
 
 def test_negative_powers_of_trig_and_formal_atoms_are_rejected():
     for a in (sin_atom(-1), sin_atom(2, 1), cos_atom(1), cos_atom(-1, 3),
-              lam_atom(_ARITY), gee_atom(0, 1)):
+              lam_atom(_ARITY)):
         for p in (-1, -2):
             with pytest.raises(ExprError, match="negative power"):
                 JetExpression.from_raw([(1, {a: p, UX: 1})])
@@ -374,8 +373,6 @@ def _reference_partial(e, v):
             if k == v:
                 raw.append((c * p, {**factors, k: p - 1}))
         for a, p in atoms:
-            if a[0] == "gee":
-                raise ExprError("cannot take partials through a gee atom")
             if a[0] == "lam":
                 if v in a[1]:
                     swap(c * p, factors, a, lam_bump(a, v))
@@ -405,10 +402,7 @@ def _reference_total(e, direction):
             elif k not in ("t", "x"):
                 swap(c * p, factors, k, expr_module.bump(k, direction))
         for a, p in atoms:
-            if a[0] == "gee":
-                step = (1, 0) if direction == "t" else (0, 1)
-                swap(c * p, factors, a, ("gee", a[1] + step[0], a[2] + step[1]))
-            elif a[0] == "lam":
+            if a[0] == "lam":
                 if direction in a[1]:
                     swap(c * p, factors, a, lam_bump(a, direction))
                 for k in a[1]:
@@ -427,7 +421,6 @@ _RICH_POOL = (
     pow_atom(1, -2, -1), exp_atom(Fraction(-1, 2)), exp_atom(1, 3),
     sin_atom(2, 1), cos_atom(2, 1), cos_atom(1),
     lam_atom(_ARITY), lam_atom(_ARITY, (UX,)), lam_atom(_ARITY, (U, "x")),
-    gee_atom(), gee_atom(0, 1),
 )
 
 
@@ -480,16 +473,13 @@ def test_product_matches_reference_random(rng):
 
 def test_partial_matches_reference_random(rng):
     coords = ("t", "x", U, UT, UX, (0, 2))
-    no_gee = tuple(a for a in _RICH_POOL if a[0] != "gee")
     for _ in range(300):
         e = random_expression(rng, max_order=3, max_terms=6)
         for v in coords:
             _same_terms(e.partial(v), _reference_partial(e, v))
-        e = _rich_expression(rng, no_gee)
+        e = _rich_expression(rng)
         for v in coords:
             _same_terms(e.partial(v), _reference_partial(e, v))
-    with pytest.raises(ExprError):
-        JetExpression.atom(gee_atom()).partial(U)
 
 
 def test_total_matches_reference_random(rng):
@@ -518,7 +508,7 @@ def _count_canon_calls(monkeypatch):
 ])
 def test_assemble_needs_no_rewrite_search(monkeypatch, source, params, bounds):
     pde = parse_pde(source, params)
-    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    _, system = full_split(pde, multiplier_arity(pde, bounds.order))
     ansatz = generate_ansatz_basis(pde, bounds)
     calls = _count_canon_calls(monkeypatch)
     linsys = assemble(system, ansatz)
@@ -526,7 +516,7 @@ def test_assemble_needs_no_rewrite_search(monkeypatch, source, params, bounds):
 
 
 def test_total_needs_no_rewrite_search_without_kernel_atoms(rng, monkeypatch):
-    formal = tuple(a for a in _RICH_POOL if a[0] in ("lam", "gee"))
+    formal = tuple(a for a in _RICH_POOL if a[0] == "lam")
     draws = [random_expression(rng, max_order=4, with_atoms=False) for _ in range(100)]
     draws += [_rich_expression(rng, formal) for _ in range(100)]
     calls = _count_canon_calls(monkeypatch)

@@ -8,11 +8,11 @@ from math import comb, gcd
 import pytest
 
 from jetlaw import expr, linsolve
-from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, gee_atom, lam_atom,
-                         pow_atom, sin_atom)
+from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
+                         sin_atom)
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
-from jetlaw.detsys import DeterminingSystem, determining_expression, split_determining_system
+from jetlaw.detsys import DeterminingSystem, determining_expression
 from jetlaw.linsolve import (
     MAX_COLUMNS,
     AnsatzBounds,
@@ -30,6 +30,8 @@ from jetlaw.linsolve import (
     solve_multipliers,
     span_rank,
 )
+
+from conftest import full_split
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"
@@ -201,7 +203,7 @@ def test_nullspace_small_system_normalization():
 
 def test_nullspace_dimension_invariant_under_row_permutation():
     kdv = parse_pde(KDV, {"n": 1})
-    system = split_determining_system(kdv, multiplier_arity(kdv, 2))
+    _, system = full_split(kdv, multiplier_arity(kdv, 2))
     ansatz = generate_ansatz_basis(kdv, AnsatzBounds(order=2, deg_tx=1, deg_u=2))
     linsys = assemble(system, ansatz)
     base = nullspace(linsys)
@@ -261,7 +263,7 @@ def test_klein_gordon_quadratic_interaction_only_translation():
 
 # ---------------------------------------------------------------------------
 # Reference for the two-stage solve: the one-stage pipeline, the full split
-# assembled over the basis, then its nullspace.
+# (conftest.full_split) assembled over the basis, then its nullspace.
 
 _ORDER2 = dict(order=2, deg_tx=1)
 _WAVE = dict(order=1, deg_tx=2, deg_u=1)
@@ -287,7 +289,7 @@ TWO_STAGE_CASES = {
 
 def _one_stage_multipliers(pde, bounds):
     ansatz = generate_ansatz_basis(pde, bounds)
-    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    _, system = full_split(pde, multiplier_arity(pde, bounds.order))
     return [_combine(ansatz, v) for v in nullspace(assemble(system, ansatz))]
 
 
@@ -342,7 +344,7 @@ def _reference_assemble(system, ansatz):
         "wave-exp-deg2"])
 def test_assemble_matches_per_term_oracle(source, params, bounds):
     pde = parse_pde(source, params)
-    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    _, system = full_split(pde, multiplier_arity(pde, bounds.order))
     ansatz = generate_ansatz_basis(pde, bounds)
     linsys = assemble(system, ansatz)
     reference = _reference_assemble(system, ansatz)
@@ -359,7 +361,7 @@ def test_assemble_drops_entries_that_cancel_in_one_column():
     lam, lam_u = (JetExpression.atom(lam_atom(arity, index)) for index in ((), (U,)))
     for equation, basis in ((P("u") * lam_u - lam, ("u", "u^2")),
                             ((P("u") * lam_u - lam) * Fraction(1, 2), ("u", "u^2", "u^3"))):
-        system = DeterminingSystem(pde=kdv, equations=(equation,), gee_keys=((),))
+        system = DeterminingSystem(pde=kdv, equations=(equation,))
         ansatz = AnsatzSpace(pde=kdv, bounds=AnsatzBounds(order=0, deg_u=3), arity=arity,
                              basis=tuple(P(b) for b in basis))
         linsys = assemble(system, ansatz)
@@ -376,7 +378,7 @@ def test_assemble_drops_entries_that_cancel_in_one_column():
 
 def test_instantiate_matches_per_term_oracle():
     kg = parse_pde("u_tx = sin(u)")
-    system = split_determining_system(kg, multiplier_arity(kg, 3))
+    _, system = full_split(kg, multiplier_arity(kg, 3))
     for lam in (P("x*u_xxx + u_x*u_xx"), P("u_x^3*cos(u)"), P("0"), P("t"),
                 P("t*u*exp(2*u)"), P("x*u*pow(u + 1, -1/2)"), P("t*x*u_x*pow(u, -1/3)"),
                 P("x*u^2*exp(-u) + t*u_xx*pow(2*u + 1, 3/2)")):
@@ -410,9 +412,6 @@ def test_instantiate_rejects_lam_free_and_nonlinear_terms():
         instantiate(lam + P("u"), P("u^2"))
     with pytest.raises(ExprError):
         instantiate(lam * lam, P("u^2"))
-    # No u in the candidate's monomial, but the gee atom depends on u.
-    with pytest.raises(ExprError, match="gee atom"):
-        instantiate(lam, JetExpression.atom(gee_atom()) * P("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +603,7 @@ def test_settled_columns_cascade_and_match_fraction_elimination():
 
 def _paper_system(source, params, bounds):
     pde = parse_pde(source, params)
-    system = split_determining_system(pde, multiplier_arity(pde, bounds.order))
+    _, system = full_split(pde, multiplier_arity(pde, bounds.order))
     return assemble(system, generate_ansatz_basis(pde, bounds))
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import random_expression
 from jetlaw import numcheck
-from jetlaw.expr import U, ExprError, JetExpression, gee_atom, lam_atom
+from jetlaw.expr import U, ExprError, JetExpression, lam_atom
 from jetlaw.parser import parse_expression as P
 from jetlaw.pde import parse_pde
 from jetlaw.laws import ConservationLaw, build_law
@@ -320,7 +320,7 @@ def test_evaluate_on_grid_matches_references():
             assert abs(values[i] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
-@pytest.mark.parametrize("atom", [lam_atom(((0, 0),)), gee_atom(0, 1)])
+@pytest.mark.parametrize("atom", [lam_atom(((0, 0),))])
 def test_formal_atom_rejected_on_grid(atom):
     x = np.zeros(64)
     e = JetExpression.atom(atom) + P("u_x")
