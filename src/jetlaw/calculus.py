@@ -36,13 +36,17 @@ from .pde import PdeSpec, iterated_total, on_chart
 class NotXDerivative(ExprError):
     """The input is not a total x-derivative; carries the residual."""
 
-    def __init__(self, residual):
-        super().__init__("not a total x-derivative; residual %s" % residual)
+    def __init__(self, residual, why="not a total x-derivative"):
+        super().__init__("%s; residual %s" % (why, residual))
         self.residual = residual
 
 
 class NotIntegrable(ExprError):
     """Antiderivative leaves the closed expression fragment (e.g. log)."""
+
+
+class AntiderivativeOutsideClass(NotXDerivative):
+    """The descent refused a cofactor: its antiderivative needs a logarithm, say."""
 
 
 def total_derivative(e: JetExpression, direction: str) -> JetExpression:
@@ -106,17 +110,10 @@ def euler_operator(e: JetExpression) -> JetExpression:
     return euler_sum({v: e.partial(v) for v in set().union(*map(term_jets, e.terms))})
 
 
-def restricted_euler(e: JetExpression, base: str) -> JetExpression:
-    """Truncated Euler operators relating densities back to multipliers, each
-    the x-variational derivative over the jets of one t-order:
-
-    base "U_fullX": d/du - D_x d/du_x + D_x^2 d/du_xx - ...
-    base "U_x":     d/du_x - D_x d/du_xx + ...
-    base "U_t":     d/du_t - D_x d/du_tx + D_x^2 d/du_txx - ...
-    """
-    if base not in ("U_fullX", "U_x", "U_t"):
-        raise ExprError("unknown restricted Euler base %r" % base)
-    row, start = int(base == "U_t"), int(base == "U_x")
+def restricted_euler(e: JetExpression, base: tuple) -> JetExpression:
+    """sum_j (-D_x)^j d/du_(a,b+j) for the jet base = (a, b): with base u,
+    u_x or u_t it relates densities back to multipliers."""
+    row, start = base
     jets = set().union(*map(term_jets, e.terms))
     return _horner({b - start: e.partial((a, b)) for (a, b) in jets
                     if a == row and b >= start}, "x")
@@ -209,10 +206,17 @@ def _descent_rank(k):
 def ibp_normal_form(e: JetExpression):
     """Canonical representative modulo im(D_x): (core, theta) with
     e == core + D_x(theta)."""
+    return _descent(e)[:2]
+
+
+def _descent(e: JetExpression):
+    """ibp_normal_form's (core, theta), and the first (cofactor, error) that
+    _integrate_wrt refused (always a u-integral of kernel atoms), or None."""
     if e.has_formal():
         raise ExprError("descent undefined on formal atoms")
     theta = JetExpression.zero()
     core = JetExpression.zero()
+    refused = None
     work = e
     while not work.is_zero():
         jets = work.jets()
@@ -255,17 +259,22 @@ def ibp_normal_form(e: JetExpression):
             continue
         try:
             piece = _integrate_wrt(cofactor, w)
-        except NotIntegrable:
+        except NotIntegrable as err:
             core = core + cofactor * JetExpression.coordinate(v)
+            refused = refused or (cofactor, err)
             continue
         theta = theta + piece
         work = work + (cofactor * JetExpression.coordinate(v) - piece.total("x"))
-    return core, theta
+    return core, theta, refused
 
 
 def invert_total_x_derivative(e: JetExpression) -> JetExpression:
-    """Return theta with D_x(theta) == e, or raise NotXDerivative."""
-    core, theta = ibp_normal_form(e)
-    if not core.is_zero():
-        raise NotXDerivative(core)
-    return theta
+    """Return theta with D_x(theta) == e, or raise NotXDerivative (its
+    subclass AntiderivativeOutsideClass if the descent refused a cofactor)."""
+    core, theta, refused = _descent(e)
+    if core.is_zero():
+        return theta
+    if refused:
+        raise AntiderivativeOutsideClass(core, "the u-antiderivative of %s is outside the "
+                                         "expression class (%s)" % refused)
+    raise NotXDerivative(core)

@@ -98,34 +98,37 @@ class UnsoundMultiplier(ExprError):
     """The solver returned a multiplier that fails the determining equation."""
 
 
+def _gated_law(pde, lam, build):
+    """(law, residual): build()'s law for lam, and E_u(G * Lam) if nonzero,
+    computed only when build() raises (raised again for a multiplier) or the
+    law does not verify, since verify's first check is that it vanishes."""
+    try:
+        cl = build()
+    except ExprError:
+        residual = determining_expression(pde, lam)
+        if residual.is_zero():
+            raise
+        return None, residual
+    if cl.verified:
+        return cl, None
+    residual = determining_expression(pde, lam)
+    return cl, None if residual.is_zero() else residual
+
+
 def _derive_laws(args, params, text):
     """Parse the PDE, the ansatz bounds and the reference state, in that
-    order, then derive and check every multiplier in the ansatz.
-
-    The soundness gate is verify's first check, E_u(G * Lam) = 0, so a
-    verified law passes it.  The determining expression is computed here only
-    to tell a non-multiplier (UnsoundMultiplier) from a multiplier whose law
-    did not verify, or whose build_law raised (the error is raised again)."""
+    order, then derive every multiplier in the ansatz and its gated law."""
     pde = parse_pde(text, params)
     bounds = _bounds(args, params)
     utilde = _utilde(args, params)
     ansatz, multipliers = solve_multipliers(pde, bounds)
     laws = []
     for lam in multipliers:
-        try:
-            cl = build_law(pde, lam, utilde)
-        except ExprError:
-            _check_multiplier(pde, lam)
-            raise
-        if not cl.verified:
-            _check_multiplier(pde, lam)
+        cl, residual = _gated_law(pde, lam, lambda: build_law(pde, lam, utilde))
+        if residual is not None:
+            raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
         laws.append(cl)
     return pde, bounds, ansatz, laws
-
-
-def _check_multiplier(pde, lam):
-    if not determining_expression(pde, lam).is_zero():
-        raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
 
 
 def _ansatz_record(bounds):
@@ -168,14 +171,13 @@ def _pde_and_multiplier(args):
 
 def cmd_verify(args):
     params, pde, lam = _pde_and_multiplier(args)
-    residual = determining_expression(pde, lam)
-    if not residual.is_zero():
+    cl, residual = _gated_law(pde, lam, lambda: build_law(pde, lam, _utilde(args, params)))
+    if residual is not None:
         payload = {"pde": str(pde), "lambda": render(lam), "verified": False,
                    "residual": render(residual)}
         _emit(args, payload, ["lambda = %s" % render(lam),
                               "FAIL: determining residual %s" % render(residual)])
         return 1
-    cl = build_law(pde, lam, _utilde(args, params))
     payload = {"pde": str(pde), "params": {k: str(v) for k, v in params.items()},
                "laws": [cl.to_record()]}
     _emit(args, payload, ["lambda = %s" % render(lam),

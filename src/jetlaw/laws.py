@@ -37,9 +37,6 @@ class HomotopyError(ExprError):
     pass
 
 
-EULER_BASE = {(1, 0): "U_fullX", (2, 0): "U_t", (1, 1): "U_x"}
-
-
 @dataclass(frozen=True)
 class ConservationLaw:
     pde: PdeSpec
@@ -171,8 +168,10 @@ def flux_density(pde: PdeSpec, lam: JetExpression,
 
 
 def multiplier_from_density(pde: PdeSpec, density_t: JetExpression) -> JetExpression:
-    """Shape-appropriate restricted Euler operator applied to Phi^t."""
-    return restricted_euler(density_t, EULER_BASE[pde.leading])
+    """The restricted Euler operator of Phi^t in the jet whose D_t is the
+    leading derivative: u, u_t or u_x."""
+    a, b = pde.leading
+    return restricted_euler(density_t, (a - 1, b))
 
 
 def build_law(pde: PdeSpec, lam: JetExpression, utilde=None) -> ConservationLaw:

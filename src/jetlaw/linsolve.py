@@ -2,6 +2,8 @@
 
 The ansatz is the span of all monomials in the admissible coordinates within
 the given bounds, optionally times one kernel atom from a user-supplied list.
+The coordinates are t, x (x alone when u_tx leads) and, for the leading
+derivative u_(a,b), the a*p + 1 jets of t-order below a and order <= p.
 Bounds that give more than MAX_COLUMNS columns, counted in closed form, are
 refused before anything is enumerated or split.
 Substituting the ansatz into a determining system and collecting coefficients
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .expr import (ExprError, JetExpression, U, _Packing, _accumulate, _q, is_indep,
+from .expr import (ExprError, JetExpression, _Packing, _accumulate, _q, is_indep,
                    is_kernel_atom)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
@@ -63,12 +65,10 @@ class AnsatzSpace:
 
 
 def admissible_jets(pde: PdeSpec, order: int) -> tuple:
-    """Jet coordinates a multiplier of the given order may depend on."""
-    if pde.leading == (2, 0):
-        if order > 1:
-            raise ExprError("u_tt-leading multipliers supported up to first order")
-        return (U, (1, 0), (0, 1))[: 1 + 2 * order]
-    return tuple((0, b) for b in range(order + 1))
+    """Jets a multiplier of the given order may read: t-order below the leading
+    one's, by total order, then descending t-order (u, u_t, u_x, u_tx, ...)."""
+    a = pde.leading[0]
+    return tuple((i, n - i) for n in range(order + 1) for i in range(min(a - 1, n), -1, -1))
 
 
 def multiplier_arity(pde: PdeSpec, order: int) -> tuple:
@@ -80,11 +80,10 @@ def multiplier_arity(pde: PdeSpec, order: int) -> tuple:
 def ansatz_columns(pde: PdeSpec, bounds: AnsatzBounds) -> int:
     """The number of products generate_ansatz_basis enumerates, in closed
     form: (t, x) monomials times (1 + atoms) times comb(jets + deg_u, deg_u)
-    jet monomials.  Exact up to MAX_COLUMNS; past it, some larger number.
-    Atoms that collapse (a pow atom meeting u, a repeated atom) make the
-    de-duplicated basis smaller."""
-    jets = len(admissible_jets(pde, bounds.order)) if pde.leading == (2, 0) \
-        else max(bounds.order + 1, 0)
+    jet monomials, with jets = a*p + 1.  Exact up to MAX_COLUMNS; past it,
+    some larger number.  Atoms that collapse (a pow atom meeting u, a
+    repeated atom) make the de-duplicated basis smaller."""
+    jets = max(pde.leading[0] * bounds.order + 1, 0)
     d = max(bounds.deg_tx + 1, 0)
     count = (d if pde.leading == (1, 1) else d * (d + 1) // 2) * (1 + len(bounds.atoms))
     for k in range(1, bounds.deg_u + 1):

@@ -1,13 +1,10 @@
 """Scalar PDEs in solved form, with linearization operators.
 
 A PdeSpec stores G = 0 as leading = rhs, where leading is one of u_t, u_tt,
-u_tx and the right-hand side is free of the leading derivative and its
-differential consequences.  Three charts of solution-space coordinates come
-with the three shapes:
-
-  u_t  leading: t, x, u and pure x-derivatives;
-  u_tt leading: everything of t-order at most one;
-  u_tx leading: t, x, u, pure x-derivatives and pure t-derivatives.
+u_tx and the right-hand side reads only jets of t-order below the leading
+derivative's.  With t and x, those jets are the chart of solution-space
+coordinates of the shape (on_chart); the u_tx chart also holds the pure
+t-derivatives.
 """
 
 from __future__ import annotations
@@ -26,15 +23,10 @@ class PdeError(ExprError):
 
 
 def on_chart(leading, k) -> bool:
-    """Whether jet coordinate k is a solution-space coordinate for the shape."""
+    """Whether jet k is a solution-space coordinate: t-order below the leading
+    derivative's, or a pure t-derivative when u_tx leads."""
     a, b = k
-    if leading == (1, 0):
-        return a == 0
-    if leading == (2, 0):
-        return a <= 1
-    if leading == (1, 1):
-        return a == 0 or b == 0
-    raise PdeError("unsupported leading derivative %s" % coord_name(leading))
+    return a < leading[0] or leading == (1, 1) and b == 0
 
 
 @dataclass(frozen=True)
@@ -48,13 +40,10 @@ class PdeSpec:
         if self.leading not in LEADINGS:
             raise PdeError("leading derivative must be u_t, u_tt or u_tx")
         for k in self.rhs.jets():
-            if not on_chart(self.leading, k):
+            if k[0] >= self.leading[0]:
                 raise PdeError(
                     "rhs contains %s, excluded for leading %s"
                     % (coord_name(k), coord_name(self.leading)))
-        if self.leading == (1, 1):
-            if any(k[0] > 0 for k in self.rhs.jets()):
-                raise PdeError("u_tx-leading rhs must be free of t-derivatives")
 
     def gee(self) -> JetExpression:
         """The expression G = leading - rhs."""

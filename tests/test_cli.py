@@ -83,6 +83,19 @@ def test_derive_wave_with_tx_weights_verifies_every_law(capsys):
     assert all(rec["verified"] is True for rec in laws)
 
 
+def test_third_order_wave_laws_derive_and_conserve(capsys):
+    # 7 admissible jets (u .. u_xxx, t-order below 2): 36 columns, 11 laws
+    bounds = ["--pde", "u_tt = u_xx", "--order", "3", "--deg-u", "2"]
+    code, out = run(capsys, "derive", *bounds)
+    assert code == 0
+    assert "ansatz size: 36\nmultipliers found: 11\n" in out
+    assert out.count("verified: True") == 11
+    code, out = run(capsys, "numcheck", *bounds, "--initial", "bumps", "--length", "20",
+                    "--dt", "0.01", "--horizon", "2")
+    assert code == 0
+    assert out.count("drift=") == 11
+
+
 def test_verify_wave_conformal_characteristic(capsys):
     code, out = run(capsys, "verify", "--pde", "u_tt = u_xx",
                     "--multiplier", "2*t*x*u_x + t^2*u_t + x^2*u_t")
@@ -227,6 +240,18 @@ def test_derive_computes_each_determining_expression_once(count_calls, capsys):
     assert code == 0
     assert "multipliers found: 3" in out
     assert calls.calls == 7
+
+
+def test_verify_computes_the_determining_expression_once(count_calls, capsys):
+    # verify's own check is the only one for a verified multiplier; the
+    # residual report is computed only when the law fails (2 calls before).
+    from jetlaw import detsys
+
+    calls = count_calls(detsys, "determining_expression")
+    code, out = run(capsys, "verify", "--pde", "u_tt = u^2*u_xx + u*u_x^2",
+                    "--multiplier", "u_t")
+    assert code == 0 and out.endswith("PASS\n")
+    assert calls.calls == 1
 
 
 def test_zero_denominator_param_is_an_error(capsys):

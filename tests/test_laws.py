@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetlaw.expr import ExprError, JetExpression, coord_name
+from jetlaw.expr import ExprError, JetExpression, coord_name, exp_atom
 from jetlaw.linsolve import AnsatzBounds, solve_multipliers
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, parse_pde
-from jetlaw.calculus import NotXDerivative, ibp_normal_form, solution_total_derivative
+from jetlaw.calculus import (AntiderivativeOutsideClass, NotXDerivative, ibp_normal_form,
+                             solution_total_derivative)
 from jetlaw.laws import (
     ConservationLaw,
     HomotopyError,
@@ -24,6 +25,7 @@ from jetlaw.laws import (
 )
 
 from conftest import random_expression, random_rhs
+from oracle_jet import law_problems
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"
@@ -322,34 +324,39 @@ def test_json_record_round_trips_through_grammar():
 
 
 # Seeded law sweep: the multipliers of 16 random right-hand sides per shape,
-# at small bounds, each built at five references.  Every law either verifies
-# or fails with a typed error; a law returned unverified is never accepted.
-# The typed failures left, frozen in the tally, are:
+# at one set of small bounds, each built at five references.  Every law
+# either verifies or fails with a typed error; a law returned unverified is
+# never accepted.  The independent oracle checks each multiplier's law at one
+# reference, taking the references in turn.  The typed failures left, frozen
+# in the tally, are:
 # - HomotopyError on u_tt with kernel atoms: the characteristic form meets a
 #   kernel atom of u on the path u_lam, and the two-point fallback refuses a
-#   right-hand side without wave-speed structure (ROADMAP item 7, step 4);
-# - NotXDerivative for u_x on u_tt = -4/3*t + 8/3*t*pow(u + 2, -1) and for 1
-#   on a u_tx equation with u_x*pow(u + 2, -1): each flux needs log(u + 2),
-#   which is outside the expression class (ROADMAP item 8).
+#   right-hand side without wave-speed structure (ROADMAP item 12);
+# - AntiderivativeOutsideClass for u_x on u_tt = -4/3*t + 8/3*t*pow(u + 2, -1)
+#   and for 1 on a u_tx equation with u_x*pow(u + 2, -1): each flux needs
+#   log(u + 2), which is outside the expression class.
+SWEEP_BOUNDS = AnsatzBounds(order=2, deg_tx=2, deg_u=2)
 SWEEP_REFERENCES = (None, "1", "x", "t", "t*x + 1")
 SWEEP_TALLY = {
     False: {("u_t", "verified"): 205, ("u_tt", "verified"): 245,
             ("u_tx", "verified"): 120},
     True: {("u_t", "verified"): 90, ("u_tt", "HomotopyError"): 15,
-           ("u_tt", "NotXDerivative"): 5, ("u_tt", "verified"): 80,
-           ("u_tx", "NotXDerivative"): 5, ("u_tx", "verified"): 25},
+           ("u_tt", "AntiderivativeOutsideClass"): 5, ("u_tt", "verified"): 80,
+           ("u_tx", "AntiderivativeOutsideClass"): 5, ("u_tx", "verified"): 25},
 }
 
 
 @pytest.mark.parametrize("with_atoms", [False, True])
 def test_seeded_law_sweep(with_atoms):
     tally = Counter()
+    multipliers = 0
     for leading in ((1, 0), (2, 0), (1, 1)):
         rng = random.Random("law sweep:%s:%s" % (leading, with_atoms))
-        bounds = AnsatzBounds(order=1 if leading == (2, 0) else 2, deg_tx=2, deg_u=2)
         for _ in range(16):
             pde = PdeSpec(leading=leading, rhs=random_rhs(rng, leading, with_atoms))
-            for lam in solve_multipliers(pde, bounds)[1]:
+            for lam in solve_multipliers(pde, SWEEP_BOUNDS)[1]:
+                checked = SWEEP_REFERENCES[multipliers % len(SWEEP_REFERENCES)]
+                multipliers += 1
                 for ref in SWEEP_REFERENCES:
                     try:
                         cl = build_law(pde, lam, ref and P(ref))
@@ -357,5 +364,76 @@ def test_seeded_law_sweep(with_atoms):
                     except ExprError as e:
                         outcome = type(e).__name__
                     tally[coord_name(leading), outcome] += 1
+                    if outcome == "verified" and ref == checked:
+                        assert law_problems(cl) == [], (str(pde), render(lam), ref)
     assert not any(outcome == "unverified" for _, outcome in tally)
     assert dict(tally) == SWEEP_TALLY[with_atoms]
+
+
+# The laws of the nine classify calls of the benchmark (the KdV scan as
+# n = 1..4), built through the API at the CLI's bounds.
+_WAVE_ORDER1 = dict(order=1, deg_tx=2, deg_u=1)
+_KG_ORDER3 = dict(order=3, deg_tx=1, deg_u=3)
+CLASSIFY_LAWS = {"kdv n=%d" % n: (KDV, {"n": n}, dict(order=2, deg_tx=1, deg_u=n + 1))
+                 for n in (1, 2, 3, 4)} | {
+    "wave c=u^-2": (WAVE, {}, _WAVE_ORDER1),
+    "wave c=u": ("u_tt = u^2*u_xx + u*u_x^2", {}, _WAVE_ORDER1),
+    "wave c=e^u": ("u_tt = exp(2*u)*u_xx + exp(2*u)*u_x^2", {},
+                   dict(_WAVE_ORDER1, atoms=(exp_atom(Fraction(-1, 2)),))),
+    "kg sin": ("u_tx = sin(u)", {}, _KG_ORDER3),
+    "kg sinh": ("u_tx = exp(u) + exp(-u)", {}, _KG_ORDER3),
+    "kg liouville": ("u_tx = exp(u)", {}, _KG_ORDER3),
+    "kg u^2": ("u_tx = u^2", {}, _KG_ORDER3),
+    "kg u^3": ("u_tx = u^3", {}, _KG_ORDER3),
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFY_LAWS)
+def test_classify_laws_pass_the_oracle(name):
+    text, params, bounds = CLASSIFY_LAWS[name]
+    pde = parse_pde(text, params)
+    for lam in solve_multipliers(pde, AnsatzBounds(**bounds))[1]:
+        cl = build_law(pde, lam)
+        assert cl.verified
+        assert law_problems(cl) == [], render(lam)
+
+
+def test_flux_outside_the_class_names_its_cofactor():
+    pde = parse_pde("u_t = -2*x*u_xxx + 2/3*u_x*pow(u + 2, -1)")
+    with pytest.raises(AntiderivativeOutsideClass) as err:
+        build_law(pde, P("1"))
+    assert str(err.value) == "the u-antiderivative of -2/3*pow(u + 2, -1) is outside the " \
+        "expression class (logarithmic antiderivative); residual -2/3*u_x*pow(u + 2, -1)"
+    assert err.value.residual == P("-2/3*u_x*pow(u + 2, -1)")
+
+
+# Multipliers above first order on u_tt, frozen: (PDE, bounds, columns,
+# multipliers).  The admissible jets are those of t-order below 2, so order 3
+# reaches u_txx and u_xxx.
+HIGHER_ORDER_WAVE_LAWS = {
+    "wave order 2": ("u_tt = u_xx", dict(order=2, deg_u=2), 21,
+                     ["1", "u_t", "u_x*u_t", "u_x", "u_x^2 + u_t^2"]),
+    "wave order 3": ("u_tt = u_xx", dict(order=3, deg_u=2), 36,
+                     ["1", "u_t", "u_x*u_t", "u_x", "u_x^2 + u_t^2",
+                      "u_x*u_txx + u_t*u_xxx + u_xx*u_tx",
+                      "2*u_x*u_xxx + 2*u_t*u_txx + u_xx^2 + u_tx^2",
+                      "u_xx*u_txx + u_tx*u_xxx", "u_xx*u_xxx + u_tx*u_txx",
+                      "u_txx", "u_xxx"]),
+    "cubic wave order 2": ("u_tt = u_xx + u^3", dict(order=2, deg_u=3), 56,
+                           ["u_t", "u_x"]),
+    "wave c=u order 2": ("u_tt = u^2*u_xx + u*u_x^2", dict(order=2, deg_tx=2, deg_u=1),
+                         36, ["u_t", "u_x", "t*u_t + x*u_x"]),
+}
+
+
+@pytest.mark.parametrize("name", HIGHER_ORDER_WAVE_LAWS)
+def test_higher_order_wave_laws(name):
+    text, bounds, columns, frozen = HIGHER_ORDER_WAVE_LAWS[name]
+    pde = parse_pde(text)
+    ansatz, mults = solve_multipliers(pde, AnsatzBounds(**bounds))
+    assert len(ansatz.basis) == columns
+    assert [render(lam) for lam in mults] == frozen
+    for lam in mults:
+        cl = build_law(pde, lam)
+        assert cl.verified
+        assert law_problems(cl) == [], render(lam)

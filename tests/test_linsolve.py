@@ -18,6 +18,7 @@ from jetlaw.linsolve import (
     AnsatzBounds,
     AnsatzSpace,
     AnsatzTooLarge,
+    admissible_jets,
     ansatz_columns,
     RationalLinearSystem,
     assemble,
@@ -85,7 +86,7 @@ def _recursive_basis(pde, bounds):
                 extend(prefix + [jets[i]], i, budget - 1)
 
     extend([], 0, bounds.deg_u)
-    basis = []
+    basis = {}
     for i in range(bounds.deg_tx + 1):
         for j in range(bounds.deg_tx + 1 - i):
             if i and "t" not in arity:
@@ -97,16 +98,14 @@ def _recursive_basis(pde, bounds):
                         f[k] = f.get(k, 0) + 1
                     if atom is not None:
                         f[atom] = 1
-                    b = JetExpression.from_raw([(Fraction(1), f)])
-                    if b not in basis:
-                        basis.append(b)
+                    basis.setdefault(JetExpression.from_raw([(Fraction(1), f)]))
     return tuple(basis)
 
 
 @pytest.mark.parametrize("source, orders", [
     (KDV, (0, 1, 2, 3)),
     ("u_tx = sin(u)", (0, 2, 3)),
-    (WAVE, (0, 1)),
+    (WAVE, (0, 1, 2, 3)),
 ])
 def test_basis_enumeration_matches_recursive_reference(source, orders):
     pde = parse_pde(source, {"n": 1})
@@ -123,7 +122,7 @@ def test_basis_enumeration_matches_recursive_reference(source, orders):
 @pytest.mark.parametrize("source, orders", [
     (KDV, (0, 1, 2, 4)),
     ("u_tx = sin(u)", (0, 1, 3)),
-    (WAVE, (0, 1)),
+    (WAVE, (0, 1, 2, 3)),
 ])
 def test_ansatz_columns_closed_form_matches_enumeration(source, orders):
     pde = parse_pde(source, {"n": 1})
@@ -179,10 +178,15 @@ def test_empty_basis_rejected():
         generate_ansatz_basis(kdv, AnsatzBounds(order=2, deg_tx=-1, deg_u=-1))
 
 
-def test_wave_order_above_one_rejected():
+def test_admissible_jets_follow_the_leading_derivative():
+    # t-order below the leading one, by total order, then descending t-order
     wave = parse_pde(WAVE)
-    with pytest.raises(ExprError):
-        generate_ansatz_basis(wave, AnsatzBounds(order=2, deg_tx=0, deg_u=1))
+    assert admissible_jets(wave, 3) == \
+        (U, (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3))
+    assert admissible_jets(wave, 1) == (U, (1, 0), (0, 1))
+    for text in (KDV, "u_tx = sin(u)"):
+        assert admissible_jets(parse_pde(text, {"n": 1}), 3) == \
+            (U, (0, 1), (0, 2), (0, 3))
 
 
 def test_single_constant_basis_element():
