@@ -191,7 +191,7 @@ def cmd_density(args):
     params, pde, lam = _pde_and_multiplier(args)
     utilde = _utilde(args, params)
     phi_t = homotopy_density(pde, lam, utilde)
-    phi_x = flux_density(pde, lam, phi_t)
+    phi_x = flux_density(pde, phi_t)
     payload = {"pde": str(pde), "lambda": render(lam),
                "phi_t": render(phi_t), "phi_x": render(phi_x),
                "utilde": render(utilde)}
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ExprError, ValueError) as err:
+    except (ExprError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ExprError, JetExpression, is_jet, is_indep, lam_atom, sig_sort_key
-from .pde import PdeSpec, on_chart
+from .expr import (ExprError, JetExpression, coord_name, is_jet, is_indep, lam_atom,
+                   sig_sort_key)
+from .pde import PdeSpec
 from .calculus import adjoint_linearization, eliminate_off_chart, euler_operator
 
 
@@ -29,23 +30,25 @@ class ArityError(ExprError):
     pass
 
 
+def check_admissible(pde: PdeSpec, coordinates) -> None:
+    """Raise ArityError unless a multiplier may read each coordinate: t, x
+    and, by the multiplier-jet rule of linsolve.admissible_jets, the jets of
+    t-order below the leading derivative's."""
+    for k in coordinates:
+        if not (is_indep(k) or is_jet(k) and k[0] < pde.leading[0]):
+            raise ArityError("multiplier depends on %s, excluded for leading %s" % (
+                coord_name(k) if is_jet(k) else repr(k), coord_name(pde.leading)))
+
+
 def validate_arity(pde: PdeSpec, arity) -> tuple:
-    for k in arity:
-        if not is_indep(k) and not (is_jet(k) and on_chart(pde.leading, k)):
-            raise ArityError("inadmissible multiplier dependence on %r" % (k,))
+    """The arity without repeats, each coordinate checked by check_admissible."""
+    check_admissible(pde, arity)
     return tuple(dict.fromkeys(arity))
-
-
-def check_admissible(pde: PdeSpec, lam: JetExpression) -> None:
-    for k in lam.jets():
-        if not on_chart(pde.leading, k):
-            raise ArityError(
-                "multiplier depends on %r, excluded for this PDE shape" % (k,))
 
 
 def determining_expression(pde: PdeSpec, lam: JetExpression) -> JetExpression:
     """E_u(G * lam), fully expanded off the solution space."""
-    check_admissible(pde, lam)
+    check_admissible(pde, lam.jets())
     return euler_operator(pde.gee() * lam)
 
 

@@ -612,14 +612,6 @@ class JetExpression:
                     return True
         return False
 
-    def maximal_order(self):
-        """Highest jet coordinate present as (t_order, x_order); (0,0) if none."""
-        best = None
-        for k in self.jets():
-            if best is None or coord_sort_key(k) > coord_sort_key(best):
-                best = k
-        return best if best is not None else (0, 0)
-
     # -- calculus primitives --------------------------------------------------
 
     def partial(self, v) -> "JetExpression":
@@ -648,8 +640,10 @@ class JetExpression:
     def substitute(self, target, replacement) -> "JetExpression":
         """Replace a jet coordinate everywhere, including inside powers.
 
-        The replacement must not contain the target or any derivative of it;
-        substituting u itself is rejected when kernel atoms are present.
+        The replacement must not contain the target or any derivative of it.
+        Under kernel atoms u may only be replaced by a rational constant q:
+        each atom of a*u + b becomes the constant atom of a*q + b, and the
+        rewrite step folds it (a zero base at a nonpositive power raises).
         """
         if not is_jet(target):
             raise ExprError("substitution target must be a jet coordinate")
@@ -660,11 +654,20 @@ class JetExpression:
                 raise ExprError(
                     "self-referential substitution: replacement contains %s"
                     % coord_name(k))
-        if target == U and U in self.coordinates() and any(
-            is_kernel_atom(a) and a[1] != 0
-            for (_, atoms) in self.terms for a, _ in atoms
-        ):
-            raise ExprError("cannot substitute u under kernel atoms")
+        if target == U and any(is_kernel_atom(a) and a[1] != 0
+                               for (_, atoms) in self.terms for a, _ in atoms):
+            if not replacement.is_constant():
+                raise ExprError("cannot substitute u under kernel atoms by a non-constant")
+            q = replacement.as_fraction()
+            raw = []
+            for (mono, atoms), c in self.terms.items():
+                f = {k: p for k, p in mono if k != U}
+                for a, p in atoms:
+                    if is_kernel_atom(a):
+                        a = (a[0], Fraction(0), a[1] * q + a[2]) + a[3:]
+                    f[a] = f.get(a, 0) + p
+                raw.append((c * q ** dict(mono).get(U, 0), f))
+            return _from_raw(raw)
         by_power: dict = {}
         for (mono, atoms), c in self.terms.items():
             power = dict(mono).get(target, 0)
@@ -675,36 +678,6 @@ class JetExpression:
             product = JetExpression(bases) * replacement ** power
             pairs.extend((c, sig) for sig, c in product.terms.items())
         return JetExpression(_accumulate(pairs))
-
-    def at_constant_state(self, value) -> "JetExpression":
-        """Evaluate on the constant state u == value: derivatives vanish,
-        kernel atoms become constant-argument atoms (exact when rational)."""
-        value = Fraction(_exact(value))
-        raw = []
-        for (mono, atoms), c in self.terms.items():
-            coeff = c
-            f: dict = {}
-            dead = False
-            for k, p in mono:
-                if k == U:
-                    coeff *= value ** p
-                elif is_jet(k):
-                    dead = True
-                    break
-                else:
-                    f[k] = f.get(k, 0) + p
-            if dead:
-                continue
-            for a, p in atoms:
-                if not is_kernel_atom(a):
-                    raise ExprError("cannot evaluate formal atoms at a constant")
-                argv = a[1] * value + a[2]
-                if a[0] == "pow" and argv == 0 and a[3] <= 0:
-                    raise ExprError("singular substitution into pow atom")
-                na = (a[0], Fraction(0), argv) if a[0] != "pow" else ("pow", Fraction(0), argv, a[3])
-                f[na] = f.get(na, 0) + p
-            raw.append((coeff, f))
-        return _from_raw(raw)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -775,7 +748,8 @@ class _Packing:
     packed monomial).  They belong to the object, so they cannot grow over a
     run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has
     kernel atoms, has a live pow atom, the coordinates whose partial goes
-    through _term_partial).
+    through _term_partial).  A partial is taken whole and may be empty; the
+    caller prunes on that (linsolve._walk).
 
     The two slow paths are memoized.  A product that needs the rewrite step
     depends only on its two atom tuples and its summed u exponent, and a slow
@@ -879,30 +853,9 @@ class _Packing:
                     out.append((c1 * c2, a1 or a2, m1 + m2))
         return out
 
-    def partials(self, terms: dict, coordinates: dict) -> list:
-        """[(key, d/dv of terms)] for each key: v of coordinates, in order,
-        whose partial is nonzero.  A v whose field is zero in every packed
-        monomial (one OR over them all) and that no slow atom reads has a zero
-        partial, so none is taken."""
-        if not coordinates:
-            return []
-        present = 0
-        slow = set()
-        for aid, m in terms:
-            present |= m
-            if aid:
-                slow |= self.kinds[aid][2]
-        out = []
-        for key, v in coordinates.items():
-            shift = self.shift.get(v)
-            if v in slow or (shift is not None and present >> shift & _FIELD_MASK):
-                d = self.partial(terms, v)
-                if d:
-                    out.append((key, d))
-        return out
-
     def partial(self, terms: dict, v) -> dict:
-        """d/dv of a packed term dict, merged as by JetExpression.partial."""
+        """d/dv of a packed term dict, merged as by JetExpression.partial;
+        {} when no term reads v."""
         shift = self.shift.get(v)
         pairs = []
         for (aid, m), c in terms.items():

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .expr import ExprError, JetExpression, U, UT, UX, is_kernel_atom
+from .parser import render
 from .pde import PdeSpec, iterated_total
 from .calculus import (
     NotXDerivative,
@@ -31,6 +32,7 @@ from .calculus import (
     solution_total_derivative,
 )
 from .detsys import ArityError, check_admissible, determining_expression
+from .linsolve import admissible_jets
 
 
 class HomotopyError(ExprError):
@@ -47,7 +49,6 @@ class ConservationLaw:
     verified: bool = False
 
     def to_record(self) -> dict:
-        from .parser import render
         return {
             "pde": str(self.pde),
             "lambda": render(self.multiplier),
@@ -59,11 +60,12 @@ class ConservationLaw:
 
 
 def _as_reference(utilde) -> JetExpression:
+    """The reference state as an expression; a number must be exact."""
     if utilde is None:
         return JetExpression.zero()
-    if isinstance(utilde, (int, Fraction)):
-        return JetExpression.rational(utilde)
-    return utilde
+    if isinstance(utilde, JetExpression):
+        return utilde
+    return JetExpression.rational(utilde)
 
 
 def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
@@ -75,7 +77,7 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
             if is_kernel_atom(a) and a[1] != 0:
                 raise HomotopyError(
                     "non-polynomial dependence on the homotopy parameter "
-                    "(kernel atom %s in G*Lam)" % (a,))
+                    "(kernel atom %s in G*Lam)" % render(JetExpression.atom(a)))
             if a[0] == "lam":
                 raise HomotopyError("formal atom in a concrete multiplier")
     zero = out = JetExpression.zero()
@@ -94,7 +96,7 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
 def homotopy_density(pde: PdeSpec, lam: JetExpression,
                      utilde=None) -> JetExpression:
     """Reconstruct Phi^t from a multiplier via the characteristic form."""
-    check_admissible(pde, lam)
+    check_admissible(pde, lam.jets())
     ref = _as_reference(utilde)
     if ref.jets():
         raise HomotopyError("reference state must not involve jet coordinates")
@@ -117,27 +119,18 @@ def homotopy_density(pde: PdeSpec, lam: JetExpression,
 
 
 def _state_substitute(expr: JetExpression, ref: JetExpression) -> JetExpression:
-    """Evaluate an expression on the reference state u = ref(t, x)."""
-    const = ref.is_constant()
-    if const:
-        return expr.at_constant_state(ref.as_fraction())
-    out = expr
-    jets = sorted(out.jets(), reverse=True)
-    for k in jets:
-        if k == U:
-            continue
-        out = out.substitute(k, iterated_total(ref, *k))
-    if U in out.jets():
-        out = out.substitute(U, ref)
-    return out
+    """Evaluate an expression on the reference state u = ref(t, x): each jet
+    k, highest first, by D^k ref."""
+    for k in sorted(expr.jets(), reverse=True):
+        expr = expr.substitute(k, iterated_total(ref, *k))
+    return expr
 
 
 def _wave_two_point_density(pde: PdeSpec, lam: JetExpression,
                             ref: JetExpression) -> JetExpression:
     """Reduced two-point construction for first-order u_tt multipliers, the
     fallback when the characteristic form meets a kernel atom of u."""
-    order = lam.maximal_order()
-    if order[0] + order[1] > 1:
+    if not lam.jets() <= set(admissible_jets(pde, 1)):
         raise HomotopyError("u_tt homotopy supports first-order multipliers")
     csq = pde.rhs.partial((0, 2))
     if not (pde.rhs - csq * JetExpression.coordinate((0, 2))
@@ -160,8 +153,7 @@ def _wave_two_point_density(pde: PdeSpec, lam: JetExpression,
     return first + second + third
 
 
-def flux_density(pde: PdeSpec, lam: JetExpression,
-                 density_t: JetExpression) -> JetExpression:
+def flux_density(pde: PdeSpec, density_t: JetExpression) -> JetExpression:
     """Phi^x with D_t Phi^t + D_x Phi^x == 0 on solutions."""
     rate = solution_total_derivative(pde, density_t)
     return invert_total_x_derivative(-rate)
@@ -196,13 +188,13 @@ def normalize_density(cl: ConservationLaw) -> ConservationLaw:
     if core != cl.density_t and multiplier_from_density(cl.pde, core) \
             == multiplier_from_density(cl.pde, cl.density_t):
         try:
-            flux = flux_density(cl.pde, cl.multiplier, core)
+            flux = flux_density(cl.pde, core)
         except NotXDerivative:
             pass
         else:
             return replace(cl, density_t=core, density_x=flux)
     if cl.density_x is None:
-        return replace(cl, density_x=flux_density(cl.pde, cl.multiplier, cl.density_t))
+        return replace(cl, density_x=flux_density(cl.pde, cl.density_t))
     return cl
 
 

@@ -192,15 +192,17 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
 def _walk(tree, candidate: JetExpression, packing: _Packing):
     """Per (tree node, equation), the equation and its packed (coefficient,
     atom-id, packed) products with Lam := candidate, unmerged; one partial is
-    taken per tree node, pruning at the first zero; a zero that the packed
-    monomials and atoms show is pruned without a partial (_Packing.partials)."""
+    taken per tree node, pruning at the first zero."""
     uses, children = tree
     stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
     while stack:
         index, value = stack.pop()
         for ei, coefficient in uses.get(index, ()):
             yield ei, packing.products(coefficient, value)
-        stack.extend(packing.partials(value, children.get(index, {})))
+        for child, v in children.get(index, {}).items():
+            d = packing.partial(value, v)
+            if d:
+                stack.append((child, d))
 
 
 def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:

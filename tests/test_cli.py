@@ -117,6 +117,13 @@ def test_density_command(capsys):
     assert P(payload["phi_t"]) == P("u_x*u_xxx/2 + u_x^4/8")
 
 
+def test_verify_pure_t_multiplier_on_u_tx_is_refused(capsys):
+    code = main(["verify", "--pde", "u_tx = u^2", "--multiplier", "u_t"])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "error: multiplier depends on u_t, excluded for leading u_tx\n"
+
+
 def test_parse_error_exit_code(capsys):
     code = main(["derive", "--pde", "u_q + u = 0", "--order", "1"])
     assert code == 2
@@ -176,6 +183,24 @@ def test_out_file_and_numcheck(tmp_path, capsys):
     assert header == "t,Q,drift"
     meta = json.loads((run_dir / "run.json").read_text())
     assert meta["config"]["n"] == 128
+
+
+def test_derive_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["derive", "--pde", KDV, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+def test_numcheck_out_under_a_regular_file_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["numcheck", "--pde", KDV, "--order", "1", "--grid-n", "64",
+                 "--horizon", "0.01", "--out", str(blocker / "runs")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
 
 
 def test_long_inline_pde_is_not_probed_as_a_path(capsys):

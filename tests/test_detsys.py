@@ -9,7 +9,8 @@ import pytest
 from jetlaw.expr import T, U, X
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, parse_pde
-from jetlaw.detsys import ArityError, determining_expression, split_determining_system
+from jetlaw.detsys import (ArityError, determining_expression, split_determining_system,
+                           validate_arity)
 from jetlaw.linsolve import instantiate, multiplier_arity
 
 from conftest import full_split, random_rhs
@@ -51,6 +52,10 @@ def test_inadmissible_dependence_rejected():
     kg = parse_pde("u_tx = sin(u)")
     with pytest.raises(ArityError):
         determining_expression(kg, P("u_tx"))
+    with pytest.raises(ArityError, match="^multiplier depends on u_t, excluded for leading u_tx$"):
+        determining_expression(kg, P("u_t"))
+    with pytest.raises(ArityError, match="^multiplier depends on u_t, excluded for leading u_tx$"):
+        validate_arity(kg, ("x", (0, 0), (1, 0)))
 
 
 def test_kdv_split_structure():

@@ -295,14 +295,7 @@ def test_substitute_rejects_self_reference():
     with pytest.raises(ExprError):
         P("u_t").substitute(UT, P("u_tx"))
     with pytest.raises(ExprError):
-        P("sin(u)*u").substitute(U, P("1"))
-
-
-def test_maximal_order():
-    assert P("5").maximal_order() == (0, 0)
-    assert P("t*x").maximal_order() == (0, 0)
-    assert P("u_t*u_xx").maximal_order() == (0, 2)
-    assert P("u_txx + u_xx").maximal_order() == (1, 2)
+        P("sin(u)*u").substitute(U, P("x"))
 
 
 def test_coordinate_ordering_canonical():
@@ -313,10 +306,14 @@ def test_coordinate_ordering_canonical():
 
 def test_at_constant_state():
     e = P("u^2 + u_x^2*exp(u) + sin(u)")
-    assert e.at_constant_state(0).is_zero()
-    assert P("pow(u - 1, 2)").at_constant_state(3) == 4
+    assert e.substitute(UX, 0).substitute(U, 0).is_zero()
+    assert P("u_x*exp(u)").substitute(U, 0) == P("u_x")
+    assert P("pow(u - 1, 2)").substitute(U, 3) == 4
+    assert P("pow(u - 1, 1/2)*u").substitute(U, 5) == 10
+    assert P("sin(u)*u").substitute(U, P("1")) == P("sin(1)")
+    assert P("exp(2*u)").substitute(U, Fraction(1, 2)) == P("exp(1)")
     with pytest.raises(ExprError):
-        P("pow(u, -1)").at_constant_state(0)
+        P("pow(u, -1)").substitute(U, 0)
 
 
 def test_evaluate_atoms():

@@ -146,9 +146,9 @@ def test_liouville_arbitrary_function_instances():
 
 def test_flux_spec_cases():
     kdv = parse_pde(KDV, {"n": 2})
-    assert flux_density(kdv, P("1"), P("u")) == P("u^3/3 + u_xx")
+    assert flux_density(kdv, P("u")) == P("u^3/3 + u_xx")
     kg = parse_pde("u_tx = sin(u)")
-    flux = flux_density(kg, P("-u_x"), P("-u_x^2/2"))
+    flux = flux_density(kg, P("-u_x^2/2"))
     # h(u) with h' = g, fixed up to an additive constant by the descent
     assert flux.total("x") == P("-cos(u)").total("x")
 
@@ -156,7 +156,7 @@ def test_flux_spec_cases():
 def test_flux_rejects_invalid_density():
     kdv = parse_pde(KDV, {"n": 1})
     with pytest.raises(NotXDerivative):
-        flux_density(kdv, P("u"), P("u^3"))
+        flux_density(kdv, P("u^3"))
 
 
 def test_normalize_density_spec_cases():
@@ -164,7 +164,7 @@ def test_normalize_density_spec_cases():
     lam = P("u_xxx + u_x^3/2")
     density = homotopy_density(sg, lam)
     raw = ConservationLaw(pde=sg, multiplier=lam, density_t=density,
-                          density_x=flux_density(sg, lam, density),
+                          density_x=flux_density(sg, density),
                           utilde=JetExpression.zero())
     assert raw.density_t == P("u_x*u_xxx/2 + u_x^4/8")
     squeezed = normalize_density(raw)
@@ -186,9 +186,9 @@ def test_build_law_inverts_one_flux_per_law(monkeypatch):
     inverted = []
     flux = laws.flux_density
 
-    def counting_flux(pde, lam, density):
+    def counting_flux(pde, density):
         inverted.append(density)
-        return flux(pde, lam, density)
+        return flux(pde, density)
 
     monkeypatch.setattr(laws, "flux_density", counting_flux)
     built = [build_law(wave, lam, ref) for lam in mults for ref in (None, P("x"))]
@@ -264,8 +264,13 @@ def test_homotopy_linearity(rng):
 
 def test_homotopy_rejects_atoms_in_scaled_multiplier():
     kdv = parse_pde(KDV, {"n": 1})
-    with pytest.raises(HomotopyError):
+    with pytest.raises(HomotopyError, match=r"\(kernel atom sin\(u\) in G\*Lam\)$"):
         homotopy_density(kdv, P("sin(u)"))
+
+
+def test_two_point_fallback_refuses_higher_order_multipliers():
+    with pytest.raises(HomotopyError, match="supports first-order multipliers"):
+        homotopy_density(parse_pde(WAVE), P("u_tx"))
 
 
 def test_homotopy_singular_reference_reported():
@@ -299,7 +304,7 @@ def test_verify_invariant_under_trivial_shift():
     lam = P("u")
     d = homotopy_density(kdv, lam) + P("u*u_xx + u_x^2")  # + D_x(u u_x)
     cl = ConservationLaw(pde=kdv, multiplier=lam, density_t=d,
-                         density_x=flux_density(kdv, lam, d),
+                         density_x=flux_density(kdv, d),
                          utilde=JetExpression.zero())
     assert verify(cl)
 

@@ -699,15 +699,14 @@ def _stage_one_inputs(monkeypatch, name):
 
 
 # _Packing.partial calls in one stage-1 assembly of the three `scale`
-# systems, and the SHA-256 of the repr of its rows in order.  Taking one
-# partial per child of every tree node made 3402, 3822 and 3822 calls, 6857
-# of them empty; the rows and their order are the same.
+# systems, and the SHA-256 of the repr of its rows in order.  One partial is
+# taken per child of every tree node the walk reaches, 6857 of them empty.
 WALK_PARTIALS = {
-    "kdv order 4": (997, "09e32c9afe132dbfb056303723e9e23b3b59c7b477b91c73c7062ef44cb4c63f"),
+    "kdv order 4": (3402, "09e32c9afe132dbfb056303723e9e23b3b59c7b477b91c73c7062ef44cb4c63f"),
     "sine-gordon order 4": (
-        1596, "805dd7075832476473d485ded34d090d449643797b4f0884e4b9ca8a0c84ebbc"),
+        3822, "805dd7075832476473d485ded34d090d449643797b4f0884e4b9ca8a0c84ebbc"),
     "liouville order 4": (
-        1596, "8b76b07fcac6ac25352fbf48ba18d22398b6fdbf1799c4f86eb567ce3b15a565"),
+        3822, "8b76b07fcac6ac25352fbf48ba18d22398b6fdbf1799c4f86eb567ce3b15a565"),
 }
 
 
