@@ -11,7 +11,6 @@ from .calculus import (
     invert_total_x_derivative,
     restricted_euler,
     solution_total_derivative,
-    total_derivative,
 )
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
 from .linsolve import (
@@ -41,7 +40,7 @@ __all__ = [
     "JetExpression", "ExprError", "ParseError", "U", "UT", "UX",
     "parse_expression", "render",
     "PdeSpec", "parse_pde", "linearization", "adjoint_linearization",
-    "total_derivative", "solution_total_derivative", "euler_operator",
+    "solution_total_derivative", "euler_operator",
     "restricted_euler", "invert_total_x_derivative", "ibp_normal_form",
     "DeterminingSystem", "determining_expression", "split_determining_system",
     "AnsatzBounds", "AnsatzSpace", "generate_ansatz_basis", "assemble",

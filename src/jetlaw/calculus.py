@@ -1,8 +1,8 @@
 """Differential operators on jet expressions.
 
-Formal and solution-restricted total derivatives, full and restricted Euler
-operators, inversion of total x-derivatives, and the integration-by-parts
-normal form used to compare densities modulo trivial ones.
+Solution-restricted total derivatives, full and restricted Euler operators,
+inversion of total x-derivatives, and the integration-by-parts normal form
+used to compare densities modulo trivial ones.
 
 The descent used by inversion and the normal form processes the highest jet
 coordinate (ranked by total order, then x-order) and peels terms linear in
@@ -47,11 +47,6 @@ class NotIntegrable(ExprError):
 
 class AntiderivativeOutsideClass(NotXDerivative):
     """The descent refused a cofactor: its antiderivative needs a logarithm, say."""
-
-
-def total_derivative(e: JetExpression, direction: str) -> JetExpression:
-    """Formal total derivative D_t or D_x."""
-    return e.total(direction)
 
 
 def eliminate_off_chart(pde: PdeSpec, e: JetExpression) -> JetExpression:

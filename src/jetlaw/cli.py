@@ -41,9 +41,20 @@ def _parse_params(pairs):
     return params
 
 
+def _top_level_chunks(spec):
+    """spec split at the commas outside parentheses."""
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            chunks.append(spec[start:i])
+            start = i + 1
+    return chunks + [spec[start:]]
+
+
 def _parse_atoms(spec, params):
     atoms = []
-    for chunk in filter(None, (s.strip() for s in (spec or "").split(","))):
+    for chunk in filter(None, (s.strip() for s in _top_level_chunks(spec or ""))):
         single = _single_atom(parse_expression(chunk, params))
         if single is None or single[0] != 1:
             raise InputError("--atoms entries must be single atoms, got %r" % chunk)
@@ -204,9 +215,12 @@ def _parse_scan(spec):
     name, _, rng = spec.partition("=")
     lo, _, hi = rng.partition("..")
     try:
-        return name.strip(), int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo <= hi:
+            return name.strip(), lo, hi
     except ValueError:
-        raise InputError("--scan expects name=a..b, got %r" % spec) from None
+        pass
+    raise InputError("--scan expects name=a..b, got %r" % spec)
 
 
 def cmd_scan(args):

@@ -58,7 +58,6 @@ class DeterminingSystem:
     built by split_determining_system, equations is the 1-tuple of the
     adjoint-symmetry (or symmetry) equation."""
 
-    pde: PdeSpec
     equations: tuple
 
 
@@ -68,4 +67,4 @@ def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
     arity = validate_arity(pde, arity)
     q = eliminate_off_chart(pde, adjoint_linearization(pde, JetExpression.atom(lam_atom(arity))))
     equation = JetExpression(dict(sorted(q.terms.items(), key=lambda t: sig_sort_key(t[0]))))
-    return DeterminingSystem(pde=pde, equations=(equation,))
+    return DeterminingSystem(equations=(equation,))

@@ -759,7 +759,8 @@ class _Packing:
     atom-id, exponent of v) to the (coefficient factor, atom-id, packed) terms
     of that part at coefficient 1; the rest of the monomial is added back as
     an integer offset, and the factors are scaled by the term's coefficient,
-    which the rewrite step is linear in."""
+    which the rewrite step is linear in.  decode is not memoized: assembly
+    decodes few packed terms twice."""
 
     def __init__(self):
         self.shift = {U: 0}
@@ -768,7 +769,6 @@ class _Packing:
         self.atoms = [()]
         self.atom_ids = {(): 0}
         self.kinds = [(False, False, frozenset())]
-        self.decoded = {}
         self.slow_products = {}
         self.slow_partials = {}
 
@@ -811,13 +811,9 @@ class _Packing:
                             % (m >> shift & _FIELD_MASK, coord_name(k)))
 
     def decode(self, aid, m) -> tuple:
-        """The normalized signature of a packed term."""
-        sig = self.decoded.get((aid, m))
-        if sig is None:
-            mono = tuple(_pair(k, m >> shift & _FIELD_MASK) for k, shift in self.fields
-                         if m >> shift & _FIELD_MASK)
-            sig = self.decoded[(aid, m)] = (mono, self.atoms[aid])
-        return sig
+        """The normalized signature of a packed term, built on each call."""
+        return (tuple(_pair(k, m >> shift & _FIELD_MASK) for k, shift in self.fields
+                      if m >> shift & _FIELD_MASK), self.atoms[aid])
 
     def pack(self, terms: dict) -> dict:
         """{(atom-id, packed): coefficient} of a {signature: coefficient} dict."""

@@ -198,7 +198,7 @@ def normalize_density(cl: ConservationLaw) -> ConservationLaw:
     return cl
 
 
-def densities_match(pde: PdeSpec, a: JetExpression, b: JetExpression) -> bool:
+def densities_match(a: JetExpression, b: JetExpression) -> bool:
     """Equality of densities modulo trivial ones (image of D_x)."""
     core, _ = ibp_normal_form(a - b)
     return core.is_zero()

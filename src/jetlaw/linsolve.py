@@ -58,8 +58,6 @@ class AnsatzBounds:
 
 @dataclass(frozen=True)
 class AnsatzSpace:
-    pde: PdeSpec
-    bounds: AnsatzBounds
     arity: tuple
     basis: tuple
 
@@ -141,23 +139,16 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
         unique.append(b)
     if not unique:
         raise ExprError("empty ansatz basis")
-    return AnsatzSpace(pde=pde, bounds=bounds, arity=arity, basis=tuple(unique))
+    return AnsatzSpace(arity=arity, basis=tuple(unique))
 
 
 @dataclass
 class RationalLinearSystem:
-    """Sparse rows keyed by (equation index, monomial signature)."""
+    """Sparse rows {column: nonzero value}, keyed by (equation index,
+    monomial signature) in assemble and by signature in stage 2."""
 
     ncols: int
     rows: dict = field(default_factory=dict)
-
-    def add(self, key, col, value):
-        row = self.rows.setdefault(key, {})
-        nv = row.get(col, 0) + value
-        if nv == 0:
-            row.pop(col, None)
-        else:
-            row[col] = nv
 
 
 def _lam_tree(equations, packing: _Packing) -> tuple:
@@ -203,15 +194,6 @@ def _walk(tree, candidate: JetExpression, packing: _Packing):
             d = packing.partial(value, v)
             if d:
                 stack.append((child, d))
-
-
-def instantiate(equation: JetExpression, candidate: JetExpression) -> JetExpression:
-    """Replace every Lam derivative atom by the matching partial of candidate."""
-    packing = _Packing()
-    terms = _accumulate((c, (aid, m)) for _, products in
-                        _walk(_lam_tree([equation], packing), candidate, packing)
-                        for c, aid, m in products)
-    return JetExpression({packing.decode(aid, m): c for (aid, m), c in terms.items()})
 
 
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
@@ -361,7 +343,7 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
     linsys = RationalLinearSystem(ncols=len(adjoint))
     for col, v in enumerate(adjoint):
         for sig, c in determining_expression(pde, combine(ansatz, v)).terms.items():
-            linsys.add(sig, col, c)
+            linsys.rows.setdefault(sig, {})[col] = c
     ncols = len(ansatz.basis)
     multipliers = []
     for coeffs in nullspace(linsys):

@@ -87,23 +87,11 @@ def _ik_rows(n: int, length: float, orders: tuple) -> np.ndarray:
     return rows
 
 
-def spectral_derivative(u: np.ndarray, length: float, order) -> np.ndarray:
-    """d_x^order u.  An integer order gives one array (u itself for order 0);
-    a sequence of orders gives one row per order from one transform pair.
-    A tuple of int orders is used as it is."""
-    scalar = isinstance(order, (int, np.integer))
-    if scalar:
-        if order == 0:
-            return u
-        orders = (int(order),)
-    else:
-        orders = order if type(order) is tuple else tuple(int(b) for b in order)
+def spectral_derivative(u: np.ndarray, length: float, orders: tuple) -> np.ndarray:
+    """The rows d_x^b u, one per b in orders, a tuple of ints b >= 1, from one
+    transform pair."""
     n = u.shape[0]
-    out = np.fft.irfft(_ik_rows(n, length, orders) * np.fft.rfft(u), n=n)
-    if 0 in orders:
-        # the field itself, not its transform round trip
-        out[[i for i, b in enumerate(orders) if b == 0]] = u
-    return out[0] if scalar else out
+    return np.fft.irfft(_ik_rows(n, length, orders) * np.fft.rfft(u), n=n)
 
 
 def spectral_antiderivative(f: np.ndarray, length: float) -> np.ndarray:
@@ -307,15 +295,14 @@ def conserved_drift(cl: ConservationLaw, traj: Trajectory) -> float:
     return max(row[2] for row in quantity_series(cl, traj))
 
 
-def refinement_drifts(pde: PdeSpec, initial, cfg: GridConfig,
-                      laws, levels: int = 3):
-    """Drifts of each law under successive halvings of dt (fixed grid).
+def refinement_drifts(pde: PdeSpec, initial, cfg: GridConfig, laws):
+    """Drifts of each law at dt and two halvings of it (fixed grid).
 
-    Returns a list per law: [drift at dt, drift at dt/2, ...].  With spectral
+    Returns a list per law: [drift at dt, at dt/2, at dt/4].  With spectral
     space differences the observed decay order is that of the RK4 stepper.
     """
     out = [[] for _ in laws]
-    for level in range(levels):
+    for level in range(3):
         scaled = GridConfig(length=cfg.length, n=cfg.n, dt=cfg.dt / 2 ** level,
                             t_end=cfg.t_end)
         traj = integrate_pde(pde, initial, scaled)
@@ -337,10 +324,10 @@ def convergence_orders(drifts) -> list:
 
 # -- canonical desk-scale initial data ---------------------------------------
 
-def kdv_soliton(x: np.ndarray, speed: float = 4.0, center: float = 0.0) -> np.ndarray:
-    """Solitary wave 3c sech^2(sqrt(c)/2 (x - x0)) for u_t + u u_x + u_xxx = 0."""
-    arg = 0.5 * np.sqrt(speed) * (x - center)
-    return 3.0 * speed / np.cosh(arg) ** 2
+def kdv_soliton(x: np.ndarray) -> np.ndarray:
+    """Solitary wave 12 sech^2(x) of u_t + u u_x + u_xxx = 0: speed 4,
+    centred at 0."""
+    return 12.0 / np.cosh(x) ** 2
 
 
 def gaussian_bump(x: np.ndarray, base: float = 2.0, amplitude: float = 0.3,
@@ -348,8 +335,7 @@ def gaussian_bump(x: np.ndarray, base: float = 2.0, amplitude: float = 0.3,
     return base + amplitude * np.exp(-((x / width) ** 2))
 
 
-def odd_harmonic_profile(x: np.ndarray, length: float,
-                         amplitudes=(1.1, 0.3)) -> np.ndarray:
+def odd_harmonic_profile(x: np.ndarray, length: float) -> np.ndarray:
     """Half-period antisymmetric profile: u(x + L/2) = -u(x).
 
     Built from odd harmonics only, so the mean of any odd function of u
@@ -357,7 +343,7 @@ def odd_harmonic_profile(x: np.ndarray, length: float,
     """
     k0 = 2.0 * np.pi / length
     out = np.zeros_like(x)
-    for j, a in enumerate(amplitudes):
+    for j, a in enumerate((1.1, 0.3)):
         mode = 2 * j + 1
         out = out + a * np.sin(mode * k0 * x) + 0.3 * a * np.cos(mode * k0 * x)
     return out

@@ -5,7 +5,8 @@ over {t,x} (order-insensitive, u_tx == u_xt); integer literals with rationals
 formed by division; operators + - * / ^; functions exp(), sin(), cos() of an
 affine form in u, and pow(<affine in u>, <rational>); parentheses.  Named
 parameters supplied in a map are substituted as exact rationals at parse
-time.  Division requires the divisor to normalize to a nonzero rational.
+time; a parameter may not be named as a coordinate or a function.  Division
+requires the divisor to normalize to a nonzero rational.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ class _Parser:
         self.pos = 0
         self.depth = -1  # the top-level expr is depth 0
         self.params = {k: Fraction(_exact(v)) for k, v in (params or {}).items()}
+        for name in self.params:
+            try:
+                coord_from_name(name)
+            except ExprError:
+                if name not in _FUNCTIONS:
+                    continue
+            raise ExprError("parameter %r names a symbol of the grammar" % name)
 
     def peek(self):
         return self.tokens[self.pos]

@@ -96,8 +96,23 @@ def full_split(pde, arity):
         keys = tuple(sorted(groups, key=lambda g: (len(g), g)))
         equations = tuple(JetExpression(dict(sorted(groups[k], key=lambda t: sig_sort_key(t[0]))))
                           for k in keys)
-        _FULL_SPLITS[cache] = keys, DeterminingSystem(pde=pde, equations=equations)
+        _FULL_SPLITS[cache] = keys, DeterminingSystem(equations=equations)
     return _FULL_SPLITS[cache]
+
+
+def reference_instantiate(equation, candidate):
+    """The plain per-term substitution Lam := candidate: one chain of partials
+    per equation term, then one product per term."""
+    out = JetExpression.zero()
+    for (mono, atoms), c in equation.terms.items():
+        (lam, power), = [(a, p) for a, p in atoms if a[0] == "lam"]
+        assert power == 1
+        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
+        value = candidate
+        for k in lam[2]:
+            value = value.partial(k)
+        out = out + JetExpression({(mono, rest): c}) * value
+    return out
 
 
 @pytest.fixture

@@ -156,15 +156,15 @@ def test_criterion_4_density_round_trips():
             for lam_text, phi_text in fixtures:
                 lam = P(lam_text)
                 d = homotopy_density(pde, lam)
-                assert densities_match(pde, d, P(phi_text))
+                assert densities_match(d, P(phi_text))
                 assert multiplier_from_density(pde, d) == lam
         sg = parse_pde("u_tx = sin(u)")
         d = homotopy_density(sg, P("u_xxx + u_x^3/2"))
-        assert densities_match(sg, d, P("-u_xx^2/2 + u_x^4/8"))
+        assert densities_match(d, P("-u_xx^2/2 + u_x^4/8"))
         assert multiplier_from_density(sg, d) == P("u_xxx + u_x^3/2")
         shg = parse_pde("u_tx = exp(u) + exp(-u)")
         d = homotopy_density(shg, P("u_xxx - u_x^3/2"))
-        assert densities_match(shg, d, P("-u_xx^2/2 - u_x^4/8"))
+        assert densities_match(d, P("-u_xx^2/2 - u_x^4/8"))
         assert multiplier_from_density(shg, d) == P("u_xxx - u_x^3/2")
         wave = parse_pde(WAVE_U2)
         for s in ("u_t", "u_x", "t*u_t + x*u_x", "t^2*u_t - t*u",

@@ -299,12 +299,34 @@ def test_bad_derive_input_is_one_error_line(capsys, extra, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("spec", ["n", "n=1", "n=a..b", "n=1...2"])
+@pytest.mark.parametrize("spec", ["n", "n=1", "n=a..b", "n=1...2", "n=3..1"])
 def test_bad_scan_range_is_one_error_line(capsys, spec):
     code = main(["scan", "--pde", "u_t + u^n*u_x + u_xxx = 0", "--scan", spec])
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: --scan expects name=a..b, got %r\n" % spec
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("t", ["derive", "--pde", "u_t = t*u_xx", "--param", "t=1"]),
+    ("u", ["derive", "--pde", KDV, "--param", "u=0"]),
+    ("t", ["scan", "--pde", "u_t = t*u_xx", "--scan", "t=1..2"]),
+])
+def test_parameter_named_as_a_grammar_symbol_is_one_error_line(capsys, name, argv):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter %r names a symbol of the grammar\n" % name
+
+
+@pytest.mark.parametrize("spec, atoms", [
+    ("pow(u + 1, -1/2)", ["pow(u + 1, -1/2)"]),
+    ("exp(u), pow(u + 2, 1/2)", ["exp(u)", "pow(u + 2, 1/2)"]),
+])
+def test_atoms_split_only_at_commas_outside_parentheses(capsys, spec, atoms):
+    code, out = run(capsys, "derive", "--pde", KDV, "--order", "1", "--atoms", spec,
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ansatz"]["atoms"] == atoms
 
 
 def test_high_degree_in_u_is_enumerated_without_recursion(capsys):

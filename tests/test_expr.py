@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,13 @@ def test_parameters_substituted_exactly():
     assert P("u^n/n", {"n": 3}) == P("u^3/3")
     assert P("pow(u - u0, r)", {"u0": 1, "r": Fraction(-1, 2)}) \
         == JetExpression.atom(pow_atom(1, -1, Fraction(-1, 2)))
+
+
+@pytest.mark.parametrize("name", ["t", "x", "u", "u_t", "u_xx", "u_xt",
+                                  "exp", "sin", "cos", "pow"])
+def test_parameter_named_as_a_grammar_symbol_is_refused(name):
+    with pytest.raises(ExprError, match=re.escape("parameter %r names a symbol" % name)):
+        P("u_xx + n", {"n": 1, name: 1})
 
 
 def test_power_atom_normalizations():

@@ -1,4 +1,5 @@
-"""Every name a jetlaw module imports is read somewhere in that module.
+"""Every name a jetlaw module imports is read somewhere in that module, and
+every parameter of a jetlaw function is read in its body.
 
 `__init__.py` is left out: it imports names to re-export them."""
 
@@ -28,6 +29,24 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported if name not in read)
 
 
+def unused_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter of a function or lambda
+    that its body never loads, sorted by line; self and cls are left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs \
+            + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), a.arg) for a in params
+                  if a.arg not in read and a.arg not in ("self", "cls")]
+    return sorted(found)
+
+
 def test_guard_finds_an_unused_import():
     assert unused_imports("import os\nfrom a.b import c, d as e\nprint(e)\n") == \
         [(1, "os"), (2, "c")]
@@ -40,3 +59,21 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_finds_an_unused_parameter():
+    source = ("class A:\n"
+              "    def f(self, a, *rest, b=1, **kw):\n"
+              "        return a + kw['k']\n"
+              "g = lambda c, d: c\n"
+              "def h(e, f):\n"
+              "    def inner():\n"
+              "        return e\n"
+              "    return inner\n")
+    assert unused_parameters(source) == [
+        (2, "f", "b"), (2, "f", "rest"), (4, "<lambda>", "d"), (5, "h", "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -36,7 +36,7 @@ def test_kdv_homotopy_paper_densities():
     assert homotopy_density(kdv, P("1")) == P("u")
     assert homotopy_density(kdv, P("u")) == P("u^2/2")
     d = homotopy_density(kdv, P("u_xx + u^2/2"))
-    assert densities_match(kdv, d, P("-u_x^2/2 + u^3/6"))
+    assert densities_match(d, P("-u_x^2/2 + u^3/6"))
 
 
 def test_kdv_energy_density_general_n():
@@ -45,7 +45,7 @@ def test_kdv_energy_density_general_n():
         lam = P("u_xx + u^%d/%d" % (n + 1, n + 1))
         d = homotopy_density(kdv, lam)
         expect = P("-u_x^2/2 + u^%d/%d" % (n + 2, (n + 1) * (n + 2)))
-        assert densities_match(kdv, d, expect)
+        assert densities_match(d, expect)
 
 
 def test_sine_gordon_second_order_density():
@@ -59,7 +59,7 @@ def test_sine_gordon_second_order_density():
 def test_sinh_gordon_second_order_density():
     shg = parse_pde("u_tx = exp(u) + exp(-u)")
     d = homotopy_density(shg, P("u_xxx - u_x^3/2"))
-    assert densities_match(shg, d, P("-u_xx^2/2 - u_x^4/8"))
+    assert densities_match(d, P("-u_xx^2/2 - u_x^4/8"))
 
 
 def test_wave_energy_and_momentum():
@@ -79,7 +79,7 @@ def test_wave_conformal_densities_match_construction():
     d = homotopy_density(wave, P("x^2*u_x + x*u"))
     assert d == P("x^2*u_x*u_t/2 - x^2*u*u_tx/2")
     # the two-point formula's density, which differs by D_x(x^2*u*u_t/2)
-    assert densities_match(wave, d, P("x^2*u_x*u_t + x*u*u_t"))
+    assert densities_match(d, P("x^2*u_x*u_t + x*u*u_t"))
     d = homotopy_density(wave, P("t*u_t - x*u_x - u"))
     assert d == P("t*u_t^2/2 - x*u_x*u_t - u*u_t + t*pow(u,-4)*u_x^2/2")
 
@@ -125,7 +125,7 @@ def test_nonconstant_reference_densities(text, lam, ref, constructed, normalized
     equation = parse_pde(text)
     density = homotopy_density(equation, P(lam), P(ref))
     if equation.leading == (2, 0):
-        assert densities_match(equation, density, P(constructed))
+        assert densities_match(density, P(constructed))
         constructed = CHARACTERISTIC_U_TT[lam]
     assert render(density) == constructed
     cl = build_law(equation, P(lam), P(ref))
@@ -141,7 +141,7 @@ def test_liouville_arbitrary_function_instances():
     assert fx.density_x == P("-x*exp(u)")
     fxi = build_law(lv, P("u_xxx - u_x^3/2"))
     assert fxi.verified
-    assert densities_match(lv, fxi.density_t, P("-u_xx^2/2 - u_x^4/8"))
+    assert densities_match(fxi.density_t, P("-u_xx^2/2 - u_x^4/8"))
 
 
 def test_flux_spec_cases():

@@ -24,7 +24,6 @@ from jetlaw.linsolve import (
     assemble,
     generate_ansatz_basis,
     in_span,
-    instantiate,
     multiplier_arity,
     nullspace,
     same_span,
@@ -32,7 +31,7 @@ from jetlaw.linsolve import (
     span_rank,
 )
 
-from conftest import full_split
+from conftest import full_split, reference_instantiate
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"
@@ -196,10 +195,8 @@ def test_single_constant_basis_element():
 
 
 def test_nullspace_small_system_normalization():
-    sys = RationalLinearSystem(ncols=3)
     # x0 + 2 x1 = 0 -> kernel spanned by (2, -1, 0) and (0, 0, 1)
-    sys.add((0, "r"), 0, Fraction(1))
-    sys.add((0, "r"), 1, Fraction(2))
+    sys = RationalLinearSystem(ncols=3, rows={(0, "r"): {0: Fraction(1), 1: Fraction(2)}})
     vecs = nullspace(sys)
     assert vecs == [[2, -1, 0], [0, 0, 1]]
     assert all(type(v) is int for vec in vecs for v in vec)
@@ -306,29 +303,23 @@ def test_two_stage_solve_matches_one_stage_reference(name):
 
 
 # ---------------------------------------------------------------------------
-# Oracle for assembly: the plain per-term substitution, one chain of partials
-# per equation term, then one product per term.
-
-def _reference_instantiate(equation, candidate):
-    out = JetExpression.zero()
-    for (mono, atoms), c in equation.terms.items():
-        (lam, power), = [(a, p) for a, p in atoms if a[0] == "lam"]
-        assert power == 1
-        rest = tuple(ap for ap in atoms if ap[0][0] != "lam")
-        value = candidate
-        for k in lam[2]:
-            value = value.partial(k)
-        out = out + JetExpression({(mono, rest): c}) * value
-    return out
-
+# Oracle for assembly: the plain per-term substitution (conftest), one
+# expression per (equation, column), whose terms are the column's entries.
 
 def _reference_assemble(system, ansatz):
     linsys = RationalLinearSystem(ncols=len(ansatz.basis))
     for ei, eq in enumerate(system.equations):
         for col, candidate in enumerate(ansatz.basis):
-            for sig, c in _reference_instantiate(eq, candidate).terms.items():
-                linsys.add((ei, sig), col, c)
+            for sig, c in reference_instantiate(eq, candidate).terms.items():
+                linsys.rows.setdefault((ei, sig), {})[col] = c
     return linsys
+
+
+def _assembled(equation, candidate):
+    """equation with Lam := candidate, through assemble on a one-column ansatz."""
+    linsys = assemble(DeterminingSystem(equations=(equation,)),
+                      AnsatzSpace(arity=(), basis=(candidate,)))
+    return JetExpression({sig: row[0] for (_, sig), row in linsys.rows.items()})
 
 
 @pytest.mark.parametrize("source, params, bounds", [
@@ -360,14 +351,12 @@ def test_assemble_matches_per_term_oracle(source, params, bounds):
 def test_assemble_drops_entries_that_cancel_in_one_column():
     # Lam and u*Lam_u are two tree nodes; for Lam = u both give the signature
     # u, with opposite signs, so row (0, u) sums to zero and must not stay.
-    kdv = parse_pde(KDV, {"n": 1})
     arity = ("t", "x", U)
     lam, lam_u = (JetExpression.atom(lam_atom(arity, index)) for index in ((), (U,)))
     for equation, basis in ((P("u") * lam_u - lam, ("u", "u^2")),
                             ((P("u") * lam_u - lam) * Fraction(1, 2), ("u", "u^2", "u^3"))):
-        system = DeterminingSystem(pde=kdv, equations=(equation,))
-        ansatz = AnsatzSpace(pde=kdv, bounds=AnsatzBounds(order=0, deg_u=3), arity=arity,
-                             basis=tuple(P(b) for b in basis))
+        system = DeterminingSystem(equations=(equation,))
+        ansatz = AnsatzSpace(arity=arity, basis=tuple(P(b) for b in basis))
         linsys = assemble(system, ansatz)
         assert linsys.rows == _reference_assemble(system, ansatz).rows
         assert (0, next(iter(P("u").terms))) not in linsys.rows
@@ -387,7 +376,7 @@ def test_instantiate_matches_per_term_oracle():
                 P("t*u*exp(2*u)"), P("x*u*pow(u + 1, -1/2)"), P("t*x*u_x*pow(u, -1/3)"),
                 P("x*u^2*exp(-u) + t*u_xx*pow(2*u + 1, 3/2)")):
         for eq in system.equations:
-            assert instantiate(eq, lam) == _reference_instantiate(eq, lam)
+            assert _assembled(eq, lam) == reference_instantiate(eq, lam)
 
 
 def test_packed_powers_leave_a_bit_to_spare():
@@ -399,23 +388,23 @@ def test_packed_powers_leave_a_bit_to_spare():
     lam, lam_u = (JetExpression.atom(lam_atom(arity, index)) for index in ((), (U,)))
     equation = P("x") * lam + P("u") * lam_u
     near = JetExpression.from_raw([(1, {"x": limit - 1, U: 2})])
-    assert instantiate(equation, near) == _reference_instantiate(equation, near) \
+    assert _assembled(equation, near) == reference_instantiate(equation, near) \
         == JetExpression.from_raw([(1, {"x": limit, U: 2}), (2, {"x": limit - 1, U: 2})])
     wide = JetExpression.from_raw([(1, {"x": limit, U: 2})])
     for eq, candidate in ((equation, wide),
                           (JetExpression.from_raw([(1, {"x": limit})]) * lam, P("u")),
                           (P("x*exp(u)") * lam, near * P("exp(u)"))):
-        assert not _reference_instantiate(eq, candidate).is_zero()
+        assert not reference_instantiate(eq, candidate).is_zero()
         with pytest.raises(ExprError, match="too large to pack"):
-            instantiate(eq, candidate)
+            _assembled(eq, candidate)
 
 
 def test_instantiate_rejects_lam_free_and_nonlinear_terms():
     lam = JetExpression.atom(lam_atom(("x", (0, 0)), ((0, 0),)))
     with pytest.raises(ExprError):
-        instantiate(lam + P("u"), P("u^2"))
+        _assembled(lam + P("u"), P("u^2"))
     with pytest.raises(ExprError):
-        instantiate(lam * lam, P("u^2"))
+        _assembled(lam * lam, P("u^2"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from jetlaw.expr import U, UT, UX
+from jetlaw.expr import ExprError, U, UT, UX
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeError, parse_pde, linearization
 from jetlaw.calculus import adjoint_linearization, euler_operator
@@ -48,6 +48,14 @@ def test_rhs_exclusion_rules():
     # u_t on the rhs is allowed for the u_tt shape
     pde = parse_pde("u_tt = u_t + u_xx")
     assert pde.leading == (2, 0)
+
+
+def test_parameter_may_not_replace_a_grammar_symbol():
+    # Substituted, t = 1 would leave u_t = u_xx, and u = 0 the Airy equation.
+    with pytest.raises(ExprError, match="^parameter 't' names a symbol of the grammar$"):
+        parse_pde("u_t = t*u_xx", {"t": 1})
+    with pytest.raises(ExprError, match="^parameter 'u' names a symbol of the grammar$"):
+        parse_pde("u_t + u*u_x + u_xxx = 0", {"u": 0})
 
 
 def test_no_leading_found():
