@@ -102,15 +102,14 @@ def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
 
 def euler_operator(e: JetExpression) -> JetExpression:
     """Variational derivative: sum over jets v of (-D)^v (de/dv)."""
-    return euler_sum({v: e.partial(v) for v in set().union(*map(term_jets, e.terms))})
+    return euler_sum({v: e.partial(v) for v in e.jets()})
 
 
 def restricted_euler(e: JetExpression, base: tuple) -> JetExpression:
     """sum_j (-D_x)^j d/du_(a,b+j) for the jet base = (a, b): with base u,
     u_x or u_t it relates densities back to multipliers."""
     row, start = base
-    jets = set().union(*map(term_jets, e.terms))
-    return _horner({b - start: e.partial((a, b)) for (a, b) in jets
+    return _horner({b - start: e.partial((a, b)) for (a, b) in e.jets()
                     if a == row and b >= start}, "x")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import ExprError, JetExpression
-from .parser import _single_atom, parse_expression, render
+from .parser import _single_atom, _tokenize, parse_expression, render
 from .pde import parse_pde
 from .linsolve import AnsatzBounds, solve_multipliers
 from .laws import build_law, flux_density, homotopy_density
@@ -88,10 +89,13 @@ def _bounds(args, params):
     )
 
 
-def _utilde(args, params):
-    if args.utilde is None:
-        return JetExpression.zero()
-    return parse_expression(args.utilde, params)
+def _check_params_read(params, texts):
+    """Refuse a parameter that none of the input texts reads."""
+    read = {value for text in texts if text
+            for kind, value, _ in _tokenize(str(text)) if kind == "name"}
+    for name in params:
+        if name not in read:
+            raise InputError("parameter %r is not read by any input" % name)
 
 
 def _emit(args, payload, text_lines):
@@ -109,12 +113,12 @@ class UnsoundMultiplier(ExprError):
     """The solver returned a multiplier that fails the determining equation."""
 
 
-def _gated_law(pde, lam, build):
-    """(law, residual): build()'s law for lam, and E_u(G * Lam) if nonzero,
-    computed only when build() raises (raised again for a multiplier) or the
+def _gated_law(pde, lam, utilde):
+    """(law, residual): build_law's law for lam, and E_u(G * Lam) if nonzero,
+    computed only when build_law raises (raised again for a multiplier) or the
     law does not verify, since verify's first check is that it vanishes."""
     try:
-        cl = build()
+        cl = build_law(pde, lam, utilde)
     except ExprError:
         residual = determining_expression(pde, lam)
         if residual.is_zero():
@@ -128,14 +132,17 @@ def _gated_law(pde, lam, build):
 
 def _derive_laws(args, params, text):
     """Parse the PDE, the ansatz bounds and the reference state, in that
-    order, then derive every multiplier in the ansatz and its gated law."""
+    order, refuse a parameter none of them reads, then derive every
+    multiplier in the ansatz and its gated law."""
     pde = parse_pde(text, params)
     bounds = _bounds(args, params)
-    utilde = _utilde(args, params)
+    utilde = parse_expression(args.utilde, params)
+    _check_params_read(params, (text, args.order, args.deg_tx, args.deg_u, args.atoms,
+                                args.utilde))
     ansatz, multipliers = solve_multipliers(pde, bounds)
     laws = []
     for lam in multipliers:
-        cl, residual = _gated_law(pde, lam, lambda: build_law(pde, lam, utilde))
+        cl, residual = _gated_law(pde, lam, utilde)
         if residual is not None:
             raise UnsoundMultiplier("solver emitted a non-multiplier: %s" % render(lam))
         laws.append(cl)
@@ -173,16 +180,21 @@ def cmd_derive(args):
 
 
 def _pde_and_multiplier(args):
-    """The params, the PDE and the multiplier of verify and density, parsed
-    in that order."""
+    """The params, the PDE, the multiplier and the reference state of verify
+    and density, parsed in that order; a parameter none of them reads is
+    refused."""
     params = _parse_params(args.param)
-    pde = parse_pde(_pde_text(args), params)
-    return params, pde, parse_expression(args.multiplier, params)
+    text = _pde_text(args)
+    pde = parse_pde(text, params)
+    lam = parse_expression(args.multiplier, params)
+    utilde = parse_expression(args.utilde, params)
+    _check_params_read(params, (text, args.multiplier, args.utilde))
+    return params, pde, lam, utilde
 
 
 def cmd_verify(args):
-    params, pde, lam = _pde_and_multiplier(args)
-    cl, residual = _gated_law(pde, lam, lambda: build_law(pde, lam, _utilde(args, params)))
+    params, pde, lam, utilde = _pde_and_multiplier(args)
+    cl, residual = _gated_law(pde, lam, utilde)
     if residual is not None:
         payload = {"pde": str(pde), "lambda": render(lam), "verified": False,
                    "residual": render(residual)}
@@ -199,8 +211,7 @@ def cmd_verify(args):
 
 
 def cmd_density(args):
-    params, pde, lam = _pde_and_multiplier(args)
-    utilde = _utilde(args, params)
+    _, pde, lam, utilde = _pde_and_multiplier(args)
     phi_t = homotopy_density(pde, lam, utilde)
     phi_x = flux_density(pde, phi_t)
     payload = {"pde": str(pde), "lambda": render(lam),
@@ -266,12 +277,18 @@ def _initial_state(pde, args, x, length):
 
 
 def cmd_numcheck(args):
+    if not 0 <= args.tolerance < math.inf:
+        raise InputError("--tolerance must be finite and nonnegative, got %r"
+                         % args.tolerance)
     params = _parse_params(args.param)
     pde, _, _, laws = _derive_laws(args, params, _pde_text(args))
     cfg = nc.GridConfig(length=args.length, n=args.grid_n, dt=args.dt,
                         t_end=args.horizon)
     x = nc.grid(cfg)
     traj = nc.integrate_pde(pde, _initial_state(pde, args, x, cfg.length), cfg)
+    out = args.out and Path(args.out)
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     lines = []
     rows_out = []
     worst = 0.0
@@ -282,19 +299,13 @@ def cmd_numcheck(args):
         lines.append("law %d  lambda=%s  drift=%.3e" % (i, render(cl.multiplier), drift))
         rows_out.append({"law": render(cl.multiplier), "drift": drift,
                          "series": [{"t": t, "Q": q, "drift": d} for t, q, d in series]})
-        if args.out:
-            csv_path = Path(args.out) / ("law%02d.csv" % i)
-            csv_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(csv_path, "w") as fh:
-                fh.write("t,Q,drift\n")
-                for t, q, d in series:
-                    fh.write("%.12g,%.12g,%.12g\n" % (t, q, d))
+        if out:
+            (out / ("law%02d.csv" % i)).write_text(
+                "t,Q,drift\n" + "".join("%.12g,%.12g,%.12g\n" % row for row in series))
     payload = {"pde": str(pde), "config": {"length": cfg.length, "n": cfg.n,
                "dt": cfg.dt, "t_end": cfg.t_end}, "laws": rows_out}
-    if args.out:
-        meta = Path(args.out) / "run.json"
-        meta.parent.mkdir(parents=True, exist_ok=True)
-        meta.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if out:
+        (out / "run.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print("\n".join(lines))
     else:
         _emit(args, payload, lines)
@@ -307,7 +318,8 @@ def _add_common(p, ansatz=True):
                    help="named rational parameter (repeatable)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--utilde", help="reference state for the homotopy (default 0)")
+    p.add_argument("--utilde", default="0",
+                   help="reference state for the homotopy (default 0)")
     if ansatz:
         p.add_argument("--order", default="1", help="highest jet order p of the ansatz")
         p.add_argument("--deg-tx", default="0", dest="deg_tx",

@@ -340,13 +340,6 @@ def _accumulate(pairs, terms=None) -> dict:
     return terms
 
 
-def _from_raw(raw_terms) -> "JetExpression":
-    pairs = []
-    for c, f in raw_terms:
-        pairs.extend(_canon_term(_exact(c), f))
-    return JetExpression(_accumulate(pairs))
-
-
 def _sig_factors(sig) -> dict:
     mono, atoms = sig
     f = dict(mono)
@@ -390,16 +383,19 @@ def _term_kinds(sig) -> tuple:
     return kernel, live, any(k == U for k, _ in mono)
 
 
-def term_jets(sig) -> set:
-    """The jets one term depends on: its monomial's jets, u when it has a
-    live kernel atom, and the jets in the arity of its lam atoms."""
-    mono, atoms = sig
-    out = {k for k, _ in mono if is_jet(k)}
-    for a, _ in atoms:
-        if a[0] == "lam":
-            out.update(k for k in a[1] if is_jet(k))
-        elif is_kernel_atom(a) and a[1] != 0:
-            out.add(U)
+def term_jets(*sigs) -> set:
+    """The jets the sum of the terms sigs depends on: their monomials' jets,
+    u beside a live kernel atom, and the jets in the arity of a lam atom."""
+    out = set()
+    for mono, atoms in sigs:
+        for k, _ in mono:
+            if is_jet(k):
+                out.add(k)
+        for a, _ in atoms:
+            if a[0] == "lam":
+                out.update(k for k in a[1] if is_jet(k))
+            elif is_kernel_atom(a) and a[1] != 0:
+                out.add(U)
     return out
 
 
@@ -477,11 +473,15 @@ class JetExpression:
 
     @staticmethod
     def atom(a) -> "JetExpression":
-        return _from_raw([(1, {a: 1})])
+        return JetExpression.from_raw([(1, {a: 1})])
 
     @staticmethod
     def from_raw(raw_terms) -> "JetExpression":
-        return _from_raw(raw_terms)
+        """The normalized sum of raw (coefficient, factor-dict) terms."""
+        pairs = []
+        for c, f in raw_terms:
+            pairs.extend(_canon_term(_exact(c), f))
+        return JetExpression(_accumulate(pairs))
 
     # -- predicates ---------------------------------------------------------
 
@@ -591,19 +591,9 @@ class JetExpression:
 
     # -- structure ----------------------------------------------------------
 
-    def coordinates(self) -> set:
-        """Coordinates occurring explicitly or through u-dependent atoms."""
-        seen = set()
-        for (mono, atoms) in self.terms:
-            for k, _ in mono:
-                seen.add(k)
-            for a, _ in atoms:
-                if is_kernel_atom(a) and a[1] != 0:
-                    seen.add(U)
-        return seen
-
     def jets(self) -> set:
-        return {k for k in self.coordinates() if is_jet(k)}
+        """The jets the expression depends on, by the term_jets rule."""
+        return term_jets(*self.terms)
 
     def has_formal(self) -> bool:
         for (_, atoms) in self.terms:
@@ -667,7 +657,7 @@ class JetExpression:
                         a = (a[0], Fraction(0), a[1] * q + a[2]) + a[3:]
                     f[a] = f.get(a, 0) + p
                 raw.append((c * q ** dict(mono).get(U, 0), f))
-            return _from_raw(raw)
+            return JetExpression.from_raw(raw)
         by_power: dict = {}
         for (mono, atoms), c in self.terms.items():
             power = dict(mono).get(target, 0)
@@ -695,11 +685,8 @@ class JetExpression:
 
 
 def _coerce(obj) -> JetExpression:
-    if isinstance(obj, JetExpression):
-        return obj
-    if isinstance(obj, (int, Fraction)):
-        return JetExpression.rational(obj)
-    raise TypeError("cannot coerce %r to JetExpression" % (obj,))
+    """obj as an expression; a number must be exact (CoefficientError)."""
+    return obj if isinstance(obj, JetExpression) else JetExpression.rational(obj)
 
 
 def _atom_derivative(a):
@@ -783,9 +770,7 @@ class _Packing:
                     slow.update(a[1])
                 elif is_kernel_atom(a) and a[1] != 0:
                     slow.add(U)
-            self.kinds.append((any(is_kernel_atom(a) for a, _ in atoms),
-                               any(a[0] == "pow" and a[1] != 0 for a, _ in atoms),
-                               frozenset(slow)))
+            self.kinds.append(_term_kinds(((), atoms))[:2] + (frozenset(slow),))
         return aid
 
     def encode(self, sig) -> tuple:

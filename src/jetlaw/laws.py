@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .expr import ExprError, JetExpression, U, UT, UX, is_kernel_atom
+from .expr import ExprError, JetExpression, U, UT, UX, _coerce, is_kernel_atom
 from .parser import render
 from .pde import PdeSpec, iterated_total
 from .calculus import (
@@ -59,15 +59,6 @@ class ConservationLaw:
         }
 
 
-def _as_reference(utilde) -> JetExpression:
-    """The reference state as an expression; a number must be exact."""
-    if utilde is None:
-        return JetExpression.zero()
-    if isinstance(utilde, JetExpression):
-        return utilde
-    return JetExpression.rational(utilde)
-
-
 def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
     """int_0^1 e[k -> a_k + lam*b_k] dlam over each coordinate k in subs,
     with subs[k] = (a_k, b_k).  Each term expands as its list of
@@ -97,7 +88,7 @@ def homotopy_density(pde: PdeSpec, lam: JetExpression,
                      utilde=None) -> JetExpression:
     """Reconstruct Phi^t from a multiplier via the characteristic form."""
     check_admissible(pde, lam.jets())
-    ref = _as_reference(utilde)
+    ref = _coerce(0 if utilde is None else utilde)
     if ref.jets():
         raise HomotopyError("reference state must not involve jet coordinates")
     g, v = pde.gee(), JetExpression.coordinate(U) - ref
@@ -168,7 +159,7 @@ def multiplier_from_density(pde: PdeSpec, density_t: JetExpression) -> JetExpres
 
 def build_law(pde: PdeSpec, lam: JetExpression, utilde=None) -> ConservationLaw:
     """Construct, normalize and verify the conservation law of a multiplier."""
-    ref = _as_reference(utilde)
+    ref = _coerce(0 if utilde is None else utilde)
     cl = normalize_density(ConservationLaw(
         pde=pde, multiplier=lam, density_t=homotopy_density(pde, lam, ref),
         density_x=None, utilde=ref))

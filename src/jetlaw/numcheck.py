@@ -39,6 +39,10 @@ class IntegrationBlowUp(ExprError, RuntimeError):
         self.norm = norm
 
 
+class GridError(ExprError):
+    """A grid configuration outside the supported range."""
+
+
 # Most RK4 steps one integration may take; the tests and benchmark take at
 # most about 13,000.
 MAX_STEPS = 10 ** 6
@@ -53,16 +57,16 @@ class GridConfig:
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
-            raise ValueError("grid size n must be an integer")
+            raise GridError("grid size n must be an integer")
         if self.n < 64:
-            raise ValueError("grid must have at least 64 points")
+            raise GridError("grid must have at least 64 points")
         for name in ("length", "dt", "t_end"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise ValueError("%s must be finite and positive" % name)
+                raise GridError("%s must be finite and positive" % name)
         steps = self.t_end / self.dt
         if not (steps < math.inf and 1 <= round(steps) <= MAX_STEPS):
-            raise ValueError("t_end/dt must round to between 1 and %d RK4 steps" % MAX_STEPS)
+            raise GridError("t_end/dt must round to between 1 and %d RK4 steps" % MAX_STEPS)
 
 
 @dataclass
@@ -114,7 +118,7 @@ def _compile(expr) -> tuple:
         idx = [slots.setdefault((k, p), len(slots)) for k, p in mono]
         for a, p in atoms:
             if not is_kernel_atom(a):
-                raise ValueError("formal atom in numeric evaluation")
+                raise ExprError("formal atom in numeric evaluation")
             base = (a[0],) + tuple(float(z) for z in a[1:])
             idx.append(slots.setdefault((base, p), len(slots)))
         terms.append((float(c), tuple(idx)))
@@ -281,7 +285,7 @@ def quantity_series(cl: ConservationLaw, traj: Trajectory):
             density = evaluate_on_grid(cl.density_t, t, traj.x, jets)
             if not np.all(np.isfinite(density)):
                 bad = int(np.argmin(np.isfinite(density)))
-                raise ValueError(
+                raise ExprError(
                     "density evaluation singular at t=%.4f, x=%.4f" % (t, traj.x[bad]))
             q = float(density.sum() * dx)
             if q0 is None:

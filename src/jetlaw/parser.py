@@ -1,12 +1,13 @@
 """Text grammar for expressions and its deterministic renderer.
 
 Grammar (UTF-8): identifiers t, x, u; derivatives u_ followed by a string
-over {t,x} (order-insensitive, u_tx == u_xt); integer literals with rationals
-formed by division; operators + - * / ^; functions exp(), sin(), cos() of an
-affine form in u, and pow(<affine in u>, <rational>); parentheses.  Named
-parameters supplied in a map are substituted as exact rationals at parse
-time; a parameter may not be named as a coordinate or a function.  Division
-requires the divisor to normalize to a nonzero rational.
+over {t,x} (order-insensitive, u_tx == u_xt); integer literals of ASCII
+digits, with rationals formed by division; operators + - * / ^; functions
+exp(), sin(), cos() of an affine form in u, and pow(<affine in u>,
+<rational>); parentheses.  Named parameters supplied in a map are
+substituted as exact rationals at parse time; a parameter may not be named
+as a coordinate or a function.  Division requires the divisor to normalize
+to a nonzero rational.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("non-rational literal", j)

@@ -185,6 +185,23 @@ def test_out_file_and_numcheck(tmp_path, capsys):
     assert meta["config"]["n"] == 128
 
 
+def test_numcheck_out_files_are_byte_identical(tmp_path, capsys):
+    """The CSVs and run.json of one numcheck --out, pinned byte for byte by
+    the SHA-256 of their names and contents in name order."""
+    out = tmp_path / "runs"
+    code, _ = run(capsys, "numcheck", "--pde", KDV, "--order", "2", "--deg-tx", "0",
+                  "--deg-u", "2", "--grid-n", "128", "--dt", "1e-3", "--horizon", "0.05",
+                  "--out", str(out))
+    assert code == 0
+    paths = sorted(out.iterdir())
+    assert [p.name for p in paths] == ["law00.csv", "law01.csv", "law02.csv", "run.json"]
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == \
+        "71be78bdfd3eaf0b368883b20c408e11bd7e575edd4b583402051c07d1355608"
+
+
 def test_derive_out_in_a_missing_directory_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code = main(["derive", "--pde", KDV, "--out", str(out)])
@@ -297,6 +314,40 @@ def test_bad_derive_input_is_one_error_line(capsys, extra, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
+def test_bad_numcheck_tolerance_is_one_error_line(capsys, tolerance):
+    code = main(["numcheck", "--pde", KDV, "--order", "0", "--tolerance=" + tolerance])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --tolerance must be finite and nonnegative")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("m", ["scan", "--pde", KDV, "--scan", "m=1..2", "--order", "1"]),
+    ("m", ["derive", "--pde", KDV, "--param", "m=7"]),
+    ("", ["derive", "--pde", KDV, "--param", "=3"]),
+    ("n", ["verify", "--pde", KDV, "--multiplier", "u", "--param", "n=1"]),
+    ("n", ["numcheck", "--pde", KDV, "--order", "0", "--param", "n=1"]),
+])
+def test_parameter_no_input_reads_is_one_error_line(capsys, name, argv):
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter %r is not read by any input\n" % name
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--pde", KDV, "--order", "n"],
+    ["derive", "--pde", KDV, "--order", "0", "--deg-tx", "n"],
+    ["derive", "--pde", KDV, "--order", "0", "--deg-u", "n"],
+    ["derive", "--pde", KDV, "--order", "0", "--atoms", "exp(n*u)"],
+    ["derive", "--pde", KDV, "--order", "0", "--utilde", "n"],
+    ["verify", "--pde", KDV, "--multiplier", "n*u"],
+])
+def test_parameter_read_by_one_input_is_accepted(capsys, argv):
+    assert main(argv + ["--param", "n=1"]) == 0
 
 
 @pytest.mark.parametrize("spec", ["n", "n=1", "n=a..b", "n=1...2", "n=3..1"])

@@ -128,3 +128,12 @@ def test_inexact_coefficients_are_rejected(bad):
         with pytest.raises(CoefficientError):
             rational_pow(*args)
     assert issubclass(CoefficientError, ExprError)
+
+
+@pytest.mark.parametrize("bad", [0.5, float("nan"), "1", complex(1, 0)])
+def test_inexact_operands_are_rejected(bad):
+    e = parse_expression("u")
+    for op in (lambda: e + bad, lambda: bad + e, lambda: e - bad, lambda: bad - e,
+               lambda: e * bad, lambda: bad * e):
+        with pytest.raises(CoefficientError):
+            op()

@@ -64,6 +64,13 @@ def test_decimal_literal_rejected():
         P("1.5*u")
 
 
+@pytest.mark.parametrize("text, pos", [("²", 0), ("u^²", 2), ("2*u + ¹", 6), ("３", 0)])
+def test_non_ascii_digits_are_parse_errors(text, pos):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        P(text)
+    assert err.value.pos == pos
+
+
 def test_unknown_symbol_and_position():
     with pytest.raises(ParseError) as err:
         P("u + q")
@@ -258,10 +265,15 @@ def test_arithmetic_matches_pointwise_evaluation(rng):
         a = random_expression(rng, max_order=3, max_terms=4)
         b = random_expression(rng, max_order=3, max_terms=4)
         s = a * b + a
-        env = _random_env(rng, a.coordinates() | b.coordinates() | s.coordinates())
+        env = _random_env(rng, a.jets() | b.jets() | s.jets())
         lhs = s.evaluate(env)
         rhs = a.evaluate(env) * b.evaluate(env) + a.evaluate(env)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+def test_jets_of_a_lam_atom_are_the_jets_of_its_arity():
+    arity = ("t", "x", U, UX, (0, 2))
+    assert JetExpression.atom(lam_atom(arity)).jets() == {U, UX, (0, 2)}
 
 
 def test_substitute_spec_cases():
@@ -361,7 +373,7 @@ def _reference_mul(a, b):
             for k, p in expr_module._sig_factors(sig2).items():
                 f[k] = f.get(k, 0) + p
             raw.append((c1 * c2, f))
-    return expr_module._from_raw(raw)
+    return JetExpression.from_raw(raw)
 
 
 def _reference_partial(e, v):
@@ -384,7 +396,7 @@ def _reference_partial(e, v):
             elif v == U and a[1] != 0:
                 for dc, da in expr_module._atom_derivative(a):
                     swap(c * p * dc, factors, a, da)
-    return expr_module._from_raw(raw)
+    return JetExpression.from_raw(raw)
 
 
 def _reference_total(e, direction):
@@ -416,7 +428,7 @@ def _reference_total(e, direction):
             elif a[1] != 0:
                 for dc, da in expr_module._atom_derivative(a):
                     swap(c * p * dc, factors, a, da, u1)
-    return expr_module._from_raw(raw)
+    return JetExpression.from_raw(raw)
 
 
 _ARITY = ("t", "x", U, UX)

@@ -1,14 +1,19 @@
-"""Every name a jetlaw module imports is read somewhere in that module, and
-every parameter of a jetlaw function is read in its body.
+"""Every name a jetlaw module imports is read somewhere in that module,
+every parameter of a jetlaw function is read in its body, and every error a
+jetlaw module raises is an ExprError.
 
 `__init__.py` is left out: it imports names to re-export them."""
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import pytest
 
 import jetlaw
+from jetlaw.expr import ExprError
+from jetlaw.parser import ParseError
 
 MODULES = sorted(p for p in Path(jetlaw.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -77,3 +82,39 @@ def test_guard_finds_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def foreign_raises(source: str, namespace: dict) -> list:
+    """(line, name) for each `raise X(...)` or `raise X` whose X, looked up in
+    namespace and then among the builtins, is not an ExprError subclass,
+    sorted by line; a bare `raise` re-raises and is left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        cls = namespace.get(name, getattr(builtins, name, None))
+        if not (isinstance(cls, type) and issubclass(cls, ExprError)):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_guard_finds_a_foreign_raise():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        raise ParseError('p', 0)\n"
+              "    try:\n"
+              "        g()\n"
+              "    except KeyError:\n"
+              "        raise\n"
+              "    raise ValueError('v') from None\n"
+              "    raise TypeError\n"
+              "    raise ExprError\n")
+    namespace = {"ExprError": ExprError, "ParseError": ParseError}
+    assert foreign_raises(source, namespace) == [(8, "ValueError"), (9, "TypeError")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raised_error_is_an_expr_error(path):
+    module = importlib.import_module("jetlaw." + path.stem)
+    assert foreign_raises(path.read_text(), vars(module)) == []

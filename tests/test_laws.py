@@ -90,6 +90,12 @@ def test_wave_reference_state_shift_still_verifies():
     assert cl.verified
 
 
+def test_no_reference_state_is_the_zero_state():
+    wave = parse_pde(WAVE)
+    lam = P("t^2*u_t - t*u")
+    assert build_law(wave, lam, None) == build_law(wave, lam, 0)
+
+
 # Laws at references that depend on t and x, frozen as rendered text: the
 # homotopy density as constructed, then the normalized density.  The u_tt
 # rows hold the density the two-point formula constructed, with the K
