@@ -51,20 +51,17 @@ terms (`_Packing`): a term is (coefficient, atom-id, packed monomial), the
 atom-id numbering the term's atom tuple and the packed monomial being one int
 that holds each coordinate's exponent in a fixed-width field.  A product that
 needs no rewrite is then an integer addition and a partial in a coordinate an
-exponent shift; the cases above that reach the rewrite step, and the partials
-of lam and live kernel atoms, are unpacked, sent through `_canon_term` or
-`_term_partial`, and packed again.  These slow paths are memoized per packing
-in one table each: since the rebase reads only u, a slow product is keyed by
-its two atom-ids and its summed u exponent, and a slow partial in v by its
-atom-id and the exponent of v.  The rest of the monomial is an integer offset
-added back, and the coefficient scales the memoized factors.  A power too
-wide to pack with a bit to spare raises ExprError, memoized or not.
+exponent shift; products of two atom-carrying terms or of a live power atom
+with u, and the partials of lam and live kernel atoms, are decoded, sent
+through `_canon_term` or `_term_partial`, packed again and memoized per
+packing.  A power too wide to pack with a bit to spare raises ExprError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, cos, exp, isqrt, sin
+from numbers import Number
 
 T = "t"
 X = "x"
@@ -570,10 +567,10 @@ class JetExpression:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.terms == JetExpression.rational(other).terms
         if not isinstance(other, JetExpression):
-            return NotImplemented
+            if not isinstance(other, Number):
+                return NotImplemented
+            other = _coerce(other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -733,10 +730,12 @@ _FIELD_LIMIT = 1 << (_FIELD - 1)
 class _Packing:
     """The tables of one bulk computation on packed terms, keyed (atom-id,
     packed monomial).  They belong to the object, so they cannot grow over a
-    run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has
-    kernel atoms, has a live pow atom, the coordinates whose partial goes
-    through _term_partial).  A partial is taken whole and may be empty; the
-    caller prunes on that (linsolve._walk).
+    run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has a
+    live pow atom, the coordinates whose partial goes through _term_partial).
+    kinded lists what a product reads of each term, so an operand multiplied
+    many times is scanned once.  A product of two terms is an integer addition
+    unless both carry atoms or a live pow atom meets u; then it goes through
+    product.  A partial is taken whole and may be empty.
 
     The two slow paths are memoized.  A product that needs the rewrite step
     depends only on its two atom tuples and its summed u exponent, and a slow
@@ -746,8 +745,8 @@ class _Packing:
     atom-id, exponent of v) to the (coefficient factor, atom-id, packed) terms
     of that part at coefficient 1; the rest of the monomial is added back as
     an integer offset, and the factors are scaled by the term's coefficient,
-    which the rewrite step is linear in.  decode is not memoized: assembly
-    decodes few packed terms twice."""
+    which the rewrite step is linear in.  Only these two memos decode a packed
+    term; decode is otherwise left to callers that want signatures."""
 
     def __init__(self):
         self.shift = {U: 0}
@@ -755,7 +754,7 @@ class _Packing:
         self.top_bits = _FIELD_LIMIT
         self.atoms = [()]
         self.atom_ids = {(): 0}
-        self.kinds = [(False, False, frozenset())]
+        self.kinds = [(False, frozenset())]
         self.slow_products = {}
         self.slow_partials = {}
 
@@ -770,7 +769,7 @@ class _Packing:
                     slow.update(a[1])
                 elif is_kernel_atom(a) and a[1] != 0:
                     slow.add(U)
-            self.kinds.append(_term_kinds(((), atoms))[:2] + (frozenset(slow),))
+            self.kinds.append((_term_kinds(((), atoms))[1], frozenset(slow)))
         return aid
 
     def encode(self, sig) -> tuple:
@@ -788,13 +787,6 @@ class _Packing:
             m += p << shift
         return self._atom_id(atoms), m
 
-    def _check_packable(self, m):
-        """Raise as encode does when a field of m has its top bit set."""
-        if m & self.top_bits:
-            k, shift = next((k, s) for k, s in self.fields if m >> s & _FIELD_LIMIT)
-            raise ExprError("power %d of %s is too large to pack"
-                            % (m >> shift & _FIELD_MASK, coord_name(k)))
-
     def decode(self, aid, m) -> tuple:
         """The normalized signature of a packed term, built on each call."""
         return (tuple(_pair(k, m >> shift & _FIELD_MASK) for k, shift in self.fields
@@ -804,43 +796,37 @@ class _Packing:
         """{(atom-id, packed): coefficient} of a {signature: coefficient} dict."""
         return {self.encode(sig): c for sig, c in terms.items()}
 
-    def products(self, left: dict, right: dict) -> list:
-        """The (coefficient, atom-id, packed) terms of the product of two packed
-        term dicts, one or more per pair of terms, unmerged, in the order and
-        with the coefficients of JetExpression.__mul__."""
-        kinds, slow = self.kinds, self.slow_products
-        right = [(c2, a2, m2) + kinds[a2][:2] + (m2 & _FIELD_MASK,)
-                 for (a2, m2), c2 in right.items()]
-        out = []
-        for (a1, m1), c1 in left.items():
-            kernel1, live1 = kinds[a1][:2]
-            u1 = m1 & _FIELD_MASK
-            for c2, a2, m2, kernel2, live2, u2 in right:
-                if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
-                    key = (a1, a2, u1 + u2)
-                    memo = slow.get(key)
-                    if memo is None:
-                        memo = slow[key] = [(f,) + self.encode(sig) for f, sig in _canon_product(
-                            1, self.decode(a1, u1 + u2), self.decode(a2, 0))]
-                    rest = m1 + m2 - u1 - u2
-                    if memo:
-                        self._check_packable(rest)
-                    c = c1 * c2
-                    out.extend((c * f, aid, m + rest) for f, aid, m in memo)
-                elif a1 and a2:
-                    aid = self._atom_id(_merge_factors(self.atoms[a1], self.atoms[a2], _atoms_key))
-                    out.append((c1 * c2, aid, m1 + m2))
-                else:
-                    out.append((c1 * c2, a1 or a2, m1 + m2))
-        return out
+    def kinded(self, terms: dict) -> list:
+        """(coefficient, atom-id, packed, has a live pow atom, u exponent) of
+        each term of a packed dict, in order: what a product reads of it."""
+        kinds = self.kinds
+        return [(c, aid, m, kinds[aid][0], m & _FIELD_MASK) for (aid, m), c in terms.items()]
+
+    def product(self, a1, a2, u, rest) -> list:
+        """The (coefficient factor, atom-id, packed) terms of the atom tuples a1
+        and a2 times u^u times the packed monomial rest, through the rewrite
+        step, in the order of JetExpression.__mul__; rest is checked as by encode."""
+        key = (a1, a2, u)
+        memo = self.slow_products.get(key)
+        if memo is None:
+            memo = self.slow_products[key] = [(f,) + self.encode(sig) for f, sig in _canon_product(
+                1, self.decode(a1, u), self.decode(a2, 0))]
+        if memo and rest & self.top_bits:
+            k, shift = next((k, s) for k, s in self.fields if rest >> s & _FIELD_LIMIT)
+            raise ExprError("power %d of %s is too large to pack"
+                            % (rest >> shift & _FIELD_MASK, coord_name(k)))
+        return [(f, aid, m + rest) for f, aid, m in memo]
 
     def partial(self, terms: dict, v) -> dict:
-        """d/dv of a packed term dict, merged as by JetExpression.partial;
-        {} when no term reads v."""
+        """d/dv of a packed term dict, as by JetExpression.partial; {} when no
+        term reads v.  Terms are merged only when one went through
+        _term_partial: exponent shifts keep distinct terms distinct."""
         shift = self.shift.get(v)
         pairs = []
+        slow = False
         for (aid, m), c in terms.items():
-            if aid and v in self.kinds[aid][2]:
+            if aid and v in self.kinds[aid][1]:
+                slow = True
                 part = 0 if shift is None else m & (_FIELD_MASK << shift)
                 key = (v, aid, part)
                 memo = self.slow_partials.get(key)
@@ -849,13 +835,13 @@ class _Packing:
                     memo = self.slow_partials[key] = [
                         (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
                 rest = m - part
-                pairs.extend((c * f, (a, mv + rest)) for f, a, mv in memo)
-                continue
-            if shift is not None:
-                p = (m >> shift) & _FIELD_MASK
+                pairs.extend(((a, mv + rest), c * f) for f, a, mv in memo)
+            elif shift is not None:
+                p = m >> shift & _FIELD_MASK
                 if p:
-                    pairs.append((c * p, (aid, m - (1 << shift))))
-        return _accumulate(pairs) if pairs else {}
+                    c *= p
+                    pairs.append(((aid, m - (1 << shift)), c if type(c) is int else _q(c)))
+        return _accumulate((c, k) for k, c in pairs) if slow else dict(pairs)
 
 
 def sig_sort_key(sig):

@@ -23,8 +23,8 @@ per child and pruning at the first zero partial.  The walk runs on packed
 terms (expr._Packing), local to one call: coefficients and basis elements
 are packed once, a product is an integer addition and a partial an exponent
 shift.  Products are summed straight into rows keyed (equation, atom-id,
-packed monomial), and each row left is keyed by its (equation, signature)
-once at the end, in first-seen order.
+packed monomial), in first-seen order; a key is decoded to its signature
+only on demand.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .expr import (ExprError, JetExpression, _Packing, _accumulate, _q, is_indep,
+from .expr import (_FIELD_MASK, ExprError, JetExpression, _Packing, _accumulate, _q, is_indep,
                    is_kernel_atom)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
@@ -144,19 +144,21 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
 
 @dataclass
 class RationalLinearSystem:
-    """Sparse rows {column: nonzero value}, keyed by (equation index,
-    monomial signature) in assemble and by signature in stage 2."""
+    """Sparse rows {column: nonzero value}, keyed by (equation index, atom-id,
+    packed monomial) in assemble, with decode(atom-id, packed) giving the
+    monomial signature, and by signature in stage 2."""
 
     ncols: int
     rows: dict = field(default_factory=dict)
+    decode: object = None
 
 
 def _lam_tree(equations, packing: _Packing) -> tuple:
     """Group equations linear in Lam by derivative index, as (uses, children).
 
     uses maps an index to [(equation, coefficient)], with each equation the
-    sum of coefficient * d^index Lam over its groups and each coefficient a
-    packed term dict of packing.  children maps an index to its
+    sum of coefficient * d^index Lam over its groups and each coefficient
+    listed by packing.kinded.  children maps an index to its
     one-coordinate extensions, each to the coordinate it adds; the indices
     are closed under prefixes.
     """
@@ -173,55 +175,67 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
     uses: dict = {}
     children: dict = {}
     for (index, ei), terms in groups.items():
-        uses.setdefault(index, []).append((ei, packing.pack(terms)))
+        uses.setdefault(index, []).append((ei, packing.kinded(packing.pack(terms))))
         while index and index not in children.get(index[:-1], ()):
             children.setdefault(index[:-1], {})[index] = index[-1]
             index = index[:-1]
     return uses, children
 
 
-def _walk(tree, candidate: JetExpression, packing: _Packing):
-    """Per (tree node, equation), the equation and its packed (coefficient,
-    atom-id, packed) products with Lam := candidate, unmerged; one partial is
-    taken per tree node, pruning at the first zero."""
-    uses, children = tree
-    stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
-    while stack:
-        index, value = stack.pop()
-        for ei, coefficient in uses.get(index, ()):
-            yield ei, packing.products(coefficient, value)
-        for child, v in children.get(index, {}).items():
-            d = packing.partial(value, v)
-            if d:
-                stack.append((child, d))
-
-
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
     """One row per (equation, monomial signature); one column per basis element.
 
     Each column walks the equations' index tree once, so a partial of a basis
-    element is taken once per index, not once per equation.  Its products are
-    summed straight into rows keyed (equation, atom-id, packed monomial);
-    entries that cancel and the rows they empty are dropped at the end, and
-    each row left is keyed by its (equation, signature) once.
+    element is taken once per index, not once per equation.  At each node the
+    products of the value with the coefficients there are summed straight
+    into the rows; entries that cancel and the rows they empty are dropped at
+    the end.
     """
     packing = _Packing()
-    tree = _lam_tree(system.equations, packing)
+    uses, children = _lam_tree(system.equations, packing)
+    kinded, partial, shifts = packing.kinded, packing.partial, packing.shift
     sums: dict = {}
     for col, candidate in enumerate(ansatz.basis):
-        for ei, products in _walk(tree, candidate, packing):
-            for c, aid, m in products:
-                row = sums.setdefault((ei, aid, m), {})
-                row[col] = row.get(col, 0) + c
-    linsys = RationalLinearSystem(ncols=len(ansatz.basis))
-    for (ei, aid, m), row in sums.items():
-        for col, v in list(row.items()):
-            if not v:
-                del row[col]
-            elif type(v) is not int:
-                row[col] = _q(v)
+        stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
+        while stack:
+            index, value = stack.pop()
+            right = kinded(value)
+            for ei, coefficient in uses.get(index, ()):
+                for c1, a1, m1, live1, u1 in coefficient:
+                    for c2, a2, m2, live2, u2 in right:
+                        c = c1 * c2
+                        if (a1 and a2) or ((live1 or live2) and (u1 or u2)):
+                            for f, aid, m in packing.product(a1, a2, u1 + u2, m1 + m2 - u1 - u2):
+                                row = sums.setdefault((ei, aid, m), {})
+                                row[col] = row.get(col, 0) + c * f
+                            continue
+                        key = (ei, a1 or a2, m1 + m2)
+                        row = sums.get(key)
+                        if row is None:
+                            sums[key] = {col: c}
+                        else:
+                            row[col] = row.get(col, 0) + c
+            kids = children.get(index)
+            if not kids:
+                continue
+            if len(right) == 1 and not right[0][1]:
+                # One atom-free term: each partial is one exponent shift.
+                c, _, m = right[0][:3]
+                for child, v in kids.items():
+                    shift = shifts.get(v)
+                    p = 0 if shift is None else c * (m >> shift & _FIELD_MASK)
+                    if p:
+                        stack.append((child, {(0, m - (1 << shift)): _q(p)}))
+                continue
+            for child, v in kids.items():
+                d = partial(value, v)
+                if d:
+                    stack.append((child, d))
+    linsys = RationalLinearSystem(ncols=len(ansatz.basis), decode=packing.decode)
+    for key, row in sums.items():
+        row = {col: v if type(v) is int else _q(v) for col, v in row.items() if v}
         if row:
-            linsys.rows[(ei, packing.decode(aid, m))] = row
+            linsys.rows[key] = row
     return linsys
 
 

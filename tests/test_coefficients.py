@@ -137,3 +137,10 @@ def test_inexact_operands_are_rejected(bad):
                lambda: e * bad, lambda: bad * e):
         with pytest.raises(CoefficientError):
             op()
+    if isinstance(bad, str):
+        # Not a number: equality falls back to identity, as for any object.
+        assert (e == bad, bad == e, e != bad, bad != e) == (False, False, True, True)
+        return
+    for op in (lambda: e == bad, lambda: bad == e, lambda: e != bad, lambda: bad != e):
+        with pytest.raises(CoefficientError):
+            op()

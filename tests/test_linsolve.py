@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,8 @@ from jetlaw import expr, linsolve
 from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
                          sin_atom)
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import parse_pde
-from jetlaw.detsys import DeterminingSystem, determining_expression
+from jetlaw.pde import PdeSpec, parse_pde
+from jetlaw.detsys import DeterminingSystem, determining_expression, split_determining_system
 from jetlaw.linsolve import (
     MAX_COLUMNS,
     AnsatzBounds,
@@ -31,7 +32,7 @@ from jetlaw.linsolve import (
     span_rank,
 )
 
-from conftest import full_split, reference_instantiate
+from conftest import full_split, random_rhs, reference_instantiate
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"
@@ -315,11 +316,16 @@ def _reference_assemble(system, ansatz):
     return linsys
 
 
+def _decoded(linsys):
+    """The rows of an assembled system keyed (equation, signature), in order."""
+    return {(ei, linsys.decode(aid, m)): row for (ei, aid, m), row in linsys.rows.items()}
+
+
 def _assembled(equation, candidate):
     """equation with Lam := candidate, through assemble on a one-column ansatz."""
     linsys = assemble(DeterminingSystem(equations=(equation,)),
                       AnsatzSpace(arity=(), basis=(candidate,)))
-    return JetExpression({sig: row[0] for (_, sig), row in linsys.rows.items()})
+    return JetExpression({sig: row[0] for (_, sig), row in _decoded(linsys).items()})
 
 
 @pytest.mark.parametrize("source, params, bounds", [
@@ -343,7 +349,7 @@ def test_assemble_matches_per_term_oracle(source, params, bounds):
     ansatz = generate_ansatz_basis(pde, bounds)
     linsys = assemble(system, ansatz)
     reference = _reference_assemble(system, ansatz)
-    assert linsys.rows == reference.rows
+    assert _decoded(linsys) == reference.rows
     assert all(linsys.rows.values())
     assert nullspace(linsys) == nullspace(reference)
 
@@ -358,15 +364,38 @@ def test_assemble_drops_entries_that_cancel_in_one_column():
         system = DeterminingSystem(equations=(equation,))
         ansatz = AnsatzSpace(arity=arity, basis=tuple(P(b) for b in basis))
         linsys = assemble(system, ansatz)
-        assert linsys.rows == _reference_assemble(system, ansatz).rows
-        assert (0, next(iter(P("u").terms))) not in linsys.rows
+        rows = _decoded(linsys)
+        assert rows == _reference_assemble(system, ansatz).rows
+        assert (0, next(iter(P("u").terms))) not in rows
         for row in linsys.rows.values():
             assert row
             for v in row.values():
                 assert v != 0
                 assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
     # The halved equation gives u^3 the entry 3/2 - 1/2, which must be int 1.
-    assert linsys.rows[(0, next(iter(P("u^3").terms)))] == {2: 1}
+    assert rows[(0, next(iter(P("u^3").terms)))] == {2: 1}
+
+
+# Seeded random PDEs of the three shapes, with and without kernel atoms in
+# the right-hand side, against an ansatz with one kernel atom: walk values of
+# several terms, slow products and slow partials whose terms merge.
+RANDOM_ASSEMBLY_ATOMS = (exp_atom(Fraction(-1, 2)), pow_atom(1, 1, Fraction(-1, 2)), cos_atom(1))
+
+
+@pytest.mark.parametrize("leading", [(1, 0), (2, 0), (1, 1)])
+@pytest.mark.parametrize("with_atoms", [False, True])
+def test_assemble_matches_per_term_oracle_on_random_pdes(leading, with_atoms):
+    rng = random.Random("assemble:%s:%s" % (leading, with_atoms))
+    for i in range(4):
+        pde = PdeSpec(leading=leading, rhs=random_rhs(rng, leading, with_atoms))
+        bounds = AnsatzBounds(order=1, deg_tx=1, deg_u=2,
+                              atoms=(RANDOM_ASSEMBLY_ATOMS[i % len(RANDOM_ASSEMBLY_ATOMS)],))
+        ansatz = generate_ansatz_basis(pde, bounds)
+        system = split_determining_system(pde, ansatz.arity)
+        linsys = assemble(system, ansatz)
+        reference = _reference_assemble(system, ansatz)
+        assert _decoded(linsys) == reference.rows, str(pde.rhs)
+        assert nullspace(linsys) == nullspace(reference)
 
 
 def test_instantiate_matches_per_term_oracle():
@@ -687,9 +716,12 @@ def _stage_one_inputs(monkeypatch, name):
     return args
 
 
-# _Packing.partial calls in one stage-1 assembly of the three `scale`
-# systems, and the SHA-256 of the repr of its rows in order.  One partial is
-# taken per child of every tree node the walk reaches, 6857 of them empty.
+# Partials taken in one stage-1 assembly of the three `scale` systems, and
+# the SHA-256 of the repr of its rows in order, decoded to (equation,
+# signature).  One partial is taken per child of every tree node the walk
+# reaches, 6857 of them empty.  The walk shifts a one-term atom-free value in
+# place and sends the rest through _Packing.partial, so the count is of the
+# children it visits.
 WALK_PARTIALS = {
     "kdv order 4": (3402, "09e32c9afe132dbfb056303723e9e23b3b59c7b477b91c73c7062ef44cb4c63f"),
     "sine-gordon order 4": (
@@ -699,14 +731,45 @@ WALK_PARTIALS = {
 }
 
 
+def _count_child_visits(monkeypatch):
+    """A counter of the children assemble's walk visits: each children dict of
+    the Lam tree counts its entries when iterated."""
+    visits = SimpleNamespace(calls=0)
+    lam_tree = linsolve._lam_tree
+
+    class Children(dict):
+        def items(self):
+            visits.calls += len(self)
+            return super().items()
+
+    def counting(*args):
+        uses, children = lam_tree(*args)
+        return uses, {index: Children(kids) for index, kids in children.items()}
+
+    monkeypatch.setattr(linsolve, "_lam_tree", counting)
+    return visits
+
+
 @pytest.mark.parametrize("name", WALK_PARTIALS)
-def test_walk_takes_only_partials_the_value_reads(name, monkeypatch, count_calls):
+def test_walk_takes_only_partials_the_value_reads(name, monkeypatch):
     system, ansatz = _stage_one_inputs(monkeypatch, name)
-    partials = count_calls(expr._Packing, "partial")
-    rows = assemble(system, ansatz).rows
+    partials = _count_child_visits(monkeypatch)
+    rows = _decoded(assemble(system, ansatz))
     calls, digest = WALK_PARTIALS[name]
     assert partials.calls == calls
     assert hashlib.sha256(repr(list(rows.items())).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", WALK_PARTIALS)
+def test_scale_assembly_decodes_no_row(name, monkeypatch, count_calls):
+    # The rows stay keyed by packed terms, and no product or partial of these
+    # systems takes a slow path, so nothing is decoded.
+    system, ansatz = _stage_one_inputs(monkeypatch, name)
+    decode = count_calls(expr._Packing, "decode")
+    linsys = assemble(system, ansatz)
+    assert decode.calls == 0
+    packing = linsys.decode.__self__
+    assert packing.slow_products == {} and packing.slow_partials == {}
 
 
 # _canon_term calls in one stage-1 assembly of the two kernel-atom wave
