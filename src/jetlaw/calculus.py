@@ -4,6 +4,11 @@ Solution-restricted total derivatives, full and restricted Euler operators,
 inversion of total x-derivatives, and the integration-by-parts normal form
 used to compare densities modulo trivial ones.
 
+Restriction to solutions commutes with total derivatives, so one on-solution
+total derivative D^ (`JetExpression.total` with a `pde.ChartForms`) serves
+`solution_total_derivative`, the Horner steps of `euler_sum` for the
+adjoint-symmetry equation and, by its chart forms, `eliminate_off_chart`.
+
 The descent used by inversion and the normal form processes the highest jet
 coordinate (ranked by total order, then x-order) and peels terms linear in
 it.  A step is taken only when the cofactor's coordinates all rank at or
@@ -27,10 +32,11 @@ from .expr import (
     JetExpression,
     U,
     _accumulate,
+    coord_name,
     is_kernel_atom,
     term_jets,
 )
-from .pde import PdeSpec, iterated_total, on_chart
+from .pde import ChartForms, PdeSpec, on_chart
 
 
 class NotXDerivative(ExprError):
@@ -50,54 +56,48 @@ class AntiderivativeOutsideClass(NotXDerivative):
 
 
 def eliminate_off_chart(pde: PdeSpec, e: JetExpression) -> JetExpression:
-    """Rewrite coordinates excluded by the PDE chart through the equation:
-    the leading derivative and its total derivatives are substituted away
-    (on-solution restriction)."""
-    leading = pde.leading
-    while True:
-        off = [k for k in e.jets() if not on_chart(leading, k)]
-        if not off:
-            return e
-        w = max(off)
-        a, b = w
-        j = (a - leading[0], b - leading[1])
-        e = e.substitute(w, iterated_total(pde.rhs, *j))
+    """Restrict to solutions: substitute each jet off the PDE chart by its
+    chart form, in one pass."""
+    chart = ChartForms(pde)
+    for w in [k for k in e.jets() if chart[k] is not None]:
+        e = e.substitute(w, chart[w])
+    return e
 
 
 def solution_total_derivative(pde: PdeSpec, e: JetExpression) -> JetExpression:
-    """The operator expressing t-derivatives through the PDE on its chart."""
+    """D^_t e, the total t-derivative on solutions of e on the PDE chart."""
     for k in e.jets():
         if not on_chart(pde.leading, k):
             raise ExprError(
                 "expression not in solution-space coordinates: contains %s"
-                % (k,))
-    return eliminate_off_chart(pde, e.total("t"))
+                % coord_name(k))
+    return e.total("t", ChartForms(pde))
 
 
-def _horner(coeffs: dict, direction: str) -> JetExpression:
+def _horner(coeffs: dict, direction: str, chart=None) -> JetExpression:
     """sum_j (-D)^j coeffs[j], evaluated as c_0 - D(c_1 - D(c_2 - ...)) so
     that terms cancel before they are differentiated again."""
     out = JetExpression.zero()
     for j in range(max(coeffs, default=-1), -1, -1):
-        out = coeffs.get(j, 0) - out.total(direction)
+        out = coeffs.get(j, 0) - out.total(direction, chart)
     return out
 
 
-def euler_sum(rows: dict) -> JetExpression:
+def euler_sum(rows: dict, chart=None) -> JetExpression:
     """sum over jets v of (-D)^v rows[v], nested in Horner form over
-    x-orders and then over t-orders."""
+    x-orders and then over t-orders; each D is on solutions with a chart."""
     nested: dict = {}
     for (a, b), row in rows.items():
         nested.setdefault(a, {})[b] = row
-    inner = {a: _horner(row, "x") for a, row in nested.items()}
-    return _horner(inner, "t")
+    inner = {a: _horner(row, "x", chart) for a, row in nested.items()}
+    return _horner(inner, "t", chart)
 
 
-def adjoint_linearization(pde: PdeSpec, omega: JetExpression) -> JetExpression:
+def adjoint_linearization(pde: PdeSpec, omega: JetExpression, chart=None) -> JetExpression:
     """D_G*(omega) = sum over G's jets v of (-D)^v (dG/dv * omega), the formal
-    adjoint of the linearization."""
+    adjoint of the linearization; on solutions with a chart, for omega on it."""
     g = pde.gee()
-    return euler_sum({v: g.partial(v) * omega for v in g.jets()})
+    return euler_sum({v: g.partial(v) * omega for v in g.jets()}, chart)
 
 
 def euler_operator(e: JetExpression) -> JetExpression:

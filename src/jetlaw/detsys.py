@@ -11,7 +11,7 @@ found in two steps (Anco and Bluman, Eur. J. Appl. Math. 13, 2002, Part II):
 first the adjoint symmetries, D_G*(Lam) = 0 on solutions (the symmetry
 equation for the self-adjoint shapes), and then those among them with
 E_u(G * Lam) = 0.  The determining system built here is the first step's one
-equation: D_G*(Lam) with its off-chart coordinates rewritten through the PDE,
+equation: D_G*(Lam) taken on solutions by the on-solution total derivative,
 its terms in canonical order.  `linsolve.solve_multipliers` takes the second
 step on the span of its solutions.
 """
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .expr import (ExprError, JetExpression, coord_name, is_jet, is_indep, lam_atom,
                    sig_sort_key)
-from .pde import PdeSpec
-from .calculus import adjoint_linearization, eliminate_off_chart, euler_operator
+from .pde import ChartForms, PdeSpec
+from .calculus import adjoint_linearization, euler_operator
 
 
 class ArityError(ExprError):
@@ -62,9 +62,9 @@ class DeterminingSystem:
 
 
 def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
-    """The adjoint-symmetry equation D_G*(Lam) = 0 on solutions, for Lam of
-    the given arity, with its terms in canonical order."""
+    """The adjoint-symmetry equation D_G*(Lam) = 0, taken on solutions by the
+    on-solution D^ in `euler_sum`, for Lam of the given arity, terms in canonical order."""
     arity = validate_arity(pde, arity)
-    q = eliminate_off_chart(pde, adjoint_linearization(pde, JetExpression.atom(lam_atom(arity))))
+    q = adjoint_linearization(pde, JetExpression.atom(lam_atom(arity)), ChartForms(pde))
     equation = JetExpression(dict(sorted(q.terms.items(), key=lambda t: sig_sort_key(t[0]))))
     return DeterminingSystem(equations=(equation,))

@@ -608,20 +608,29 @@ class JetExpression:
             pairs.extend(_term_partial(c, mono, atoms, v))
         return JetExpression(_accumulate(pairs))
 
-    def total(self, direction) -> "JetExpression":
+    def total(self, direction, chart=None) -> "JetExpression":
         """Formal total derivative D_t or D_x.  Per term, D is the partial in
         the direction plus u_(k+direction) times the partial in each jet k of
-        term_jets."""
+        term_jets; with a chart (`pde.ChartForms`) it is D^ on solutions, one
+        product by the chart form of each off-chart u_(k+direction)."""
         if direction not in ("t", "x"):
             raise ExprError("direction must be 't' or 'x'")
         pairs = []
+        off: dict = {}
         for sig, c in self.terms.items():
             mono, atoms = sig
             pairs.extend(_term_partial(c, mono, atoms, direction))
             for k in term_jets(sig):
-                step = (_pair(bump(k, direction), 1),)
+                up = bump(k, direction)
+                if chart is not None and chart[up] is not None:
+                    off.setdefault(up, []).extend(_term_partial(c, mono, atoms, k))
+                    continue
+                step = (_pair(up, 1),)
                 for dc, (m, a) in _term_partial(c, mono, atoms, k):
                     pairs.append((dc, (_merge_factors(m, step, _mono_key, _pair), a)))
+        for up, partials in off.items():
+            product = JetExpression(_accumulate(partials)) * chart[up]
+            pairs.extend((c, sig) for sig, c in product.terms.items())
         return JetExpression(_accumulate(pairs))
 
     def substitute(self, target, replacement) -> "JetExpression":

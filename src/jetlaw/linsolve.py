@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .expr import (_FIELD_MASK, ExprError, JetExpression, _Packing, _accumulate, _q, is_indep,
-                   is_kernel_atom)
+from .expr import (_FIELD_MASK, ExprError, JetExpression, _Packing, _accumulate, _mono_key, _pair,
+                   _q, is_indep, is_kernel_atom)
 from .pde import PdeSpec
 from .detsys import DeterminingSystem, determining_expression, split_determining_system
 
@@ -92,7 +92,9 @@ def ansatz_columns(pde: PdeSpec, bounds: AnsatzBounds) -> int:
 
 
 def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
-    """Deterministic enumeration of all ansatz monomials within bounds."""
+    """Deterministic enumeration of all ansatz monomials within bounds.  A
+    monomial without an atom is built in normal form; one with an atom goes
+    through the rewrite step (`JetExpression.from_raw`)."""
     if ansatz_columns(pde, bounds) > MAX_COLUMNS:
         raise AnsatzTooLarge("ansatz bounds give more than %d columns" % MAX_COLUMNS)
     arity = multiplier_arity(pde, bounds.order)
@@ -127,9 +129,12 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
                         f["x"] = j
                     for k in mono:
                         f[k] = f.get(k, 0) + 1
-                    if atom is not None:
+                    if atom is None:
+                        pairs = tuple(sorted(map(_pair, f, f.values()), key=_mono_key))
+                        basis.append(JetExpression({(pairs, ()): 1}))
+                    else:
                         f[atom] = 1
-                    basis.append(JetExpression.from_raw([(1, f)]))
+                        basis.append(JetExpression.from_raw([(1, f)]))
     seen = set()
     unique = []
     for b in basis:

@@ -53,6 +53,23 @@ class PdeSpec:
         return "%s = %s" % (coord_name(self.leading), self.rhs)
 
 
+class ChartForms(dict):
+    """u_k on solutions for each jet k off the chart, None on it: rhs at the
+    leading jet, above it D^ (`total` with this chart) of the form one x-step,
+    else one t-step, below.  Built on demand, for one computation."""
+
+    def __init__(self, pde: PdeSpec):
+        super().__init__({pde.leading: pde.rhs})
+        self.leading = pde.leading
+
+    def __missing__(self, k):
+        a, b = k
+        if on_chart(self.leading, k):
+            return self.setdefault(k, None)
+        down, d = ((a, b - 1), "x") if b > self.leading[1] else ((a - 1, b), "t")
+        return self.setdefault(k, self[down].total(d, self))
+
+
 def parse_pde(text: str, params=None) -> PdeSpec:
     """Parse '<lhs> = <rhs>' or '<expr> = 0' into a validated PdeSpec."""
     if "=" not in text:

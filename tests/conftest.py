@@ -63,6 +63,21 @@ def _straight_euler(e):
     return out
 
 
+def reference_eliminate(pde, e, gee=False):
+    """The substitute loop that restricted an expression to solutions before
+    the on-solution total derivative: the highest jet off the chart, at offset
+    (a, b) from the leading jet, is replaced by D_t^a D_x^b rhs (plus the atom
+    ("gee", a, b) when gee is set), until no jet is off the chart."""
+    while True:
+        off = [k for k in e.jets() if not on_chart(pde.leading, k)]
+        if not off:
+            return e
+        w = max(off)
+        j = (w[0] - pde.leading[0], w[1] - pde.leading[1])
+        form = iterated_total(pde.rhs, *j)
+        e = e.substitute(w, form + JetExpression.atom(("gee",) + j) if gee else form)
+
+
 _FULL_SPLITS: dict = {}
 
 
@@ -81,13 +96,7 @@ def full_split(pde, arity):
     cache = (str(pde), arity)
     if cache not in _FULL_SPLITS:
         q = _straight_euler(pde.gee() * JetExpression.atom(lam_atom(arity)))
-        while True:
-            off = [k for k in q.jets() if not on_chart(pde.leading, k)]
-            if not off:
-                break
-            w = max(off)
-            j = (w[0] - pde.leading[0], w[1] - pde.leading[1])
-            q = q.substitute(w, iterated_total(pde.rhs, *j) + JetExpression.atom(("gee",) + j))
+        q = reference_eliminate(pde, q, gee=True)
         groups = {(): []}
         for (mono, atoms), c in q.terms.items():
             gees = tuple(sorted(ap for ap in atoms if ap[0][0] == "gee"))

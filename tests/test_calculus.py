@@ -17,24 +17,26 @@ from jetlaw.expr import (
     lam_atom,
     pow_atom,
     sin_atom,
+    term_jets,
 )
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import parse_pde
+from jetlaw.linsolve import multiplier_arity
+from jetlaw.pde import ChartForms, PdeSpec, iterated_total, on_chart, parse_pde
 from jetlaw import calculus
 from jetlaw.calculus import (
     AntiderivativeOutsideClass,
     NotIntegrable,
     NotXDerivative,
     _integrate_wrt,
+    eliminate_off_chart,
     euler_operator,
     ibp_normal_form,
     invert_total_x_derivative,
-    iterated_total,
     restricted_euler,
     solution_total_derivative,
 )
 
-from conftest import random_expression
+from conftest import random_expression, random_rhs, reference_eliminate
 from oracle_jet import euler as oracle_euler, same, to_sympy, total_t, total_x
 
 
@@ -122,18 +124,61 @@ def test_solution_total_derivative_spec_cases():
     assert solution_total_derivative(kg, P("u_xx")) == P("exp(u)*u_x")
 
 
+# One PDE of each shape: u_t, u_tt and u_tx lead.
+SHAPES = {
+    "kdv": ("u_t + u^n*u_x + u_xxx = 0", {"n": 1}),
+    "wave": ("u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2", {}),
+    "klein-gordon": ("u_tx = exp(u)", {}),
+}
+
+
 def test_solution_total_derivative_rejects_off_chart():
-    kdv = parse_pde("u_t + u*u_x + u_xxx = 0")
-    with pytest.raises(ExprError):
-        solution_total_derivative(kdv, P("u_t*u"))
+    for source, text, name in [("u_t + u*u_x + u_xxx = 0", "u_t*u", "u_t"),
+                               (SHAPES["wave"][0], "u_tt*u_x + u_t", "u_tt"),
+                               ("u_tx = exp(u)", "u_tx*u_t + u_x", "u_tx")]:
+        with pytest.raises(ExprError, match="contains %s$" % name):
+            solution_total_derivative(parse_pde(source), P(text))
 
 
-def test_solution_derivative_commutes_with_dx(rng):
-    kdv = parse_pde("u_t + u^n*u_x + u_xxx = 0", {"n": 1})
+def _on_chart_expression(rng, pde, **kwargs):
+    """A seeded random expression, kernel atoms included, without its terms
+    that read a jet off the chart of pde."""
+    e = random_expression(rng, **kwargs)
+    return JetExpression({sig: c for sig, c in e.terms.items()
+                          if all(on_chart(pde.leading, k) for k in term_jets(sig))})
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_on_solution_total_matches_substitute_loop(shape):
+    # D^ e equals the formal total with its off-chart jets substituted away
+    # by the reference loop, and so does eliminate_off_chart's one pass; on
+    # the shape's PDE and on seeded ones of its leading derivative, and on
+    # expressions with kernel atoms and with a lam atom.
+    rng = random.Random(shape)
+    shaped = parse_pde(*SHAPES[shape])
+    leading = shaped.leading
+    for pde in [shaped] + [PdeSpec(leading, random_rhs(rng, leading, True)) for _ in range(3)]:
+        lam = JetExpression.atom(lam_atom(multiplier_arity(pde, 2)))
+        for i in range(8):
+            e = _on_chart_expression(rng, pde, max_order=3, max_terms=6)
+            if i % 2:
+                e = e * lam
+            for d in ("t", "x"):
+                want = reference_eliminate(pde, e.total(d))
+                assert e.total(d, ChartForms(pde)) == want
+                assert eliminate_off_chart(pde, e.total(d)) == want
+            assert solution_total_derivative(pde, e) == reference_eliminate(pde, e.total("t"))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_solution_derivative_commutes_with_dx(rng, shape):
+    # D^_x D^_t = D^_t D^_x; on u_tx, D^_x of u_t is already the chart form.
+    pde = parse_pde(*SHAPES[shape])
     for _ in range(40):
-        e = random_expression(rng, max_order=3, max_terms=4, pure_x=True)
-        a = solution_total_derivative(kdv, e).total("x")
-        b = solution_total_derivative(kdv, e.total("x"))
+        e = _on_chart_expression(rng, pde, max_order=3, max_terms=4)
+        chart = ChartForms(pde)
+        a = solution_total_derivative(pde, e).total("x", chart)
+        b = solution_total_derivative(pde, e.total("x", chart))
         assert a == b
 
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from jetlaw.expr import T, U, X
+from jetlaw import calculus
+from jetlaw.expr import T, U, X, JetExpression
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, parse_pde
 from jetlaw.detsys import (ArityError, determining_expression, split_determining_system,
@@ -179,6 +180,17 @@ def test_split_matches_direct_expansion_on_random_pdes(leading, order, with_atom
         rhs = random_rhs(rng, leading, with_atoms)
         pde = PdeSpec(leading=leading, rhs=rhs)
         _assert_split_matches_reference(pde, multiplier_arity(pde, order))
+
+
+def test_classify_splits_substitute_nothing(count_calls):
+    # D_G*(Lam) is taken on solutions while it is differentiated, so the 12
+    # classify systems leave no off-chart jet to substitute away.
+    substitute = count_calls(JetExpression, "substitute")
+    eliminate = count_calls(calculus, "eliminate_off_chart")
+    for source, params, order in CLASSIFY_CASES:
+        pde = parse_pde(source, params)
+        split_determining_system(pde, multiplier_arity(pde, order))
+    assert (substitute.calls, eliminate.calls) == (0, 0)
 
 
 def test_kdv_order_six_split_digest():
