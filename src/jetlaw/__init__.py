@@ -3,7 +3,7 @@ scalar PDEs in two independent variables, with numerical cross-checks."""
 
 from .expr import JetExpression, ExprError, U, UT, UX
 from .parser import parse_expression, render, ParseError
-from .pde import PdeSpec, parse_pde, linearization
+from .pde import PdeSpec, parse_pde
 from .calculus import (
     adjoint_linearization,
     euler_operator,
@@ -18,15 +18,12 @@ from .linsolve import (
     AnsatzSpace,
     assemble,
     generate_ansatz_basis,
-    in_span,
     nullspace,
-    same_span,
     solve_multipliers,
 )
 from .laws import (
     ConservationLaw,
     build_law,
-    densities_match,
     flux_density,
     homotopy_density,
     multiplier_from_density,
@@ -39,13 +36,13 @@ __version__ = "0.1.0"
 __all__ = [
     "JetExpression", "ExprError", "ParseError", "U", "UT", "UX",
     "parse_expression", "render",
-    "PdeSpec", "parse_pde", "linearization", "adjoint_linearization",
+    "PdeSpec", "parse_pde", "adjoint_linearization",
     "solution_total_derivative", "euler_operator",
     "restricted_euler", "invert_total_x_derivative", "ibp_normal_form",
     "DeterminingSystem", "determining_expression", "split_determining_system",
     "AnsatzBounds", "AnsatzSpace", "generate_ansatz_basis", "assemble",
-    "nullspace", "solve_multipliers", "in_span", "same_span",
+    "nullspace", "solve_multipliers",
     "ConservationLaw", "homotopy_density", "flux_density", "normalize_density",
-    "multiplier_from_density", "build_law", "verify", "densities_match",
+    "multiplier_from_density", "build_law", "verify",
     "__version__",
 ]

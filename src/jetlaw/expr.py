@@ -60,7 +60,7 @@ packing.  A power too wide to pack with a bit to spare raises ExprError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, cos, exp, isqrt, sin
+from math import comb, isqrt
 from numbers import Number
 
 T = "t"
@@ -675,20 +675,6 @@ class JetExpression:
             pairs.extend((c, sig) for sig, c in product.terms.items())
         return JetExpression(_accumulate(pairs))
 
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, env: dict) -> float:
-        """Numeric evaluation; env maps coordinates to floats."""
-        total_v = 0.0
-        for (mono, atoms), c in self.terms.items():
-            v = float(c)
-            for k, p in mono:
-                v *= env[k] ** p
-            for a, p in atoms:
-                v *= _atom_value(a, env) ** p
-            total_v += v
-        return total_v
-
 
 def _coerce(obj) -> JetExpression:
     """obj as an expression; a number must be exact (CoefficientError)."""
@@ -707,22 +693,6 @@ def _atom_derivative(a):
     if tag == "pow":
         return [(a[3] * a[1], ("pow", a[1], a[2], a[3] - 1))]
     raise ExprError("no derivative for atom %r" % (a,))
-
-
-def _atom_value(a, env) -> float:
-    tag = a[0]
-    if tag not in ("exp", "sin", "cos", "pow"):
-        raise ExprError("cannot evaluate formal atom %r" % (a,))
-    if a[1] != 0 and U not in env:
-        raise ExprError("atom %r needs a value for u" % (a,))
-    arg = float(a[1]) * env.get(U, 0.0) + float(a[2])
-    if tag == "exp":
-        return exp(arg)
-    if tag == "sin":
-        return sin(arg)
-    if tag == "cos":
-        return cos(arg)
-    return arg ** float(a[3])
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,6 @@ def normalize_density(cl: ConservationLaw) -> ConservationLaw:
     return cl
 
 
-def densities_match(a: JetExpression, b: JetExpression) -> bool:
-    """Equality of densities modulo trivial ones (image of D_x)."""
-    core, _ = ibp_normal_form(a - b)
-    return core.is_zero()
-
-
 def verify(cl: ConservationLaw) -> bool:
     """Multiplier condition, exact divergence identity, and multiplier
     recovery from the density (modulo trivial densities)."""

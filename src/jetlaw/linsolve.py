@@ -370,22 +370,3 @@ def solve_multipliers(pde: PdeSpec, bounds: AnsatzBounds):
                                       for col, x in enumerate(v) if x))
         multipliers.append(combine(ansatz, [vec.get(col, 0) for col in range(ncols)]))
     return ansatz, multipliers
-
-
-# ---------------------------------------------------------------------------
-# Exact span comparisons used by classification fixtures.
-
-def span_rank(exprs) -> int:
-    """Rank of the coefficient rows; columns are signatures in first-seen order."""
-    index: dict = {}
-    return len(_echelon([{index.setdefault(sig, len(index)): c for sig, c in e.terms.items()}
-                         for e in exprs]))
-
-
-def in_span(e: JetExpression, exprs) -> bool:
-    base = list(exprs)
-    return span_rank(base + [e]) == span_rank(base)
-
-
-def same_span(a, b) -> bool:
-    return span_rank(a) == span_rank(b) == span_rank(list(a) + list(b))

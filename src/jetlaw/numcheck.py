@@ -294,49 +294,12 @@ def quantity_series(cl: ConservationLaw, traj: Trajectory):
     return rows
 
 
-def conserved_drift(cl: ConservationLaw, traj: Trajectory) -> float:
-    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|)."""
-    return max(row[2] for row in quantity_series(cl, traj))
-
-
-def refinement_drifts(pde: PdeSpec, initial, cfg: GridConfig, laws):
-    """Drifts of each law at dt and two halvings of it (fixed grid).
-
-    Returns a list per law: [drift at dt, at dt/2, at dt/4].  With spectral
-    space differences the observed decay order is that of the RK4 stepper.
-    """
-    out = [[] for _ in laws]
-    for level in range(3):
-        scaled = GridConfig(length=cfg.length, n=cfg.n, dt=cfg.dt / 2 ** level,
-                            t_end=cfg.t_end)
-        traj = integrate_pde(pde, initial, scaled)
-        for i, cl in enumerate(laws):
-            out[i].append(conserved_drift(cl, traj))
-    return out
-
-
-def convergence_orders(drifts) -> list:
-    """Observed orders log2(d_k / d_{k+1}) along a refinement sequence."""
-    out = []
-    for a, b in zip(drifts, drifts[1:]):
-        if b == 0:
-            out.append(float("inf"))
-        else:
-            out.append(float(np.log2(a / b)))
-    return out
-
-
 # -- canonical desk-scale initial data ---------------------------------------
 
 def kdv_soliton(x: np.ndarray) -> np.ndarray:
     """Solitary wave 12 sech^2(x) of u_t + u u_x + u_xxx = 0: speed 4,
     centred at 0."""
     return 12.0 / np.cosh(x) ** 2
-
-
-def gaussian_bump(x: np.ndarray, base: float = 2.0, amplitude: float = 0.3,
-                  width: float = 1.0) -> np.ndarray:
-    return base + amplitude * np.exp(-((x / width) ** 2))
 
 
 def odd_harmonic_profile(x: np.ndarray, length: float) -> np.ndarray:

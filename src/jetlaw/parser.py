@@ -223,9 +223,10 @@ def _raise(base, exponent, pos) -> JetExpression:
     if single is not None and single[1][0] in ("exp", "pow"):
         coeff, atom = single
         scale = rational_pow(coeff, exponent)
-        if scale is not None:
-            # the normal form folds the power of an exp or pow atom into it
-            return JetExpression.from_raw([(scale, {atom: exponent})])
+        if scale is None:
+            raise ParseError("coefficient %s has no rational power %s" % (coeff, exponent), pos)
+        # the normal form folds the power of an exp or pow atom into it
+        return JetExpression.from_raw([(scale, {atom: exponent})])
     raise ParseError("fractional or negative power of a non-invertible base", pos)
 
 

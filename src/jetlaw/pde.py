@@ -1,4 +1,4 @@
-"""Scalar PDEs in solved form, with linearization operators.
+"""Scalar PDEs in solved form.
 
 A PdeSpec stores G = 0 as leading = rhs, where leading is one of u_t, u_tt,
 u_tx and the right-hand side reads only jets of t-order below the leading
@@ -103,12 +103,3 @@ def iterated_total(e: JetExpression, a: int, b: int) -> JetExpression:
     for _ in range(b):
         e = e.total("x")
     return e
-
-
-def linearization(pde: PdeSpec, eta: JetExpression) -> JetExpression:
-    """Frechet derivative of G applied to eta: sum_v dG/dv D^v eta."""
-    g = pde.gee()
-    out = JetExpression.zero()
-    for v in sorted(g.jets()):
-        out = out + g.partial(v) * iterated_total(eta, *v)
-    return out

@@ -1,16 +1,21 @@
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from jetlaw.calculus import ibp_normal_form
 from jetlaw.detsys import DeterminingSystem, validate_arity
-from jetlaw.expr import (JetExpression, cos_atom, exp_atom, lam_atom, pow_atom, sig_sort_key,
-                         sin_atom, term_jets)
+from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
+                         sig_sort_key, sin_atom, term_jets)
+from jetlaw.linsolve import _echelon
+from jetlaw.numcheck import GridConfig, integrate_pde, quantity_series
 from jetlaw.pde import iterated_total, on_chart
 
 
@@ -122,6 +127,107 @@ def reference_instantiate(equation, candidate):
             value = value.partial(k)
         out = out + JetExpression({(mono, rest): c}) * value
     return out
+
+
+def evaluate(e, env) -> float:
+    """Scalar evaluation of e, term by term; env maps coordinates to floats.
+    A reference for the grid evaluator and the normal form."""
+    total_v = 0.0
+    for (mono, atoms), c in e.terms.items():
+        v = float(c)
+        for k, p in mono:
+            v *= env[k] ** p
+        for a, p in atoms:
+            v *= _atom_value(a, env) ** p
+        total_v += v
+    return total_v
+
+
+def _atom_value(a, env) -> float:
+    tag = a[0]
+    if tag not in ("exp", "sin", "cos", "pow"):
+        raise ExprError("cannot evaluate formal atom %r" % (a,))
+    if a[1] != 0 and U not in env:
+        raise ExprError("atom %r needs a value for u" % (a,))
+    arg = float(a[1]) * env.get(U, 0.0) + float(a[2])
+    if tag == "exp":
+        return math.exp(arg)
+    if tag == "sin":
+        return math.sin(arg)
+    if tag == "cos":
+        return math.cos(arg)
+    return arg ** float(a[3])
+
+
+# Exact span comparisons for the classification tests.
+
+def span_rank(exprs) -> int:
+    """Rank of the coefficient rows; columns are signatures in first-seen order."""
+    index: dict = {}
+    return len(_echelon([{index.setdefault(sig, len(index)): c for sig, c in e.terms.items()}
+                         for e in exprs]))
+
+
+def in_span(e, exprs) -> bool:
+    base = list(exprs)
+    return span_rank(base + [e]) == span_rank(base)
+
+
+def same_span(a, b) -> bool:
+    return span_rank(a) == span_rank(b) == span_rank(list(a) + list(b))
+
+
+def linearization(pde, eta):
+    """Frechet derivative of G applied to eta: sum_v dG/dv D^v eta."""
+    g = pde.gee()
+    out = JetExpression.zero()
+    for v in sorted(g.jets()):
+        out = out + g.partial(v) * iterated_total(eta, *v)
+    return out
+
+
+def densities_match(a, b) -> bool:
+    """Equality of densities modulo trivial ones (image of D_x)."""
+    core, _ = ibp_normal_form(a - b)
+    return core.is_zero()
+
+
+# Refinement studies of conserved drift.
+
+def conserved_drift(cl, traj) -> float:
+    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|)."""
+    return max(row[2] for row in quantity_series(cl, traj))
+
+
+def refinement_drifts(pde, initial, cfg, laws):
+    """Drifts of each law at dt and two halvings of it (fixed grid).
+
+    Returns a list per law: [drift at dt, at dt/2, at dt/4].  With spectral
+    space differences the observed decay order is that of the RK4 stepper.
+    """
+    out = [[] for _ in laws]
+    for level in range(3):
+        scaled = GridConfig(length=cfg.length, n=cfg.n, dt=cfg.dt / 2 ** level,
+                            t_end=cfg.t_end)
+        traj = integrate_pde(pde, initial, scaled)
+        for i, cl in enumerate(laws):
+            out[i].append(conserved_drift(cl, traj))
+    return out
+
+
+def convergence_orders(drifts) -> list:
+    """Observed orders log2(d_k / d_{k+1}) along a refinement sequence."""
+    out = []
+    for a, b in zip(drifts, drifts[1:]):
+        if b == 0:
+            out.append(float("inf"))
+        else:
+            out.append(float(np.log2(a / b)))
+    return out
+
+
+def gaussian_bump(x, base=2.0, amplitude=0.3, width=1.0):
+    return base + amplitude * np.exp(-((x / width) ** 2))
 
 
 @pytest.fixture

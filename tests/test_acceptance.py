@@ -23,18 +23,18 @@ from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import parse_pde
 from jetlaw.calculus import euler_operator, ibp_normal_form
 from jetlaw.detsys import determining_expression
-from jetlaw.linsolve import AnsatzBounds, in_span, same_span, solve_multipliers
+from jetlaw.linsolve import AnsatzBounds, solve_multipliers
 from jetlaw.laws import (
     ConservationLaw,
     build_law,
-    densities_match,
     homotopy_density,
     multiplier_from_density,
     verify,
 )
 from jetlaw import numcheck as nc
 
-from conftest import random_expression
+from conftest import (convergence_orders, densities_match, in_span, random_expression,
+                      refinement_drifts, same_span)
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE_U2 = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"
@@ -238,7 +238,7 @@ def _control(pde, text):
 
 def _check_refinement(name, drifts, lines):
     finest = drifts[-1]
-    orders = nc.convergence_orders(drifts)
+    orders = convergence_orders(drifts)
     if all(o >= MIN_ORDER for o in orders):
         lines.append("  %-28s order %s drifts %s"
                      % (name, ["%.2f" % o for o in orders], _fmt(drifts)))
@@ -253,7 +253,7 @@ def _check_refinement(name, drifts, lines):
 def _check_control(name, drifts, lines):
     lines.append("  %-28s control   drifts %s" % (name, _fmt(drifts)))
     assert min(drifts) >= CONTROL_MIN, (name, drifts)
-    orders = nc.convergence_orders(drifts)
+    orders = convergence_orders(drifts)
     assert all(abs(o) <= 0.5 for o in orders), (name, orders)
 
 
@@ -270,7 +270,7 @@ def test_criterion_7_numerical_cross_checks():
         x = nc.grid(cfg)
         u0 = 3.0 * np.sin(2 * np.pi * x / 40) + np.cos(4 * np.pi * x / 40)
         laws = [build_law(kdv, P(s)) for s in ("1", "u", "u_xx + u^2/2")]
-        drifts = nc.refinement_drifts(kdv, u0, cfg, laws + [_control(kdv, "u^3")])
+        drifts = refinement_drifts(kdv, u0, cfg, laws + [_control(kdv, "u^3")])
         for name, d in zip(("mass", "momentum", "energy"), drifts):
             _check_refinement("kdv " + name, d, lines)
         _check_control("kdv u^3", drifts[3], lines)
@@ -278,7 +278,7 @@ def test_criterion_7_numerical_cross_checks():
         cfg = nc.GridConfig(length=40.0, n=256, dt=8e-5, t_end=0.2)
         x = nc.grid(cfg)
         galilean = build_law(kdv, P("t*u - x"))
-        drifts = nc.refinement_drifts(kdv, nc.kdv_soliton(x), cfg, [galilean])
+        drifts = refinement_drifts(kdv, nc.kdv_soliton(x), cfg, [galilean])
         _check_refinement("kdv t*u - x (soliton)", drifts[0], lines)
 
         wave = parse_pde(WAVE_U2)
@@ -289,8 +289,8 @@ def test_criterion_7_numerical_cross_checks():
         lams = ("u_t", "u_x", "t^2*u_t - t*u", "x^2*u_x + x*u",
                 "t*u_t - x*u_x - u")
         laws = [build_law(wave, P(s)) for s in lams]
-        drifts = nc.refinement_drifts(wave, (u0, np.zeros_like(x)), cfg,
-                                      laws + [_control(wave, "u^3")])
+        drifts = refinement_drifts(wave, (u0, np.zeros_like(x)), cfg,
+                                   laws + [_control(wave, "u^3")])
         for name, d in zip(lams, drifts):
             _check_refinement("wave " + name, d, lines)
         _check_control("wave u^3", drifts[5], lines)
@@ -300,8 +300,8 @@ def test_criterion_7_numerical_cross_checks():
         x = nc.grid(cfg)
         u0 = nc.odd_harmonic_profile(x, cfg.length)
         laws = [build_law(sg, P("u_x")), build_law(sg, P("u_xxx + u_x^3/2"))]
-        drifts = nc.refinement_drifts(sg, u0, cfg,
-                                      laws + [_control(sg, "u_x^4")])
+        drifts = refinement_drifts(sg, u0, cfg,
+                                   laws + [_control(sg, "u_x^4")])
         _check_refinement("sine-Gordon first order", drifts[0], lines)
         _check_refinement("sine-Gordon second order", drifts[1], lines)
         _check_control("sine-Gordon u_x^4", drifts[2], lines)

@@ -8,6 +8,8 @@ import pytest
 from jetlaw.cli import main
 from jetlaw.parser import parse_expression as P
 
+from conftest import in_span
+
 
 KDV = "u_t + u*u_x + u_xxx = 0"
 
@@ -54,7 +56,6 @@ def test_derive_contains_galilean_multiplier(capsys):
                  "--order", "2", "--deg-tx", "1", "--deg-u", "2")
     lams = [P(rec["lambda"]) for rec in json.loads(out)["laws"]]
     target = P("t*u - x")
-    from jetlaw.linsolve import in_span
     assert in_span(target, lams)
 
 
@@ -117,6 +118,13 @@ def test_density_command(capsys):
     assert P(payload["phi_t"]) == P("u_x*u_xxx/2 + u_x^4/8")
 
 
+def test_density_with_a_jet_reference_state_is_one_error_line(capsys):
+    code = main(["density", "--pde", KDV, "--multiplier", "u", "--utilde", "u_x"])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "error: reference state must not involve jet coordinates\n"
+
+
 def test_verify_pure_t_multiplier_on_u_tx_is_refused(capsys):
     code = main(["verify", "--pde", "u_tx = u^2", "--multiplier", "u_t"])
     assert code == 2
@@ -152,6 +160,18 @@ def test_numcheck_step_count_over_the_cap_exit_code(capsys):
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "RK4 steps" in captured.err
+
+
+def test_numcheck_soliton_conserves_mass_and_momentum(capsys):
+    code, out = run(capsys, "numcheck", "--pde", KDV, "--order", "1", "--deg-u", "2",
+                    "--initial", "soliton", "--dt", "2e-4", "--horizon", "0.05",
+                    "--format", "json")
+    assert code == 0
+    laws = json.loads(out)["laws"]
+    # 12 sech^2(x) has mass 24 and momentum (the integral of u^2/2) 96
+    assert [rec["law"] for rec in laws] == ["1", "u"]
+    assert [round(rec["series"][0]["Q"], 9) for rec in laws] == [24, 96]
+    assert all(rec["drift"] <= 1e-12 for rec in laws)
 
 
 def test_param_flag(capsys):

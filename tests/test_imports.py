@@ -1,12 +1,17 @@
 """Every name a jetlaw module imports is read somewhere in that module,
 every parameter of a jetlaw function is read in its body, and every error a
-jetlaw module raises is an ExprError.
+jetlaw module raises is an ExprError.  `__init__.py` is left out of these
+three scans: it imports names to re-export them.  Instead, it imports exactly
+the names of `jetlaw.__all__`.
 
-`__init__.py` is left out: it imports names to re-export them."""
+Every top-level function and class of the package, and every method of such
+a class bar the dunders, is exported or read by some jetlaw module outside its
+own body.  A helper that only tests call belongs in tests/conftest.py."""
 
 import ast
 import builtins
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +20,8 @@ import jetlaw
 from jetlaw.expr import ExprError
 from jetlaw.parser import ParseError
 
-MODULES = sorted(p for p in Path(jetlaw.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(jetlaw.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list:
@@ -118,3 +123,70 @@ def test_guard_finds_a_foreign_raise():
 def test_every_raised_error_is_an_expr_error(path):
     module = importlib.import_module("jetlaw." + path.stem)
     assert foreign_raises(path.read_text(), vars(module)) == []
+
+
+def _reads(node) -> Counter:
+    """How often each name is loaded under node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def unread_definitions(sources: dict, exported) -> list:
+    """(module, name, line) for each top-level function or class of the
+    modules in sources (module name -> source text) that is not in exported,
+    and each non-dunder method of a top-level class, that no module loads as
+    a name or an attribute outside the definition's own body; sorted.  An
+    import binds a name without reading it, so a re-export is no read."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = sum(map(_reads, trees.values()), Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, functions + (ast.ClassDef,)):
+                continue
+            candidates = [] if node.name in exported else [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                candidates += [(node.name + "." + m.name, m) for m in node.body
+                               if isinstance(m, functions)
+                               and not (m.name.startswith("__") and m.name.endswith("__"))]
+            found += [(module, name, d.lineno) for name, d in candidates
+                      if read[d.name] == _reads(d)[d.name]]
+    return sorted(found)
+
+
+def test_guard_finds_an_unread_definition():
+    sources = {
+        "a": ("def used():\n"
+              "    return helper()\n"
+              "def helper():\n"
+              "    return helper()\n"
+              "def lonely():\n"
+              "    return lonely()\n"
+              "class K:\n"
+              "    def __repr__(self):\n"
+              "        return 'K'\n"
+              "    def m(self):\n"
+              "        return self.m()\n"
+              "    def n(self):\n"
+              "        return 1\n"
+              "class Shown:\n"
+              "    def hidden(self):\n"
+              "        pass\n"),
+        "b": ("from a import lonely, used\n"
+              "print(used(), K().n())\n"),
+    }
+    assert unread_definitions(sources, {"Shown"}) == [
+        ("a", "K.m", 10), ("a", "Shown.hidden", 15), ("a", "lonely", 5)]
+
+
+def test_every_definition_is_exported_or_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources, set(jetlaw.__all__)) == []
+
+
+def test_init_imports_exactly_the_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+    assert sorted(imported) == sorted(n for n in jetlaw.__all__ if n != "__version__")

@@ -16,7 +16,6 @@ from jetlaw.laws import (
     ConservationLaw,
     HomotopyError,
     build_law,
-    densities_match,
     flux_density,
     homotopy_density,
     multiplier_from_density,
@@ -24,7 +23,7 @@ from jetlaw.laws import (
     verify,
 )
 
-from conftest import random_expression, random_rhs
+from conftest import densities_match, random_expression, random_rhs
 from oracle_jet import law_problems
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
@@ -303,6 +302,19 @@ def test_verify_spec_cases():
                            density_x=JetExpression.zero(),
                            utilde=JetExpression.zero())
     assert verify(zero)
+    # KdV n=1: Lambda = u with a zero flux fails the divergence identity, and
+    # Lambda = 1 with the law of u passes it but recovers the multiplier u,
+    # whose difference u - 1 is a multiplier with a nontrivial density.
+    kdv1 = parse_pde(KDV, {"n": 1})
+    d = homotopy_density(kdv1, P("u"))
+    no_flux = ConservationLaw(pde=kdv1, multiplier=P("u"), density_t=d,
+                              density_x=JetExpression.zero(),
+                              utilde=JetExpression.zero())
+    assert not verify(no_flux)
+    other = ConservationLaw(pde=kdv1, multiplier=P("1"), density_t=d,
+                            density_x=flux_density(kdv1, d),
+                            utilde=JetExpression.zero())
+    assert not verify(other)
 
 
 def test_verify_invariant_under_trivial_shift():

@@ -24,15 +24,12 @@ from jetlaw.linsolve import (
     RationalLinearSystem,
     assemble,
     generate_ansatz_basis,
-    in_span,
     multiplier_arity,
     nullspace,
-    same_span,
     solve_multipliers,
-    span_rank,
 )
 
-from conftest import full_split, random_rhs, reference_instantiate
+from conftest import full_split, in_span, random_rhs, reference_instantiate, same_span, span_rank
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
 WAVE = "u_tt = pow(u,-4)*u_xx - 2*pow(u,-5)*u_x^2"

@@ -4,10 +4,10 @@ import pytest
 
 from jetlaw.expr import ExprError, U, UT, UX
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import PdeError, parse_pde, linearization
+from jetlaw.pde import PdeError, parse_pde
 from jetlaw.calculus import adjoint_linearization, euler_operator
 
-from conftest import random_expression
+from conftest import linearization, random_expression
 from oracle_jet import euler as oracle_euler, to_sympy, same
 
 
