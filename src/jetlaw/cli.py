@@ -2,7 +2,8 @@
 
 Subcommands: derive, verify, density, scan, numcheck.  Expressions in
 reports are rendered in the input grammar, so outputs can be piped back in.
-Exit code 0 only when every requested law verifies.
+Exit code 0 only when every requested law verifies; 2 on bad input or an
+unwritable --out; 141 (128 + SIGPIPE), silently, when stdout is closed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -367,7 +369,14 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone: exit as a writer killed by SIGPIPE,
+        # silently, and let the interpreter's last flush write to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ExprError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

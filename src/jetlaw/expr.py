@@ -714,7 +714,7 @@ class _Packing:
     kinded lists what a product reads of each term, so an operand multiplied
     many times is scanned once.  A product of two terms is an integer addition
     unless both carry atoms or a live pow atom meets u; then it goes through
-    product.  A partial is taken whole and may be empty.
+    product.  A partial maps a kinded list to one, whole, and may be empty.
 
     The two slow paths are memoized.  A product that needs the rewrite step
     depends only on its two atom tuples and its summed u exponent, and a slow
@@ -777,7 +777,8 @@ class _Packing:
 
     def kinded(self, terms: dict) -> list:
         """(coefficient, atom-id, packed, has a live pow atom, u exponent) of
-        each term of a packed dict, in order: what a product reads of it."""
+        each term of a packed dict, in order: what a product reads of it, and
+        the form partial takes and gives."""
         kinds = self.kinds
         return [(c, aid, m, kinds[aid][0], m & _FIELD_MASK) for (aid, m), c in terms.items()]
 
@@ -796,14 +797,14 @@ class _Packing:
                             % (rest >> shift & _FIELD_MASK, coord_name(k)))
         return [(f, aid, m + rest) for f, aid, m in memo]
 
-    def partial(self, terms: dict, v) -> dict:
-        """d/dv of a packed term dict, as by JetExpression.partial; {} when no
-        term reads v.  Terms are merged only when one went through
+    def partial(self, terms: list, v) -> list:
+        """d/dv of a kinded term list, as by JetExpression.partial, kinded;
+        [] when no term reads v.  Terms are merged only when one went through
         _term_partial: exponent shifts keep distinct terms distinct."""
         shift = self.shift.get(v)
-        pairs = []
+        out = []
         slow = False
-        for (aid, m), c in terms.items():
+        for c, aid, m, live, _ in terms:
             if aid and v in self.kinds[aid][1]:
                 slow = True
                 part = 0 if shift is None else m & (_FIELD_MASK << shift)
@@ -814,13 +815,13 @@ class _Packing:
                     memo = self.slow_partials[key] = [
                         (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
                 rest = m - part
-                pairs.extend(((a, mv + rest), c * f) for f, a, mv in memo)
+                out.extend((c * f, a, mv + rest, None, None) for f, a, mv in memo)
             elif shift is not None:
                 p = m >> shift & _FIELD_MASK
                 if p:
-                    c *= p
-                    pairs.append(((aid, m - (1 << shift)), c if type(c) is int else _q(c)))
-        return _accumulate((c, k) for k, c in pairs) if slow else dict(pairs)
+                    c, m = c * p, m - (1 << shift)
+                    out.append((c if type(c) is int else _q(c), aid, m, live, m & _FIELD_MASK))
+        return self.kinded(_accumulate((c, (aid, m)) for c, aid, m, _, _ in out)) if slow else out
 
 
 def sig_sort_key(sig):

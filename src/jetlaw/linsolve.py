@@ -18,13 +18,13 @@ first nonzero entry is positive, so every vector is a list of int.
 
 Substitution works on equations grouped by Lam derivative index: an equation
 is sum_g c_g * d^(index_g) Lam.  The indices of all equations form one tree
-closed under prefixes; each basis element walks it once, taking one partial
-per child and pruning at the first zero partial.  The walk runs on packed
-terms (expr._Packing), local to one call: coefficients and basis elements
-are packed once, a product is an integer addition and a partial an exponent
+closed under prefixes, compiled once per call into a preorder node list;
+each basis element walks it once, one partial per child, skipping a subtree
+at its first zero partial.  The walk runs on kinded packed terms
+(expr._Packing), local to one call: coefficients and basis elements are
+packed once, a product is an integer addition and a partial an exponent
 shift.  Products are summed straight into rows keyed (equation, atom-id,
-packed monomial), in first-seen order; a key is decoded to its signature
-only on demand.
+packed monomial), in first-seen order; a key is decoded only on demand.
 """
 
 from __future__ import annotations
@@ -158,15 +158,14 @@ class RationalLinearSystem:
     decode: object = None
 
 
-def _lam_tree(equations, packing: _Packing) -> tuple:
-    """Group equations linear in Lam by derivative index, as (uses, children).
+def _lam_tree(equations, packing: _Packing) -> list:
+    """Group equations linear in Lam by derivative index, as a node list.
 
-    uses maps an index to [(equation, coefficient)], with each equation the
-    sum of coefficient * d^index Lam over its groups and each coefficient
-    listed by packing.kinded.  children maps an index to its
-    one-coordinate extensions, each to the coordinate it adds; the indices
-    are closed under prefixes.
-    """
+    Each equation is the sum of coefficient * d^index Lam over its groups.
+    The indices, closed under prefixes, are listed in preorder with the
+    children of a node in reverse order of first use.  A node is (depth, the
+    coordinate its index adds, the position just past its subtree, its
+    coefficients' terms as (equation,) + packing.kinded entry)."""
     groups: dict = {}
     for ei, equation in enumerate(equations):
         for (mono, atoms), c in equation.terms.items():
@@ -180,62 +179,76 @@ def _lam_tree(equations, packing: _Packing) -> tuple:
     uses: dict = {}
     children: dict = {}
     for (index, ei), terms in groups.items():
-        uses.setdefault(index, []).append((ei, packing.kinded(packing.pack(terms))))
+        uses.setdefault(index, []).extend((ei,) + t for t in packing.kinded(packing.pack(terms)))
         while index and index not in children.get(index[:-1], ()):
-            children.setdefault(index[:-1], {})[index] = index[-1]
+            children.setdefault(index[:-1], {})[index] = None
             index = index[:-1]
-    return uses, children
+    nodes: list = []
+
+    def add(index):
+        at = len(nodes)
+        nodes.append(None)
+        for child in reversed(children.get(index, ())):
+            add(child)
+        nodes[at] = (len(index), index[-1] if index else None, len(nodes), uses.get(index, []))
+
+    add(())
+    return nodes
 
 
 def assemble(system: DeterminingSystem, ansatz: AnsatzSpace) -> RationalLinearSystem:
     """One row per (equation, monomial signature); one column per basis element.
 
-    Each column walks the equations' index tree once, so a partial of a basis
-    element is taken once per index, not once per equation.  At each node the
+    Each column, packed and kinded once, walks the node list of _lam_tree, so
+    a partial of a basis element is taken once per index, not once per
+    equation.  values[depth] is the kinded value at the current node of each
+    depth; an empty partial skips the node's subtree.  At each node the
     products of the value with the coefficients there are summed straight
     into the rows; entries that cancel and the rows they empty are dropped at
     the end.
     """
     packing = _Packing()
-    uses, children = _lam_tree(system.equations, packing)
-    kinded, partial, shifts = packing.kinded, packing.partial, packing.shift
+    nodes = _lam_tree(system.equations, packing)
+    columns = [packing.kinded(packing.pack(b.terms)) for b in ansatz.basis]
+    shifts = [packing.shift.get(v) for _, v, _, _ in nodes]
+    partial, product = packing.partial, packing.product
     sums: dict = {}
-    for col, candidate in enumerate(ansatz.basis):
-        stack = [((), packing.pack(candidate.terms))] if candidate.terms else []
-        while stack:
-            index, value = stack.pop()
-            right = kinded(value)
-            for ei, coefficient in uses.get(index, ()):
-                for c1, a1, m1, live1, u1 in coefficient:
-                    for c2, a2, m2, live2, u2 in right:
-                        c = c1 * c2
-                        if (a1 and a2) or ((live1 or live2) and (u1 or u2)):
-                            for f, aid, m in packing.product(a1, a2, u1 + u2, m1 + m2 - u1 - u2):
-                                row = sums.setdefault((ei, aid, m), {})
-                                row[col] = row.get(col, 0) + c * f
-                            continue
-                        key = (ei, a1 or a2, m1 + m2)
-                        row = sums.get(key)
-                        if row is None:
-                            sums[key] = {col: c}
-                        else:
-                            row[col] = row.get(col, 0) + c
-            kids = children.get(index)
-            if not kids:
-                continue
-            if len(right) == 1 and not right[0][1]:
-                # One atom-free term: each partial is one exponent shift.
-                c, _, m = right[0][:3]
-                for child, v in kids.items():
-                    shift = shifts.get(v)
-                    p = 0 if shift is None else c * (m >> shift & _FIELD_MASK)
+    for col, right in enumerate(columns):
+        values = [right]
+        i = 0
+        while i < len(nodes):
+            depth, v, end, uses = nodes[i]
+            if depth:
+                parent = values[depth - 1]
+                if len(parent) == 1 and not parent[0][1]:
+                    # One atom-free term: the partial is one exponent shift.
+                    c, _, m, _, _ = parent[0]
+                    shift = shifts[i]
+                    p = 0 if shift is None else m >> shift & _FIELD_MASK
                     if p:
-                        stack.append((child, {(0, m - (1 << shift)): _q(p)}))
-                continue
-            for child, v in kids.items():
-                d = partial(value, v)
-                if d:
-                    stack.append((child, d))
+                        m -= 1 << shift
+                    right = [(_q(c * p), 0, m, False, m & _FIELD_MASK)] if p else []
+                else:
+                    right = partial(parent, v)
+                if not right:
+                    i = end
+                    continue
+                values[depth:] = (right,)
+            for ei, c1, a1, m1, live1, u1 in uses:
+                for c2, a2, m2, live2, u2 in right:
+                    c = c1 * c2
+                    if (a1 and a2) or ((live1 or live2) and (u1 or u2)):
+                        for f, aid, m in product(a1, a2, u1 + u2, m1 + m2 - u1 - u2):
+                            row = sums.setdefault((ei, aid, m), {})
+                            row[col] = row.get(col, 0) + c * f
+                        continue
+                    key = (ei, a1 or a2, m1 + m2)
+                    row = sums.get(key)
+                    if row is None:
+                        sums[key] = {col: c}
+                    else:
+                        row[col] = row.get(col, 0) + c
+            i += 1
     linsys = RationalLinearSystem(ncols=len(ansatz.basis), decode=packing.decode)
     for key, row in sums.items():
         row = {col: v if type(v) is int else _q(v) for col, v in row.items() if v}

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,29 @@ def test_numcheck_out_under_a_regular_file_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_141_silently(fmt, tmp_path):
+    # The read end of stdout is closed before the process starts, so its
+    # first write fails with EPIPE.  An unwritable --out stays an error.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "jetlaw.cli", "derive", "--pde", "u_t = u_xx", "--order", "1",
+            "--deg-u", "2", "--deg-tx", "1", "--format", fmt]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (closed.returncode, closed.stderr) == (141, b"")
+    out = tmp_path / "missing" / "x.json"
+    unwritable = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=env,
+                                timeout=60)
+    assert unwritable.returncode == 2 and unwritable.stdout == b""
+    err = unwritable.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
 
 def test_long_inline_pde_is_not_probed_as_a_path(capsys):

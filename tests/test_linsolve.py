@@ -727,37 +727,37 @@ def _stage_one_inputs(monkeypatch, name):
     return args
 
 
-# Partials taken in one stage-1 assembly of the three `scale` systems, and
-# the SHA-256 of the repr of its rows in order, decoded to (equation,
-# signature).  One partial is taken per child of every tree node the walk
-# reaches, 6857 of them empty.  The walk shifts a one-term atom-free value in
-# place and sends the rest through _Packing.partial, so the count is of the
-# children it visits.
+# Partials taken in one stage-1 assembly of the three `scale` systems and of
+# the two classification wave systems, and the SHA-256 of the repr of its
+# rows in order, decoded to (equation, signature).  One partial is tried per
+# child of every tree node the walk reaches, 6857 of them empty on the
+# `scale` systems.  The walk shifts a one-term atom-free value in place and
+# sends the rest through _Packing.partial: on every `scale` system and on
+# "wave c=u^-2", whose slow products the memo serves, no value reaches it;
+# on "wave c=e^u", 24 atom columns reach it 306 times.
 WALK_PARTIALS = {
     "kdv order 4": (3402, "09e32c9afe132dbfb056303723e9e23b3b59c7b477b91c73c7062ef44cb4c63f"),
     "sine-gordon order 4": (
         3822, "805dd7075832476473d485ded34d090d449643797b4f0884e4b9ca8a0c84ebbc"),
     "liouville order 4": (
         3822, "8b76b07fcac6ac25352fbf48ba18d22398b6fdbf1799c4f86eb567ce3b15a565"),
+    "wave c=u^-2": (252, "dc4e62cab807c7b6cab2dc00ebe554cb475381454ba4f19c6ae06274ae7c2bdf"),
+    "wave c=e^u": (558, "343894f533ccfc40f20830c8cd620c34e7e7ff312aca333e9341a3d0d3093a6d"),
 }
 
 
 def _count_child_visits(monkeypatch):
-    """A counter of the children assemble's walk visits: each children dict of
-    the Lam tree counts its entries when iterated."""
+    """A counter of the child nodes assemble's walk tries: the node list of
+    the Lam tree counts each read of a node past the root."""
     visits = SimpleNamespace(calls=0)
     lam_tree = linsolve._lam_tree
 
-    class Children(dict):
-        def items(self):
-            visits.calls += len(self)
-            return super().items()
+    class Nodes(list):
+        def __getitem__(self, i):
+            visits.calls += i > 0
+            return super().__getitem__(i)
 
-    def counting(*args):
-        uses, children = lam_tree(*args)
-        return uses, {index: Children(kids) for index, kids in children.items()}
-
-    monkeypatch.setattr(linsolve, "_lam_tree", counting)
+    monkeypatch.setattr(linsolve, "_lam_tree", lambda *args: Nodes(lam_tree(*args)))
     return visits
 
 
@@ -771,7 +771,7 @@ def test_walk_takes_only_partials_the_value_reads(name, monkeypatch):
     assert hashlib.sha256(repr(list(rows.items())).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", WALK_PARTIALS)
+@pytest.mark.parametrize("name", STAGE_ONE)
 def test_scale_assembly_decodes_no_row(name, monkeypatch, count_calls):
     # The rows stay keyed by packed terms, and no product or partial of these
     # systems takes a slow path, so nothing is decoded.
@@ -781,6 +781,67 @@ def test_scale_assembly_decodes_no_row(name, monkeypatch, count_calls):
     assert decode.calls == 0
     packing = linsys.decode.__self__
     assert packing.slow_products == {} and packing.slow_partials == {}
+
+
+def _node_paths(nodes):
+    """The index of each node, rebuilt from the end positions alone: a node's
+    parent is the innermost earlier node whose subtree it lies in."""
+    paths, enclosing = [], []
+    for i, (_, v, end, _) in enumerate(nodes):
+        while enclosing and enclosing[-1][0] <= i:
+            enclosing.pop()
+        paths.append(enclosing[-1][1] + (v,) if enclosing else ())
+        enclosing.append((end, paths[-1]))
+    return paths
+
+
+def _stack_pop_order(equations):
+    """The indices in the order the stack walk over children dicts popped
+    them, nothing pruned: children in order of first use, pushed in that
+    order, so popped last first."""
+    children: dict = {}
+    for equation in equations:
+        for _, atoms in equation.terms:
+            (index,) = [a[2] for a, _ in atoms if a[0] == "lam"]
+            while index and index not in children.get(index[:-1], ()):
+                children.setdefault(index[:-1], {})[index] = None
+                index = index[:-1]
+    order, stack = [], [()]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(children.get(order[-1], ()))
+    return order
+
+
+def _random_lam_tree_system():
+    rng = random.Random("lam tree")
+    pde = PdeSpec(leading=(2, 0), rhs=random_rhs(rng, (2, 0), True))
+    return split_determining_system(pde, multiplier_arity(pde, 2))
+
+
+@pytest.mark.parametrize("name, size, used", [("kdv order 4", 85, 82), ("random u_tt", 91, None)])
+def test_lam_tree_is_the_stack_walk_in_preorder(name, size, used, monkeypatch):
+    if name == "random u_tt":
+        system = _random_lam_tree_system()
+    else:
+        system, _ = _stage_one_inputs(monkeypatch, name)
+    nodes = linsolve._lam_tree(system.equations, expr._Packing())
+    paths = _node_paths(nodes)
+    assert len(nodes) == size
+    assert used is None or sum(bool(terms) for *_, terms in nodes) == used
+    position = {path: i for i, path in enumerate(paths)}
+    assert len(position) == len(paths) and paths[0] == () and nodes[0][0] == 0
+    for i, (depth, _, end, _) in enumerate(nodes):
+        path = paths[i]
+        # A prefix comes first; the subtree is the run up to end; a node is
+        # one deeper than its parent.
+        assert i == 0 or position[path[:-1]] < i
+        assert [j for j, p in enumerate(paths) if p[:len(path)] == path] == list(range(i, end))
+        assert depth == len(path) and (i == 0 or depth == nodes[position[path[:-1]]][0] + 1)
+    assert paths == _stack_pop_order(system.equations)
+    lam_uses = {(a[2], ei) for ei, equation in enumerate(system.equations)
+                for _, atoms in equation.terms for a, _ in atoms if a[0] == "lam"}
+    assert {(paths[i], ei) for i, (*_, terms) in enumerate(nodes) for ei, *_ in terms} == lam_uses
 
 
 # _canon_term calls in one stage-1 assembly of the two kernel-atom wave
