@@ -245,9 +245,9 @@ def test_numcheck_out_under_a_regular_file_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_closed_stdout_exits_141_silently(fmt, tmp_path):
+def test_closed_stdout_exits_141_silently(fmt):
     # The read end of stdout is closed before the process starts, so its
-    # first write fails with EPIPE.  An unwritable --out stays an error.
+    # first write fails with EPIPE.
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     argv = [sys.executable, "-m", "jetlaw.cli", "derive", "--pde", "u_t = u_xx", "--order", "1",
@@ -259,12 +259,6 @@ def test_closed_stdout_exits_141_silently(fmt, tmp_path):
     finally:
         os.close(write)
     assert (closed.returncode, closed.stderr) == (141, b"")
-    out = tmp_path / "missing" / "x.json"
-    unwritable = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=env,
-                                timeout=60)
-    assert unwritable.returncode == 2 and unwritable.stdout == b""
-    err = unwritable.stderr.decode()
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
 
 def test_long_inline_pde_is_not_probed_as_a_path(capsys):

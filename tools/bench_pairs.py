@@ -1,16 +1,16 @@
 """Alternating parent/change pairs of benchmark runs, summarized per metric.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload scale \
-        --pairs 10 --seconds 20 --seed 28000
+        --pairs 10 --seed 28000
 
 Pair i runs `perfbench/run.py --workload W --seed K+i --seconds S --trace 0`
-in each of the two checkouts, the same seed on both sides; the parent goes
-first in even pairs and the change in odd ones, so a drift of the host's
-speed does not favour one side.  For every end-to-end metric it prints the
-value of each pair, each side's median and quartiles, and the number of
-pairs the change wins; the direction of each metric is read from
-BENCHMARK.json.  Exit 1 as soon as a run is not correct, has a failed
-operation or prints no result.
+in each of the two checkouts, the same seed on both sides; S is the
+run_seconds of BENCHMARK.json.  The parent goes first in even pairs and the
+change in odd ones, so a drift of the host's speed does not favour one side.
+For every end-to-end metric it prints the value of each pair, each side's
+median and quartiles, and the number of pairs the change wins; the direction
+of each metric is read from BENCHMARK.json.  Exit 1 as soon as a run is not
+correct, has a failed operation or prints no result.
 """
 
 from __future__ import annotations
@@ -73,17 +73,16 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed + i")
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
         runs = [None, None]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             checkout = (args.parent, args.change)[side]
-            runs[side] = run_once(checkout, args.workload, args.seed + i, args.seconds)
+            runs[side] = run_once(checkout, args.workload, args.seed + i, bench["run_seconds"])
         pairs.append(tuple(runs))
         print("pair %d done (seed %d)" % (i, args.seed + i), file=sys.stderr)
     for name, s in summarize(pairs, better).items():
