@@ -13,7 +13,9 @@ The descent used by inversion and the normal form processes the highest jet
 coordinate (ranked by total order, then x-order) and peels terms linear in
 it.  A step is taken only when the cofactor's coordinates all rank at or
 below the lowered coordinate; this keeps the descent strictly decreasing, and
-for expressions that genuinely are total x-derivatives it never blocks.
+for expressions that genuinely are total x-derivatives it never blocks.  A
+top jet of x-order 0 (u, u_t, ...) has no lowered coordinate, so it blocks
+every term that reads it.
 
 Each step integrates a cofactor in one coordinate w.  Two antiderivatives
 differ by a w-free expression, so the one returned, which has no w-free
@@ -218,17 +220,7 @@ def _descent(e: JetExpression):
             theta = theta + _integrate_wrt(work, "x")
             break
         v = max(jets, key=_descent_rank)
-        if v[1] == 0:
-            stuck = {}
-            keep = {}
-            for sig, c in work.terms.items():
-                if v in term_jets(sig):
-                    stuck[sig] = c
-                else:
-                    keep[sig] = c
-            core = core + JetExpression(stuck)
-            work = JetExpression(keep)
-            continue
+        top = v[1] == 0
         w = (v[0], v[1] - 1)
         w_rank = _descent_rank(w)
         linear = []
@@ -237,11 +229,10 @@ def _descent(e: JetExpression):
         for sig, c in work.terms.items():
             mono, atoms = sig
             p = dict(mono).get(v, 0)
-            if p == 0:
+            if not (p or top and v in term_jets(sig)):
                 keep[sig] = c
                 continue
-            others = term_jets(sig) - {v}
-            if p >= 2 or any(_descent_rank(z) > w_rank for z in others):
+            if top or p >= 2 or any(_descent_rank(z) > w_rank for z in term_jets(sig) - {v}):
                 blocked[sig] = c
             else:
                 rest = tuple((k, q) for k, q in mono if k != v)

@@ -40,12 +40,6 @@ def check_admissible(pde: PdeSpec, coordinates) -> None:
                 coord_name(k) if is_jet(k) else repr(k), coord_name(pde.leading)))
 
 
-def validate_arity(pde: PdeSpec, arity) -> tuple:
-    """The arity without repeats, each coordinate checked by check_admissible."""
-    check_admissible(pde, arity)
-    return tuple(dict.fromkeys(arity))
-
-
 def determining_expression(pde: PdeSpec, lam: JetExpression) -> JetExpression:
     """E_u(G * lam), fully expanded off the solution space."""
     check_admissible(pde, lam.jets())
@@ -64,7 +58,8 @@ class DeterminingSystem:
 def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
     """The adjoint-symmetry equation D_G*(Lam) = 0, taken on solutions by the
     on-solution D^ in `euler_sum`, for Lam of the given arity, terms in canonical order."""
-    arity = validate_arity(pde, arity)
+    check_admissible(pde, arity)
+    arity = tuple(dict.fromkeys(arity))
     q = adjoint_linearization(pde, JetExpression.atom(lam_atom(arity)), ChartForms(pde))
     equation = JetExpression(dict(sorted(q.terms.items(), key=lambda t: sig_sort_key(t[0]))))
     return DeterminingSystem(equations=(equation,))

@@ -60,7 +60,7 @@ packing.  A power too wide to pack with a bit to spare raises ExprError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from numbers import Number
 
 T = "t"
@@ -176,9 +176,7 @@ def _atom_sort_key(a):
 
 def _nth_root(n: int, q: int):
     """Exact q-th root of a nonnegative integer, or None."""
-    if n < 0:
-        return None
-    r = isqrt(n) if q == 2 else _integer_root(n, q)
+    r = _integer_root(n, q)
     return r if r ** q == n else None
 
 

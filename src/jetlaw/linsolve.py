@@ -30,6 +30,7 @@ packed monomial), in first-seen order; a key is decoded only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .expr import (_FIELD_MASK, ExprError, JetExpression, _Packing, _accumulate, _mono_key, _pair,
@@ -99,26 +100,20 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
         raise AnsatzTooLarge("ansatz bounds give more than %d columns" % MAX_COLUMNS)
     arity = multiplier_arity(pde, bounds.order)
     jets = [k for k in arity if not is_indep(k)]
-    indeps = [k for k in arity if is_indep(k)]
     for a in bounds.atoms:
         if not is_kernel_atom(a):
             raise ExprError("ansatz atoms must be kernel atoms, got %r" % (a,))
 
-    # Nondecreasing index sequences of jets, up to deg_u long, in preorder:
-    # a prefix comes before its extensions, and those go by their next jet.
-    jet_monos = []
-    stack = [((), 0)]
-    while stack:
-        prefix, start = stack.pop()
-        jet_monos.append(prefix)
-        if len(prefix) < bounds.deg_u:
-            stack.extend((prefix + (jets[i],), i)
-                         for i in reversed(range(start, len(jets))))
+    # Nondecreasing index sequences of jets, up to deg_u long, sorted: a
+    # prefix comes before its extensions, and those go by their next jet.
+    jet_monos = [tuple(jets[i] for i in c) for c in sorted(
+        c for k in range(max(bounds.deg_u, 0) + 1)
+        for c in combinations_with_replacement(range(len(jets)), k))]
 
     basis = []
     for i in range(bounds.deg_tx + 1):
         for j in range(bounds.deg_tx + 1 - i):
-            if i and "t" not in indeps:
+            if i and "t" not in arity:
                 continue
             for mono in jet_monos:
                 for atom in (None,) + tuple(bounds.atoms):
@@ -135,16 +130,10 @@ def generate_ansatz_basis(pde: PdeSpec, bounds: AnsatzBounds) -> AnsatzSpace:
                     else:
                         f[atom] = 1
                         basis.append(JetExpression.from_raw([(1, f)]))
-    seen = set()
-    unique = []
-    for b in basis:
-        if b.is_zero() or b in seen:
-            continue
-        seen.add(b)
-        unique.append(b)
+    unique = tuple(dict.fromkeys(b for b in basis if not b.is_zero()))
     if not unique:
         raise ExprError("empty ansatz basis")
-    return AnsatzSpace(arity=arity, basis=tuple(unique))
+    return AnsatzSpace(arity=arity, basis=unique)
 
 
 @dataclass

@@ -46,6 +46,9 @@ class GridError(ExprError):
 # Most RK4 steps one integration may take; the tests and benchmark take at
 # most about 13,000.
 MAX_STEPS = 10 ** 6
+# Most grid points; the tests, demos and benchmark use at most 256, and a
+# larger request is refused before any array is allocated.
+MAX_GRID = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class GridConfig:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
             raise GridError("grid size n must be an integer")
-        if self.n < 64:
-            raise GridError("grid must have at least 64 points")
+        if not 64 <= self.n <= MAX_GRID:
+            raise GridError("grid must have between 64 and %d points" % MAX_GRID)
         for name in ("length", "dt", "t_end"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):

@@ -80,7 +80,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text, params=None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = -1  # the top-level expr is depth 0

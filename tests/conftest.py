@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from jetlaw.calculus import ibp_normal_form
-from jetlaw.detsys import DeterminingSystem, validate_arity
+from jetlaw.detsys import DeterminingSystem, check_admissible
 from jetlaw.expr import (U, ExprError, JetExpression, cos_atom, exp_atom, lam_atom, pow_atom,
                          sig_sort_key, sin_atom, term_jets)
 from jetlaw.linsolve import _echelon
@@ -97,7 +97,8 @@ def full_split(pde, arity):
     adjoint-symmetry equation.  Keys are sorted by (degree, monomial), and
     each equation's terms come in sig_sort_key order.  Computed once per PDE
     text and arity."""
-    arity = validate_arity(pde, arity)
+    check_admissible(pde, arity)
+    arity = tuple(dict.fromkeys(arity))
     cache = (str(pde), arity)
     if cache not in _FULL_SPLITS:
         q = _straight_euler(pde.gee() * JetExpression.atom(lam_atom(arity)))

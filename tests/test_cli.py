@@ -166,6 +166,15 @@ def test_numcheck_step_count_over_the_cap_exit_code(capsys):
     assert "RK4 steps" in captured.err
 
 
+def test_numcheck_huge_grid_is_one_error_line(capsys):
+    # refused by GridConfig before any array is allocated
+    code = main(["numcheck", "--pde", "u_t = u_xx", "--order", "0", "--deg-u", "1",
+                 "--grid-n", "1000000000000000", "--dt", "0.001", "--horizon", "0.01"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "65536 points" in err
+
+
 def test_numcheck_soliton_conserves_mass_and_momentum(capsys):
     code, out = run(capsys, "numcheck", "--pde", KDV, "--order", "1", "--deg-u", "2",
                     "--initial", "soliton", "--dt", "2e-4", "--horizon", "0.05",

@@ -10,8 +10,7 @@ from jetlaw import calculus
 from jetlaw.expr import T, U, X, JetExpression
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, parse_pde
-from jetlaw.detsys import (ArityError, determining_expression, split_determining_system,
-                           validate_arity)
+from jetlaw.detsys import ArityError, determining_expression, split_determining_system
 from jetlaw.linsolve import multiplier_arity
 
 from conftest import full_split, random_rhs, reference_instantiate
@@ -56,7 +55,7 @@ def test_inadmissible_dependence_rejected():
     with pytest.raises(ArityError, match="^multiplier depends on u_t, excluded for leading u_tx$"):
         determining_expression(kg, P("u_t"))
     with pytest.raises(ArityError, match="^multiplier depends on u_t, excluded for leading u_tx$"):
-        validate_arity(kg, ("x", (0, 0), (1, 0)))
+        split_determining_system(kg, ("x", (0, 0), (1, 0)))
 
 
 def test_kdv_split_structure():

@@ -236,10 +236,16 @@ def test_round_trip_fixed_forms():
         "cos(u)^3 - sin(u)*cos(u)",
         "0",
         "-u + 5",
+        # kernel atoms whose argument has no u
+        "exp(2)",
+        "u*sin(1)",
+        "pow(2, 1/2)",
+        "cos(-3)",
     ]
     for s in samples:
         e = P(s)
         assert P(render(e)) == e
+    assert render(P("cos(-3)")) == "cos(3)"
 
 
 def test_round_trip_random(rng):

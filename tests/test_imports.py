@@ -6,7 +6,11 @@ the names of `jetlaw.__all__`.
 
 Every top-level function and class of the package, and every method of such
 a class bar the dunders, is exported or read by some jetlaw module outside its
-own body.  A helper that only tests call belongs in tests/conftest.py."""
+own body.  A helper that only tests call belongs in tests/conftest.py.
+
+Every attribute a jetlaw class sets on self, and every dataclass field, is
+loaded as an attribute somewhere in the package; the attributes of an
+ExprError subclass are data for callers and are left out."""
 
 import ast
 import builtins
@@ -183,6 +187,74 @@ def test_guard_finds_an_unread_definition():
 def test_every_definition_is_exported_or_read():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources, set(jetlaw.__all__)) == []
+
+
+def unread_attributes(sources: dict) -> list:
+    """(module, class, attribute, line) for each attribute that a class in
+    sources (module name -> source text) sets on self, or declares as a
+    dataclass field, and that no module loads as `.attribute`; sorted.
+    Subclasses of ExprError, followed through the bases named in sources,
+    are left out."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    classes = [(module, node) for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    errors = {"ExprError"}
+    grown = True
+    while grown:
+        before = len(errors)
+        errors |= {c.name for _, c in classes
+                   if any(ast.unparse(b) in errors for b in c.bases)}
+        grown = len(errors) > before
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for module, node in classes:
+        if node.name in errors:
+            continue
+        dataclass = any(ast.unparse(d).split("(")[0] == "dataclass"
+                        for d in node.decorator_list)
+        fields = [(s.target.id, s.lineno) for s in node.body if dataclass
+                  and isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        stored = [(n.attr, n.lineno) for n in ast.walk(node)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"]
+        found += [(module, node.name, name, line) for name, line in fields + stored
+                  if name not in loaded]
+    return sorted(found)
+
+
+def test_guard_finds_an_unread_attribute():
+    sources = {
+        "a": ("@dataclass(frozen=True)\n"
+              "class Spec:\n"
+              "    read: int\n"
+              "    unread: int = 0\n"
+              "class Parser:\n"
+              "    def __init__(self, text):\n"
+              "        self.text = text\n"
+              "        self.pos = 0\n"
+              "        self.depth = 0\n"
+              "    def step(self):\n"
+              "        self.depth += 1\n"
+              "        return self.pos\n"
+              "class Plain:\n"
+              "    count: int\n"
+              "class Failed(ExprError):\n"
+              "    def __init__(self, residual):\n"
+              "        self.residual = residual\n"
+              "class Worse(Failed):\n"
+              "    def __init__(self, norm):\n"
+              "        self.norm = norm\n"),
+        "b": "print(spec.read)\n",
+    }
+    assert unread_attributes(sources) == [
+        ("a", "Parser", "depth", 9), ("a", "Parser", "depth", 11),
+        ("a", "Parser", "text", 7), ("a", "Spec", "unread", 4)]
+
+
+def test_every_attribute_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_attributes(sources) == []
 
 
 def test_init_imports_exactly_the_exported_names():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, parse_pde
 from jetlaw.calculus import (AntiderivativeOutsideClass, NotXDerivative, ibp_normal_form,
                              solution_total_derivative)
+from jetlaw.detsys import ArityError, determining_expression
 from jetlaw.laws import (
     ConservationLaw,
     HomotopyError,
@@ -181,6 +183,11 @@ def test_normalize_density_spec_cases():
                          density_x=JetExpression.zero(),
                          utilde=JetExpression.zero())
     assert normalize_density(cl).density_t.is_zero()
+    # already in normal form, with its flux: returned as it is
+    energy = P("u^2/2")
+    cl = ConservationLaw(pde=kdv, multiplier=P("u"), density_t=energy,
+                         density_x=flux_density(kdv, energy), utilde=JetExpression.zero())
+    assert normalize_density(cl) is cl
 
 
 def test_build_law_inverts_one_flux_per_law(monkeypatch):
@@ -315,6 +322,12 @@ def test_verify_spec_cases():
                             density_x=flux_density(kdv1, d),
                             utilde=JetExpression.zero())
     assert not verify(other)
+    # u_t is no multiplier jet when u_t leads: verify catches the ArityError
+    # raised inside and returns False
+    inadmissible = replace(other, multiplier=P("u_t"))
+    with pytest.raises(ArityError):
+        determining_expression(kdv1, inadmissible.multiplier)
+    assert verify(inadmissible) is False
 
 
 def test_verify_invariant_under_trivial_shift():

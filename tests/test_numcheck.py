@@ -84,6 +84,8 @@ def test_grid_config_validation():
         (10.0, 64, 1e-3, math.inf),
         (10.0, 64, 1e-300, 1e10),  # the step count overflows
         (10.0, 64, 1e-9, 1.0),  # 10^9 steps, over MAX_STEPS
+        (10.0, 2 ** 16 + 1, 1e-3, 1.0),  # over MAX_GRID
+        (10.0, 10 ** 15, 1e-3, 1.0),
         (10.0, 100.5, 1e-3, 1.0),  # a grid size must be an integer
         (10.0, 128.0, 1e-3, 1.0),
         (10.0, "128", 1e-3, 1.0),
