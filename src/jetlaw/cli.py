@@ -37,8 +37,11 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise InputError("--param expects name=rational, got %r" % pair)
         name, value = pair.split("=", 1)
+        name = name.strip()
+        if name in params:
+            raise InputError("--param %s is given twice" % name)
         try:
-            params[name.strip()] = Fraction(value.strip())
+            params[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError("--param expects name=rational, got %r" % pair) from None
     return params
@@ -239,6 +242,8 @@ def _parse_scan(spec):
 def cmd_scan(args):
     base_params = _parse_params(args.param)
     name, lo, hi = _parse_scan(args.scan)
+    if name in base_params:
+        raise InputError("--param %s names the --scan variable" % name)
     text = _pde_text(args)
     dimensions = {}
     all_laws = []

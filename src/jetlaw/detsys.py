@@ -12,16 +12,15 @@ first the adjoint symmetries, D_G*(Lam) = 0 on solutions (the symmetry
 equation for the self-adjoint shapes), and then those among them with
 E_u(G * Lam) = 0.  The determining system built here is the first step's one
 equation: D_G*(Lam) taken on solutions by the on-solution total derivative,
-its terms in canonical order.  `linsolve.solve_multipliers` takes the second
-step on the span of its solutions.
+its terms unsorted.  `linsolve.solve_multipliers` takes the second step on
+the span of its solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (ExprError, JetExpression, coord_name, is_jet, is_indep, lam_atom,
-                   sig_sort_key)
+from .expr import ExprError, JetExpression, coord_name, is_jet, is_indep, lam_atom
 from .pde import ChartForms, PdeSpec
 from .calculus import adjoint_linearization, euler_operator
 
@@ -57,9 +56,8 @@ class DeterminingSystem:
 
 def split_determining_system(pde: PdeSpec, arity) -> DeterminingSystem:
     """The adjoint-symmetry equation D_G*(Lam) = 0, taken on solutions by the
-    on-solution D^ in `euler_sum`, for Lam of the given arity, terms in canonical order."""
+    on-solution D^ in `euler_sum`, for Lam of the given arity, unsorted."""
     check_admissible(pde, arity)
     arity = tuple(dict.fromkeys(arity))
-    q = adjoint_linearization(pde, JetExpression.atom(lam_atom(arity)), ChartForms(pde))
-    equation = JetExpression(dict(sorted(q.terms.items(), key=lambda t: sig_sort_key(t[0]))))
+    equation = adjoint_linearization(pde, JetExpression.atom(lam_atom(arity)), ChartForms(pde))
     return DeterminingSystem(equations=(equation,))

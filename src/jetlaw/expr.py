@@ -52,9 +52,10 @@ atom-id numbering the term's atom tuple and the packed monomial being one int
 that holds each coordinate's exponent in a fixed-width field.  A product that
 needs no rewrite is then an integer addition and a partial in a coordinate an
 exponent shift; products of two atom-carrying terms or of a live power atom
-with u, and the partials of lam and live kernel atoms, are decoded, sent
-through `_canon_term` or `_term_partial`, packed again and memoized per
-packing.  A power too wide to pack with a bit to spare raises ExprError.
+with u, and the u-partials of live kernel atoms, are decoded, sent through
+`_canon_term` or `_term_partial`, packed again and memoized.  An atom other
+than a kernel atom, or a power too wide to pack with a bit to spare, raises
+ExprError.
 """
 
 from __future__ import annotations
@@ -708,7 +709,7 @@ class _Packing:
     """The tables of one bulk computation on packed terms, keyed (atom-id,
     packed monomial).  They belong to the object, so they cannot grow over a
     run.  Atom-id 0 is the empty atom tuple.  Per atom-id, kinds holds (has a
-    live pow atom, the coordinates whose partial goes through _term_partial).
+    live pow atom, has a live kernel atom: d/du goes through _term_partial).
     kinded lists what a product reads of each term, so an operand multiplied
     many times is scanned once.  A product of two terms is an integer addition
     unless both carry atoms or a live pow atom meets u; then it goes through
@@ -716,10 +717,10 @@ class _Packing:
 
     The two slow paths are memoized.  A product that needs the rewrite step
     depends only on its two atom tuples and its summed u exponent, and a slow
-    partial in v only on the atom tuple and the exponent of v, because the
+    partial (one in u) only on the atom tuple and the u exponent, because the
     rebase is the one rule that reads a coordinate and it reads only u.  So
-    slow_products maps (atom-id, atom-id, u exponent) and slow_partials (v,
-    atom-id, exponent of v) to the (coefficient factor, atom-id, packed) terms
+    slow_products maps (atom-id, atom-id, u exponent) and slow_partials
+    (atom-id, u exponent) to the (coefficient factor, atom-id, packed) terms
     of that part at coefficient 1; the rest of the monomial is added back as
     an integer offset, and the factors are scaled by the term's coefficient,
     which the rewrite step is linear in.  Only these two memos decode a packed
@@ -731,22 +732,18 @@ class _Packing:
         self.top_bits = _FIELD_LIMIT
         self.atoms = [()]
         self.atom_ids = {(): 0}
-        self.kinds = [(False, frozenset())]
+        self.kinds = [(False, False)]
         self.slow_products = {}
         self.slow_partials = {}
 
     def _atom_id(self, atoms) -> int:
         aid = self.atom_ids.get(atoms)
         if aid is None:
+            if not all(is_kernel_atom(a) for a, _ in atoms):
+                raise ExprError("only kernel atoms pack, got %r" % (atoms,))
             aid = self.atom_ids[atoms] = len(self.atoms)
             self.atoms.append(atoms)
-            slow = set()
-            for a, _ in atoms:
-                if a[0] == "lam":
-                    slow.update(a[1])
-                elif is_kernel_atom(a) and a[1] != 0:
-                    slow.add(U)
-            self.kinds.append((_term_kinds(((), atoms))[1], frozenset(slow)))
+            self.kinds.append((_term_kinds(((), atoms))[1], U in term_jets(((), atoms))))
         return aid
 
     def encode(self, sig) -> tuple:
@@ -802,18 +799,15 @@ class _Packing:
         shift = self.shift.get(v)
         out = []
         slow = False
-        for c, aid, m, live, _ in terms:
-            if aid and v in self.kinds[aid][1]:
+        for c, aid, m, live, u in terms:
+            if v == U and self.kinds[aid][1]:
                 slow = True
-                part = 0 if shift is None else m & (_FIELD_MASK << shift)
-                key = (v, aid, part)
-                memo = self.slow_partials.get(key)
+                memo = self.slow_partials.get((aid, u))
                 if memo is None:
-                    mono, atoms = self.decode(aid, part)
-                    memo = self.slow_partials[key] = [
-                        (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, v)]
-                rest = m - part
-                out.extend((c * f, a, mv + rest, None, None) for f, a, mv in memo)
+                    mono, atoms = self.decode(aid, u)
+                    memo = self.slow_partials[aid, u] = [
+                        (f,) + self.encode(sig) for f, sig in _term_partial(1, mono, atoms, U)]
+                out.extend((c * f, a, mv + m - u, None, None) for f, a, mv in memo)
             elif shift is not None:
                 p = m >> shift & _FIELD_MASK
                 if p:

@@ -152,7 +152,7 @@ def _lam_tree(equations, packing: _Packing) -> list:
 
     Each equation is the sum of coefficient * d^index Lam over its groups.
     The indices, closed under prefixes, are listed in preorder with the
-    children of a node in reverse order of first use.  A node is (depth, the
+    children of a node in order of first use.  A node is (depth, the
     coordinate its index adds, the position just past its subtree, its
     coefficients' terms as (equation,) + packing.kinded entry)."""
     groups: dict = {}
@@ -177,7 +177,7 @@ def _lam_tree(equations, packing: _Packing) -> list:
     def add(index):
         at = len(nodes)
         nodes.append(None)
-        for child in reversed(children.get(index, ())):
+        for child in children.get(index, ()):
             add(child)
         nodes[at] = (len(index), index[-1] if index else None, len(nodes), uses.get(index, []))
 

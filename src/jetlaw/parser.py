@@ -13,6 +13,7 @@ to a nonzero rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .expr import (
     ExprError,
@@ -42,6 +43,14 @@ _FUNCTIONS = ("exp", "sin", "cos", "pow")
 # Parentheses and function arguments recurse through expr; nesting beyond
 # this depth is a ParseError, well inside Python's default recursion limit.
 MAX_DEPTH = 100
+
+# A product, or a nonnegative integer power of a base that is not affine in
+# u, is refused before any arithmetic when its result may hold more than
+# MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for the n-th
+# power of k terms.  The slowest power it admits, (u_x + u_xx)^799, parses in
+# about a second (2 vCPU, Python 3.11); outside the limit's own test, the
+# tests, demos and benchmark count at most 2.
+MAX_TERMS = 800
 
 
 def _tokenize(text: str):
@@ -126,6 +135,7 @@ class _Parser:
             op, _, pos = self.next()
             rhs = self.unary()
             if op == "*":
+                _check_terms(len(value.terms) * len(rhs.terms), pos)
                 value = value * rhs
             else:
                 value = _divide(value, rhs, pos)
@@ -213,11 +223,15 @@ def _divide(value, rhs, pos) -> JetExpression:
 
 
 def _raise(base, exponent, pos) -> JetExpression:
-    if exponent.denominator == 1 and exponent >= 0:
-        return base ** int(exponent)
+    """base^exponent: as pow(base, exponent) for a nonzero affine base, which
+    the normal form expands binomially at a nonnegative integer exponent."""
     affine = base.affine_in_u()
     if affine is not None and affine != (0, 0):
         return JetExpression.atom(pow_atom(*affine, exponent))
+    if exponent.denominator == 1 and exponent >= 0:
+        n, k = int(exponent), len(base.terms)
+        _check_terms(comb(k + n - 1, n) if k else 0, pos)
+        return base ** n
     single = _single_atom(base)
     if single is not None and single[1][0] in ("exp", "pow"):
         coeff, atom = single
@@ -227,6 +241,11 @@ def _raise(base, exponent, pos) -> JetExpression:
         # the normal form folds the power of an exp or pow atom into it
         return JetExpression.from_raw([(scale, {atom: exponent})])
     raise ParseError("fractional or negative power of a non-invertible base", pos)
+
+
+def _check_terms(count, pos):
+    if count > MAX_TERMS:
+        raise ParseError("expansion may hold %d terms, more than %d" % (count, MAX_TERMS), pos)
 
 
 def _single_atom(e):

@@ -32,3 +32,33 @@ def test_one_pair_is_its_own_quartiles():
     summary = bench_pairs.summarize([({"setup_s": 0.2}, {"setup_s": 0.2})], {})
     assert summary["setup_s"] == {"pairs": [(0.2, 0.2)], "parent": (0.2, 0.2, 0.2),
                                   "change": (0.2, 0.2, 0.2), "wins": 0}
+
+
+def _summary(parent, change, better="lower"):
+    pairs = [({"wall_s": p}, {"wall_s": c}) for p, c in zip(parent, change)]
+    return bench_pairs.summarize(pairs, {"wall_s": better})["wall_s"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # Three pairs 5.7% apart, as two identical trees once read: too few.
+    (PARENT[:3], [p * 0.943 for p in PARENT[:3]], "lower", "unresolved"),
+    (PARENT[:9], [p * 0.5 for p in PARENT[:9]], "lower", "unresolved"),
+    # 10 of 10 wins, the median gap 0.10 wider than the parent's IQR.
+    (PARENT, [p - 0.10 for p in PARENT], "lower", "gain"),
+    # Higher is better: the same gap upward is a gain, downward is not.
+    (PARENT, [p + 0.10 for p in PARENT], "higher", "gain"),
+    (PARENT, [p - 0.10 for p in PARENT], "higher", "within bound"),
+    # 9 of 10 wins, but the median gap is inside the parent's IQR.
+    (PARENT, [p - 0.01 for p in PARENT[:9]] + [1.10], "lower", "within bound"),
+    # 8 of 10 wins are not enough, however wide the gap.
+    (PARENT, [p - 0.10 for p in PARENT[:8]] + [2.0, 2.0], "lower", "within bound"),
+    # Worse by 21% against a 20% bound, and by 19%.
+    (PARENT, [p * 1.21 for p in PARENT], "lower", "regression"),
+    (PARENT, [p * 1.19 for p in PARENT], "lower", "within bound"),
+    (PARENT, [p * 0.79 for p in PARENT], "higher", "regression"),
+])
+def test_verdict_of_fixed_pairs(parent, change, better, expected):
+    assert bench_pairs.verdict(_summary(parent, change, better), better, 0.2) == expected

@@ -358,12 +358,27 @@ def test_zero_denominator_param_is_an_error(capsys):
     (["--atoms", "2*exp(u)"], "error: --atoms entries must be single atoms"),
     (["--order", "-1"], "error: bound '-1' must evaluate"),
     (["--order", "1/2"], "error: bound '1/2' must evaluate"),
+    # The last --pde wins: an expansion past parser.MAX_TERMS is refused
+    # before any arithmetic, at the operator's position.
+    (["--pde", "u_t = (u+u_x+u_xx)^120"],
+     "error: expansion may hold 7381 terms, more than 800 (at position 13)"),
+    (["--pde", "u_t = (u_x+u_xx+u_xxx)^30*(u+u_xxxx+u_xxxxx)^30"],
+     "error: expansion may hold 246016 terms, more than 800 (at position 20)"),
+    (["--param", "n=1", "--param", "n=2"], "error: --param n is given twice"),
 ])
 def test_bad_derive_input_is_one_error_line(capsys, extra, message):
     code = main(["derive", "--pde", KDV] + extra)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_scan_refuses_a_param_naming_the_scan_variable(capsys):
+    # The scan would overwrite n=7 and report it in "params" all the same.
+    code = main(["scan", "--pde", KDV, "--scan", "n=1..2", "--param", "n=7", "--order", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: --param n names the --scan variable\n"
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])

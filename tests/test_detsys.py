@@ -161,8 +161,6 @@ def _assert_split_matches_reference(pde, arity):
     system = split_determining_system(pde, arity)
     _, reference = full_split(pde, arity)
     assert system.equations == (reference.equations[0],)
-    assert list(system.equations[0].terms.items()) == \
-        list(reference.equations[0].terms.items())
 
 
 @pytest.mark.parametrize("source, params, order", CLASSIFY_CASES + SCALE_CASES)

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,31 @@ def test_nesting_limit_is_a_parse_error():
                  "pow(" * 2000 + "u, 2)" * 2000):
         with pytest.raises(ParseError, match="nesting"):
             P(text)
+
+
+def test_expansion_limit_is_a_parse_error():
+    from jetlaw.parser import MAX_TERMS
+    # A nonzero affine base expands by the normal form's binomial rule, as
+    # pow() does, and is not counted.
+    start = time.perf_counter()
+    assert P("(u+1)^3000") == P("pow(u + 1, 3000)")
+    assert time.perf_counter() - start < 5
+
+    def poly(var, k):
+        return "(" + " + ".join("%s^%d" % (var, i) for i in range(1, k + 1)) + ")"
+
+    side = math.isqrt(MAX_TERMS)
+    assert len(P(poly("x", side) + "*" + poly("t", side)).terms) == side * side
+    k = max(k for k in range(MAX_TERMS) if math.comb(k + 1, 2) <= MAX_TERMS)
+    assert len(P(poly("x", k) + "^2").terms) == 2 * k - 1
+    assert P("u_x^%d" % 10 ** 6) == JetExpression.from_raw([(1, {(0, 1): 10 ** 6})])
+    for text, count in ((poly("x", side + 1) + "*" + poly("t", side), (side + 1) * side),
+                        (poly("x", k + 1) + "^2", math.comb(k + 2, 2)),
+                        ("(u_x + u_xx)^%d" % MAX_TERMS, MAX_TERMS + 1),
+                        ("(u + u_x + u_xx)^200", math.comb(202, 200))):
+        with pytest.raises(ParseError, match="may hold %d terms" % count) as err:
+            P(text)
+        assert text[err.value.pos] in "*^"
 
 
 def test_long_runs_of_signs_parse_without_recursion():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetlaw import laws
 from jetlaw.expr import ExprError, JetExpression, coord_name, exp_atom
 from jetlaw.linsolve import AnsatzBounds, solve_multipliers
 from jetlaw.parser import parse_expression as P, render
@@ -293,7 +294,7 @@ def test_homotopy_singular_reference_reported():
         homotopy_density(wave, lam, utilde=0)
 
 
-def test_verify_spec_cases():
+def test_verify_spec_cases(monkeypatch):
     kdv2 = parse_pde(KDV, {"n": 2})
     cl = build_law(kdv2, P("t*(u_xx + u^3/3) - x*u/3"))
     assert cl.verified
@@ -328,6 +329,17 @@ def test_verify_spec_cases():
     with pytest.raises(ArityError):
         determining_expression(kdv1, inadmissible.multiplier)
     assert verify(inadmissible) is False
+    # A recovered multiplier off by u_x, which is no multiplier: the
+    # difference fails the determining check, though its homotopy density
+    # u*u_x/2 is trivial, so only that check refuses the law.
+    law = build_law(kdv1, P("u"))
+    assert verify(law)
+    recover = multiplier_from_density
+    monkeypatch.setattr(laws, "multiplier_from_density",
+                        lambda pde, density: recover(pde, density) + P("u_x"))
+    assert not determining_expression(kdv1, P("u_x")).is_zero()
+    assert ibp_normal_form(homotopy_density(kdv1, P("u_x")))[0].is_zero()
+    assert verify(law) is False
 
 
 def test_verify_invariant_under_trivial_shift():

@@ -8,9 +8,9 @@ in each of the two checkouts, the same seed on both sides; S is the
 run_seconds of BENCHMARK.json.  The parent goes first in even pairs and the
 change in odd ones, so a drift of the host's speed does not favour one side.
 For every end-to-end metric it prints the value of each pair, each side's
-median and quartiles, and the number of pairs the change wins; the direction
-of each metric is read from BENCHMARK.json.  Exit 1 as soon as a run is not
-correct, has a failed operation or prints no result.
+median and quartiles, the number of pairs the change wins and a verdict; the
+direction and bound of each metric are read from BENCHMARK.json.  Exit 1 as
+soon as a run is not correct, has a failed operation or prints no result.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Fewer pairs resolve nothing on a shared host: two byte-identical trees have
+# read 5.7% apart over 3 pairs on a 2-vCPU machine.
+MIN_PAIRS = 10
 
 
 def quartiles(values) -> tuple:
@@ -48,6 +51,24 @@ def summarize(pairs, better: dict) -> dict:
             "wins": sum(sign * c < sign * p for p, c in values),
         }
     return summary
+
+
+def verdict(s: dict, better: str, bound: float) -> str:
+    """The reading of one metric's summary: "unresolved" below MIN_PAIRS
+    pairs; "gain" when the change wins at least 9 pairs in 10 and its median
+    beats the parent's by more than the parent's interquartile range;
+    "regression" when its median is worse than the parent's by more than
+    bound, a fraction of the parent's median; else "within bound"."""
+    n = len(s["pairs"])
+    if n < MIN_PAIRS:
+        return "unresolved"
+    sign = -1 if better == "higher" else 1
+    (parent, q1, q3), change = s["parent"], s["change"][0]
+    if 10 * s["wins"] >= 9 * n and sign * (parent - change) > q3 - q1:
+        return "gain"
+    if sign * (change - parent) > bound * abs(parent):
+        return "regression"
+    return "within bound"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -77,6 +98,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
         runs = [None, None]
@@ -93,6 +115,8 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             print("  %s median %.6g  Q1-Q3 %.6g-%.6g" % ((side,) + s[side]))
         print("  change wins %d of %d pairs" % (s["wins"], len(s["pairs"])))
+        if name in bounds:
+            print("  verdict: %s" % verdict(s, better[name], bounds[name]))
     return 0
 
 
