@@ -23,8 +23,9 @@ fires.  The rules, tried in this order:
 
 1. exp atoms combine into one exp at power 1; exp(0) drops.
 2. For each pow atom (a u + b)^r, in atom order: a power p != 1 folds into
-   the exponent; a nonnegative integer r expands by the binomial theorem; a
-   constant base (a = 0) folds into the coefficient when b^r is rational;
+   the exponent; a nonnegative integer r expands by the binomial theorem, to
+   one term when a or b is 0; a constant base (a = 0) folds into the
+   coefficient when b^r is rational;
    u^m beside the atom rebases onto it, u^m = sum_j C(m,j) (-b)^(m-j) a^(-m)
    (a u + b)^j; a scale a != 1 moves into the coefficient when a^r is
    rational.
@@ -285,8 +286,9 @@ def _rewrite(c, f):
             return [(c, _replace(f, (k,), ("pow", alpha, beta, r * f[k])))]
         if r.denominator == 1 and r >= 0:
             n = int(r)
+            js = (n,) if beta == 0 else (0,) if alpha == 0 else range(n + 1)
             return [(c * comb(n, j) * alpha ** j * beta ** (n - j), _replace(f, (k,), U, j))
-                    for j in range(n + 1)]
+                    for j in js]
         if alpha == 0:
             value = rational_pow(beta, r)
             if value is not None:

@@ -49,8 +49,12 @@ MAX_DEPTH = 100
 # MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for the n-th
 # power of k terms.  The slowest power it admits, (u_x + u_xx)^799, parses in
 # about a second (2 vCPU, Python 3.11); outside the limit's own test, the
-# tests, demos and benchmark count at most 2.
+# tests, demos and benchmark count at most 2.  The normal form expands the
+# n-th power of a two-term affine base, (a*u + b)^n or pow(a*u + b, n), to
+# n + 1 terms, refused past MAX_BINOMIAL_TERMS; (u/3 - 5/7)^3000 takes about
+# a second.
 MAX_TERMS = 800
+MAX_BINOMIAL_TERMS = 3001
 
 
 def _tokenize(text: str):
@@ -206,7 +210,7 @@ class _Parser:
                 r = second.as_fraction()
             except ExprError:
                 raise ParseError("pow exponent must be a rational constant", pos)
-            return JetExpression.atom(pow_atom(alpha, beta, r))
+            return _affine_power(alpha, beta, r, pos)
         self.expect(")")
         atom = {"exp": exp_atom, "sin": sin_atom, "cos": cos_atom}[name](alpha, beta)
         return JetExpression.atom(atom)
@@ -222,12 +226,19 @@ def _divide(value, rhs, pos) -> JetExpression:
     return value * (Fraction(1) / q)
 
 
+def _affine_power(alpha, beta, r, pos) -> JetExpression:
+    """pow(alpha*u + beta, r), which the normal form expands binomially at a
+    nonnegative integer r."""
+    if alpha and beta and r.denominator == 1 and r >= 0:
+        _check_terms(int(r) + 1, pos, MAX_BINOMIAL_TERMS)
+    return JetExpression.atom(pow_atom(alpha, beta, r))
+
+
 def _raise(base, exponent, pos) -> JetExpression:
-    """base^exponent: as pow(base, exponent) for a nonzero affine base, which
-    the normal form expands binomially at a nonnegative integer exponent."""
+    """base^exponent: as pow(base, exponent) for a nonzero affine base."""
     affine = base.affine_in_u()
     if affine is not None and affine != (0, 0):
-        return JetExpression.atom(pow_atom(*affine, exponent))
+        return _affine_power(*affine, exponent, pos)
     if exponent.denominator == 1 and exponent >= 0:
         n, k = int(exponent), len(base.terms)
         _check_terms(comb(k + n - 1, n) if k else 0, pos)
@@ -243,9 +254,9 @@ def _raise(base, exponent, pos) -> JetExpression:
     raise ParseError("fractional or negative power of a non-invertible base", pos)
 
 
-def _check_terms(count, pos):
-    if count > MAX_TERMS:
-        raise ParseError("expansion may hold %d terms, more than %d" % (count, MAX_TERMS), pos)
+def _check_terms(count, pos, limit=MAX_TERMS):
+    if count > limit:
+        raise ParseError("expansion may hold %d terms, more than %d" % (count, limit), pos)
 
 
 def _single_atom(e):

@@ -40,6 +40,7 @@ def _summary(parent, change, better="lower"):
 
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+WIDE = [0.70, 1.30, 0.80, 1.20, 0.90, 1.10, 0.75, 1.25, 1.00, 1.00]
 
 
 @pytest.mark.parametrize("parent, change, better, expected", [
@@ -59,6 +60,14 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     (PARENT, [p * 1.21 for p in PARENT], "lower", "regression"),
     (PARENT, [p * 1.19 for p in PARENT], "lower", "within bound"),
     (PARENT, [p * 0.79 for p in PARENT], "higher", "regression"),
+    # A parent IQR (0.425) wider than the 20% bound resolves nothing while
+    # the runs overlap: not a 21% loss, nor two identical sides.
+    (WIDE, [p * 1.21 for p in WIDE], "lower", "unresolved"),
+    (WIDE, WIDE, "lower", "unresolved"),
+    # Every change run beats every parent run, by less than the IQR.
+    (WIDE, [0.65] * 10, "lower", "within bound"),
+    # Every change run is worse than every parent run, by 45% in the median.
+    (WIDE, [1.45] * 10, "lower", "regression"),
 ])
 def test_verdict_of_fixed_pairs(parent, change, better, expected):
     assert bench_pairs.verdict(_summary(parent, change, better), better, 0.2) == expected

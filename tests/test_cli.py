@@ -364,6 +364,10 @@ def test_zero_denominator_param_is_an_error(capsys):
      "error: expansion may hold 7381 terms, more than 800 (at position 13)"),
     (["--pde", "u_t = (u_x+u_xx+u_xxx)^30*(u+u_xxxx+u_xxxxx)^30"],
      "error: expansion may hold 246016 terms, more than 800 (at position 20)"),
+    (["--pde", "u_t = (u+1)^100000*u_x"],
+     "error: expansion may hold 100001 terms, more than 3001 (at position 6)"),
+    # u^N is one term; the packing refuses its power.
+    (["--pde", "u_t = u^1000000000*u_x"], "error: power 1000000000 of u is too large to pack"),
     (["--param", "n=1", "--param", "n=2"], "error: --param n is given twice"),
 ])
 def test_bad_derive_input_is_one_error_line(capsys, extra, message):

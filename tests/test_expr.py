@@ -92,12 +92,23 @@ def test_nesting_limit_is_a_parse_error():
 
 
 def test_expansion_limit_is_a_parse_error():
-    from jetlaw.parser import MAX_TERMS
+    from jetlaw.parser import MAX_BINOMIAL_TERMS, MAX_TERMS
     # A nonzero affine base expands by the normal form's binomial rule, as
-    # pow() does, and is not counted.
+    # pow() does, to n + 1 terms; a base of one term gives one term however
+    # large n is.
     start = time.perf_counter()
     assert P("(u+1)^3000") == P("pow(u + 1, 3000)")
+    assert P("u^%d" % 10 ** 9) == P("pow(u, %d)" % 10 ** 9) == JetExpression.from_raw(
+        [(1, {U: 10 ** 9})])
+    assert P("2^100000") == JetExpression.rational(2 ** 100000)
+    assert P("(-u/2)^1001") == JetExpression.from_raw([(Fraction(-1, 2 ** 1001), {U: 1001})])
     assert time.perf_counter() - start < 5
+    n = MAX_BINOMIAL_TERMS
+    for text, count in (("(u+1)^%d" % n, n + 1), ("pow(u - 2, %d)" % n, n + 1),
+                        ("(u+1)^100000", 100001)):
+        with pytest.raises(ParseError, match="may hold %d terms, more than %d" % (count, n)) as err:
+            P(text)
+        assert text[err.value.pos] in "^p"
 
     def poly(var, k):
         return "(" + " + ".join("%s^%d" % (var, i) for i in range(1, k + 1)) + ")"

@@ -57,8 +57,10 @@ def verdict(s: dict, better: str, bound: float) -> str:
     """The reading of one metric's summary: "unresolved" below MIN_PAIRS
     pairs; "gain" when the change wins at least 9 pairs in 10 and its median
     beats the parent's by more than the parent's interquartile range;
-    "regression" when its median is worse than the parent's by more than
-    bound, a fraction of the parent's median; else "within bound"."""
+    "unresolved" when that range is wider than bound, a fraction of the
+    parent's median, and the two sides' runs overlap; "regression" when the
+    change's median is worse than the parent's by more than bound; else
+    "within bound"."""
     n = len(s["pairs"])
     if n < MIN_PAIRS:
         return "unresolved"
@@ -66,6 +68,10 @@ def verdict(s: dict, better: str, bound: float) -> str:
     (parent, q1, q3), change = s["parent"], s["change"][0]
     if 10 * s["wins"] >= 9 * n and sign * (parent - change) > q3 - q1:
         return "gain"
+    parents, changes = zip(*s["pairs"])
+    overlap = min(parents) <= max(changes) and min(changes) <= max(parents)
+    if q3 - q1 > bound * abs(parent) and overlap:
+        return "unresolved"
     if sign * (change - parent) > bound * abs(parent):
         return "regression"
     return "within bound"
