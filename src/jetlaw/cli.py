@@ -4,6 +4,9 @@ Subcommands: derive, verify, density, scan, numcheck.  Expressions in
 reports are rendered in the input grammar, so outputs can be piped back in.
 Exit code 0 only when every requested law verifies; 2 on bad input or an
 unwritable --out; 141 (128 + SIGPIPE), silently, when stdout is closed.
+
+It holds no numeric code: numcheck and its array library are imported
+only when the numcheck subcommand runs.
 """
 
 from __future__ import annotations
@@ -16,15 +19,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .expr import ExprError, JetExpression
 from .parser import _single_atom, _tokenize, parse_expression, render
 from .pde import parse_pde
 from .linsolve import AnsatzBounds, solve_multipliers
 from .laws import build_law, flux_density, homotopy_density
 from .detsys import determining_expression
-from . import numcheck as nc
 
 
 class InputError(ExprError):
@@ -268,22 +268,8 @@ def cmd_scan(args):
     return 0 if ok else 1
 
 
-def _initial_state(pde, args, x, length):
-    if args.initial == "soliton":
-        u0 = nc.kdv_soliton(x)
-    elif args.initial == "bumps":
-        u0 = (2.0 + 0.5 * np.exp(-((x - 3.0)) ** 2)
-              + 0.35 * np.exp(-((x + 4.0) / 0.8) ** 2))
-    elif args.initial == "harmonics":
-        u0 = nc.odd_harmonic_profile(x, length)
-    else:
-        u0 = 3.0 * np.sin(2 * np.pi * x / length) + np.cos(4 * np.pi * x / length)
-    if pde.leading == (2, 0):
-        return (u0, np.zeros_like(u0))
-    return u0
-
-
 def cmd_numcheck(args):
+    from . import numcheck as nc  # here, so no other subcommand loads it
     if not 0 <= args.tolerance < math.inf:
         raise InputError("--tolerance must be finite and nonnegative, got %r"
                          % args.tolerance)
@@ -291,8 +277,7 @@ def cmd_numcheck(args):
     pde, _, _, laws = _derive_laws(args, params, _pde_text(args))
     cfg = nc.GridConfig(length=args.length, n=args.grid_n, dt=args.dt,
                         t_end=args.horizon)
-    x = nc.grid(cfg)
-    traj = nc.integrate_pde(pde, _initial_state(pde, args, x, cfg.length), cfg)
+    traj = nc.integrate_pde(pde, nc.initial_state(pde, args.initial, cfg), cfg)
     out = args.out and Path(args.out)
     if out:
         out.mkdir(parents=True, exist_ok=True)

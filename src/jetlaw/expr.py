@@ -297,7 +297,8 @@ def _rewrite(c, f):
         m = f.get(U, 0)
         if m > 0:
             return [(c * comb(m, j) * (-beta) ** (m - j) * alpha ** (-m),
-                     _replace(f, (k, U), ("pow", alpha, beta, r + j))) for j in range(m + 1)]
+                     _replace(f, (k, U), ("pow", alpha, beta, r + j)))
+                    for j in ((m,) if beta == 0 else range(m + 1))]
         if alpha != 1:
             scale = rational_pow(alpha, r)
             if scale is not None:

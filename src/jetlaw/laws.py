@@ -77,6 +77,9 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
         for k, p in mono:
             if k in subs:
                 a, b = subs[k]
+                if a.is_zero():  # (lam*b)^p: the coefficients move up by p
+                    coeffs = [zero] * p + [q * b ** p for q in coeffs]
+                    continue
                 for _ in range(p):
                     coeffs = [a * q + b * r for q, r in zip(coeffs + [zero], [zero] + coeffs)]
         for d, q in enumerate(coeffs):

@@ -6,7 +6,8 @@ Runge-Kutta in time.  The u_tt shape integrates the first-order system in
 derivative realized spectrally under zero-mean projection.  A trajectory's
 snapshots are copies of the RK4 state; _rate gives its time derivative and
 _state_jets its jets, for each shape.  Conserved quantities are periodic
-trapezoid integrals of the density over the grid.
+trapezoid integrals of the density over the grid.  initial_state builds the
+start profiles of `jetlaw numcheck --initial`.
 
 Each piece of work in the inner loop is done once.  A field's x-derivatives
 come from one rfft and one batched irfft against cached rows of (ik)^b.
@@ -40,7 +41,7 @@ class IntegrationBlowUp(ExprError, RuntimeError):
 
 
 class GridError(ExprError):
-    """A grid configuration outside the supported range."""
+    """A grid configuration or start profile outside the supported range."""
 
 
 # Most RK4 steps one integration may take; the tests and benchmark take at
@@ -188,7 +189,7 @@ def _add_jets(jets: dict, a: int, f: np.ndarray, length: float, orders: dict) ->
     return jets
 
 
-def _initial_state(initial, leading: tuple, n: int) -> np.ndarray:
+def _as_state(initial, leading: tuple, n: int) -> np.ndarray:
     """initial as the RK4 state: one (n,) array u, or for the u_tt shape a
     pair of (n,) arrays (u, u_t) stacked to (2, n)."""
     want = (2, n) if leading == (2, 0) else (n,)
@@ -214,7 +215,7 @@ def integrate_pde(pde: PdeSpec, initial, cfg: GridConfig) -> Trajectory:
     stride = max(1, nsteps // 80)  # about 80 snapshots
     traj = Trajectory(pde=pde, cfg=cfg, x=grid(cfg))
     orders = _jet_orders([pde.rhs])
-    y = _initial_state(initial, pde.leading, cfg.n)
+    y = _as_state(initial, pde.leading, cfg.n)
     traj.times.append(0.0)
     traj.states.append(y.copy())
     t = 0.0
@@ -298,6 +299,22 @@ def quantity_series(cl: ConservationLaw, traj: Trajectory):
 
 
 # -- canonical desk-scale initial data ---------------------------------------
+
+def initial_state(pde: PdeSpec, profile: str, cfg: GridConfig):
+    """The named start profile on cfg's grid, paired with u_t = 0 for the u_tt shape."""
+    x = grid(cfg)
+    if profile == "periodic":
+        u0 = 3.0 * np.sin(2 * np.pi * x / cfg.length) + np.cos(4 * np.pi * x / cfg.length)
+    elif profile == "soliton":
+        u0 = kdv_soliton(x)
+    elif profile == "bumps":
+        u0 = 2.0 + 0.5 * np.exp(-((x - 3.0)) ** 2) + 0.35 * np.exp(-((x + 4.0) / 0.8) ** 2)
+    elif profile == "harmonics":
+        u0 = odd_harmonic_profile(x, cfg.length)
+    else:
+        raise GridError("unknown start profile %r" % profile)
+    return (u0, np.zeros_like(u0)) if pde.leading == (2, 0) else u0
+
 
 def kdv_soliton(x: np.ndarray) -> np.ndarray:
     """Solitary wave 12 sech^2(x) of u_t + u u_x + u_xxx = 0: speed 4,

@@ -76,7 +76,8 @@ def parse_pde(text: str, params=None) -> PdeSpec:
         raise PdeError("PDE text must contain '='")
     lhs_text, rhs_text = text.split("=", 1)
     lhs = parse_expression(lhs_text, params)
-    rhs = parse_expression(rhs_text, params)
+    # Blanked up to the '=', so a ParseError's position counts within text.
+    rhs = parse_expression(" " * (len(lhs_text) + 1) + rhs_text, params)
     g = lhs - rhs
     leading = None
     for cand in LEADINGS:

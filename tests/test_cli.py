@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,24 @@ def test_density_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert P(payload["phi_t"]) == P("u_x*u_xxx/2 + u_x^4/8")
+
+
+def test_density_of_a_large_power_is_one_error_line(capsys):
+    # The lam-integral of u^10000 at utilde = 0 is one shift, not 10000 steps.
+    start = time.perf_counter()
+    code = main(["density", "--pde", "u_t = u_xx", "--multiplier", "u^10000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "error: not a total x-derivative; residual 10000*u^9999*u_x^2\n"
+
+
+def test_import_leaves_numpy_unloaded():
+    # Only numcheck reads numpy, and the CLI imports it where numcheck runs.
+    probe = "import sys, jetlaw.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=_src_env(),
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_density_with_a_jet_reference_state_is_one_error_line(capsys):
@@ -253,12 +272,17 @@ def test_numcheck_out_under_a_regular_file_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
 
 
+def _src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_exits_141_silently(fmt):
     # The read end of stdout is closed before the process starts, so its
     # first write fails with EPIPE.
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _src_env()
     argv = [sys.executable, "-m", "jetlaw.cli", "derive", "--pde", "u_t = u_xx", "--order", "1",
             "--deg-u", "2", "--deg-tx", "1", "--format", fmt]
     read, write = os.pipe()
@@ -359,13 +383,13 @@ def test_zero_denominator_param_is_an_error(capsys):
     (["--order", "-1"], "error: bound '-1' must evaluate"),
     (["--order", "1/2"], "error: bound '1/2' must evaluate"),
     # The last --pde wins: an expansion past parser.MAX_TERMS is refused
-    # before any arithmetic, at the operator's position.
+    # before any arithmetic, at the operator's position within the --pde text.
     (["--pde", "u_t = (u+u_x+u_xx)^120"],
-     "error: expansion may hold 7381 terms, more than 800 (at position 13)"),
+     "error: expansion may hold 7381 terms, more than 800 (at position 18)"),
     (["--pde", "u_t = (u_x+u_xx+u_xxx)^30*(u+u_xxxx+u_xxxxx)^30"],
-     "error: expansion may hold 246016 terms, more than 800 (at position 20)"),
+     "error: expansion may hold 246016 terms, more than 800 (at position 25)"),
     (["--pde", "u_t = (u+1)^100000*u_x"],
-     "error: expansion may hold 100001 terms, more than 3001 (at position 6)"),
+     "error: expansion may hold 100001 terms, more than 3001 (at position 11)"),
     # u^N is one term; the packing refuses its power.
     (["--pde", "u_t = u^1000000000*u_x"], "error: power 1000000000 of u is too large to pack"),
     (["--param", "n=1", "--param", "n=2"], "error: --param n is given twice"),
@@ -617,9 +641,10 @@ def test_classification_json_is_byte_identical(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Three numcheck calls, one per supported shape, with the SHA-256 of their
-# --format json output.  The digests pin every drift bit for bit; they change
-# only when the integrator's arithmetic or the report's rendering does.
+# Four numcheck calls, one per --initial profile, over the three supported
+# shapes, with the SHA-256 of their --format json output.  The digests pin
+# every drift bit for bit; they change only when the start profiles, the
+# integrator's arithmetic or the report's rendering does.
 NUMCHECK_JSON = {
     "kdv periodic": (
         ["--pde", KDV, "--order", "2", "--deg-tx", "0", "--deg-u", "2",
@@ -635,6 +660,10 @@ NUMCHECK_JSON = {
          "--initial", "harmonics", "--length", "6.283185307179586", "--grid-n", "128",
          "--dt", "5e-2", "--horizon", "1"],
         "7a3e84b6ab34a8934830d4645d554b23fcae09b1a8ef3aa5457af011b4c774ab"),
+    "kdv soliton": (
+        ["--pde", KDV, "--order", "2", "--deg-tx", "0", "--deg-u", "2", "--initial", "soliton",
+         "--grid-n", "128", "--dt", "1e-3", "--horizon", "0.1"],
+        "bf7544c58985750e531193a66629079dbbe9ba08ef08d3855562bfa1f135de38"),
 }
 
 

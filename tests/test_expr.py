@@ -102,6 +102,8 @@ def test_expansion_limit_is_a_parse_error():
         [(1, {U: 10 ** 9})])
     assert P("2^100000") == JetExpression.rational(2 ** 100000)
     assert P("(-u/2)^1001") == JetExpression.from_raw([(Fraction(-1, 2 ** 1001), {U: 1001})])
+    # u^m beside pow(a*u, r) rebases to the one term pow(a*u, r + m)/a^m.
+    assert P("u^20000*pow(u,1/2)") == P("pow(u, 40001/2)")
     assert time.perf_counter() - start < 5
     n = MAX_BINOMIAL_TERMS
     for text, count in (("(u+1)^%d" % n, n + 1), ("pow(u - 2, %d)" % n, n + 1),

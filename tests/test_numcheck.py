@@ -23,10 +23,12 @@ from jetlaw.pde import parse_pde
 from jetlaw.laws import ConservationLaw, build_law
 from jetlaw.numcheck import (
     GridConfig,
+    GridError,
     IntegrationBlowUp,
     Trajectory,
     evaluate_on_grid,
     grid,
+    initial_state,
     integrate_pde,
     kdv_soliton,
     odd_harmonic_profile,
@@ -142,6 +144,13 @@ def test_initial_state_shape_checked_up_front(text, initial, expected, received)
         integrate_pde(parse_pde(text), initial, cfg)
     message = str(info.value)
     assert "shape %s" % expected in message and "got shape %s" % received in message
+
+
+def test_unknown_start_profile_is_a_grid_error():
+    cfg = GridConfig(length=40.0, n=128, dt=1e-3, t_end=1e-3)
+    with pytest.raises(GridError, match="unknown start profile 'gaussian'"):
+        initial_state(parse_pde(KDV), "gaussian", cfg)
+    assert issubclass(GridError, ExprError)
 
 
 def test_kdv_mass_conserved_to_roundoff():
