@@ -17,6 +17,16 @@ exact division is Fraction(p, q) or a division by a Fraction, never p / q.
 Anything but an int or a Fraction is rejected (`CoefficientError`), as a
 coefficient and as an atom parameter.  Atom parameters stay Fractions.
 
+A kernel atom is interned where a raw term enters normalization (`_intern`):
+each distinct value is one shared `_Atom`, which carries its hash, computed
+once, and its u-derivative, computed on first use, so a dict probe on a
+signature hashes no Fraction and usually finds the atom by identity.  Its
+(atom, power) pairs and the atom tuples of terms without formal atoms are
+shared through `_PAIRS`, as monomial pairs are (`_pair`).  Both tables are
+bounded by the distinct atoms and pairs a process meets, and neither is ever
+keyed by an inexact value: every parameter is checked before the table is
+read.  Formal atoms are local to the split and are not interned.
+
 Everything is normalized at construction: coefficients merged, zeros pruned,
 and one rewrite step (`_rewrite`) applied to each raw term until no rule
 fires.  The rules, tried in this order:
@@ -49,7 +59,7 @@ the derivatives of kernel atoms reach the rewrite step.
 
 Bulk work on many products and partials (stage-1 assembly) runs on packed
 terms (`_Packing`): a term is (coefficient, atom-id, packed monomial), the
-atom-id numbering the term's atom tuple and the packed monomial being one int
+atom-id numbering the term's (shared) atom tuple and the packed monomial being one int
 that holds each coordinate's exponent in a fixed-width field.  A product that
 needs no rewrite is then an integer addition and a partial in a coordinate an
 exponent shift; products of two atom-carrying terms or of a live power atom
@@ -140,7 +150,8 @@ def bump(k, direction):
 
 
 # ---------------------------------------------------------------------------
-# Atoms, stored as tagged tuples with Fraction components.
+# Atoms, stored as tagged tuples with Fraction components; the kernel atoms of
+# normalized terms are interned `_Atom`s.
 
 def exp_atom(alpha, beta=0):
     return ("exp", Fraction(_exact(alpha)), Fraction(_exact(beta)))
@@ -168,8 +179,11 @@ def lam_bump(atom, coord):
     return (tag, arity, tuple(sorted(index + (coord,), key=coord_sort_key)))
 
 
+_KERNEL_TAGS = ("exp", "sin", "cos", "pow")
+
+
 def is_kernel_atom(a) -> bool:
-    return a[0] in ("exp", "sin", "cos", "pow")
+    return a[0] in _KERNEL_TAGS
 
 
 def _atom_sort_key(a):
@@ -232,6 +246,41 @@ def _pair(k, p):
     return _PAIRS.setdefault(pair, pair)
 
 
+class _Atom(tuple):
+    """The one shared object of a kernel atom's value (`_intern`).  It hashes
+    as the plain tuple does, from a hash stored once, so a plain tuple atom is
+    the same dict key; derivative is its d/du (`_atom_derivative`)."""
+
+    def __new__(cls, values):
+        atom = tuple.__new__(cls, values)
+        atom.hash = tuple.__hash__(atom)
+        atom.derivative = None
+        return atom
+
+    def __hash__(self):
+        return self.hash
+
+    def __reduce__(self):
+        # The stored hash holds in this process only (str hashes are salted
+        # per process), so a pickled atom is interned again by value.
+        return _intern, (tuple(self),)
+
+
+_ATOMS: dict = {}
+
+
+def _intern(a):
+    """The _Atom equal to the kernel atom a, made on first sight; a parameter
+    that is not exact raises CoefficientError before the table is read."""
+    for z in a[1:]:
+        _exact(z)
+    atom = _ATOMS.get(a)
+    if atom is None:
+        atom = _Atom((a[0],) + tuple(Fraction(z) for z in a[1:]))
+        _ATOMS[atom] = atom
+    return atom
+
+
 def _canon_term(coeff, factors: dict) -> list:
     out = []
     stack = [(coeff, factors)]
@@ -239,7 +288,8 @@ def _canon_term(coeff, factors: dict) -> list:
         c, f = stack.pop()
         if c == 0:
             continue
-        f = {k: p for k, p in f.items() if p != 0}
+        f = {(_intern(k) if type(k) is tuple and k[0] in _KERNEL_TAGS else k): p
+             for k, p in f.items() if p != 0}
         if any(p < 0 and k[0] in ("sin", "cos", "lam") for k, p in f.items()):
             raise ExprError("negative power of a sin, cos or lam atom")
         rewritten = _rewrite(c, f)
@@ -248,16 +298,23 @@ def _canon_term(coeff, factors: dict) -> list:
             continue
         mono = []
         atoms = []
+        formal = False
         for k, p in f.items():
             if is_indep(k) or is_jet(k):
                 if p < 0:
                     raise ExprError("negative coordinate power")
                 mono.append(_pair(k, p))
+            elif type(k) is _Atom:
+                atoms.append(_pair(k, p))
             else:
+                formal = True
                 atoms.append((k, p))
         mono.sort(key=_mono_key)
         atoms.sort(key=_atoms_key)
-        out.append((c, (tuple(mono), tuple(atoms))))
+        atoms = tuple(atoms)
+        if not formal:
+            atoms = _PAIRS.setdefault(atoms, atoms)
+        out.append((c, (tuple(mono), atoms)))
     return out
 
 
@@ -684,17 +741,19 @@ def _coerce(obj) -> JetExpression:
 
 
 def _atom_derivative(a):
-    """d/du of a kernel atom as [(coefficient, atom)]."""
-    tag = a[0]
-    if tag == "exp":
-        return [(a[1], a)]
-    if tag == "sin":
-        return [(a[1], ("cos", a[1], a[2]))]
-    if tag == "cos":
-        return [(-a[1], ("sin", a[1], a[2]))]
-    if tag == "pow":
-        return [(a[3] * a[1], ("pow", a[1], a[2], a[3] - 1))]
-    raise ExprError("no derivative for atom %r" % (a,))
+    """d/du of an interned kernel atom as ((coefficient, interned atom),),
+    computed on the first call and kept on the atom."""
+    if a.derivative is None:
+        tag = a[0]
+        if tag == "exp":
+            a.derivative = ((a[1], a),)
+        elif tag == "sin":
+            a.derivative = ((a[1], _intern(("cos", a[1], a[2]))),)
+        elif tag == "cos":
+            a.derivative = ((-a[1], _intern(("sin", a[1], a[2]))),)
+        else:
+            a.derivative = ((a[3] * a[1], _intern(("pow", a[1], a[2], a[3] - 1))),)
+    return a.derivative
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 
 from .expr import ExprError, JetExpression, U, UT, UX, _coerce, is_kernel_atom
 from .parser import render
@@ -80,8 +81,18 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
                 if a.is_zero():  # (lam*b)^p: the coefficients move up by p
                     coeffs = [zero] * p + [q * b ** p for q in coeffs]
                     continue
+                # (a + lam*b)^p = sum_j C(p,j) a^(p-j) b^j lam^j, each power one
+                # product from the last; p products by (a + lam*b) are cubic in p.
+                apow, bpow = [JetExpression.rational(1)], [JetExpression.rational(1)]
                 for _ in range(p):
-                    coeffs = [a * q + b * r for q, r in zip(coeffs + [zero], [zero] + coeffs)]
+                    apow.append(apow[-1] * a)
+                    bpow.append(bpow[-1] * b)
+                binomial = [apow[p - j] * bpow[j] * comb(p, j) for j in range(p + 1)]
+                shifted = [zero] * (len(coeffs) + p)
+                for i, q in enumerate(coeffs):
+                    for j, w in enumerate(binomial):
+                        shifted[i + j] = shifted[i + j] + q * w
+                coeffs = shifted
         for d, q in enumerate(coeffs):
             out = out + q * Fraction(1, d + 1)
     return out

@@ -71,3 +71,11 @@ WIDE = [0.70, 1.30, 0.80, 1.20, 0.90, 1.10, 0.75, 1.25, 1.00, 1.00]
 ])
 def test_verdict_of_fixed_pairs(parent, change, better, expected):
     assert bench_pairs.verdict(_summary(parent, change, better), better, 0.2) == expected
+
+
+def test_pair_line_shows_attempted_operations_when_given():
+    assert bench_pairs.pair_line(3, 42.54, 44.86) == \
+        "  pair  3  parent 42.54  change 44.86  +5.5%"
+    # A memory pair read against the operations each run fitted.
+    assert bench_pairs.pair_line(3, 42.54, 44.86, (1320, 1760)) == \
+        "  pair  3  parent 42.54  change 44.86  +5.5%  attempted 1320 / 1760"

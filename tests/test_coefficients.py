@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetlaw.expr as expr_module
 from jetlaw.calculus import euler_operator, ibp_normal_form
 from jetlaw.expr import (CoefficientError, ExprError, JetExpression, U, cos_atom, exp_atom,
                          pow_atom, rational_pow, sin_atom)
@@ -127,6 +128,24 @@ def test_inexact_coefficients_are_rejected(bad):
     for args in ((bad, 2), (2, bad)):
         with pytest.raises(CoefficientError):
             rational_pow(*args)
+    # Raw atom tuples, checked before and after the equal exact atom (where
+    # there is one) is interned: an inexact parameter hashes and compares
+    # like its exact twin, so the table must not be read first.  The 1/7919
+    # keeps the twin out of the table until it is interned here.
+    odd = Fraction(1, 7919)
+    for tag in ("exp", "sin", "cos", "pow"):
+        exact = (odd,) * (3 if tag == "pow" else 2)
+        for i in range(len(exact)):
+            raw = (tag,) + exact[:i] + (bad,) + exact[i + 1:]
+            twin = None
+            if isinstance(bad, float) and bad == bad:
+                twin = (tag,) + exact[:i] + (Fraction(bad),) + exact[i + 1:]
+                assert twin not in expr_module._ATOMS
+            for _ in range(2):
+                with pytest.raises(CoefficientError):
+                    JetExpression.from_raw([(1, {raw: 1})])
+                if twin is not None:
+                    JetExpression.from_raw([(1, {twin: 1})])
     assert issubclass(CoefficientError, ExprError)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import random
 import re
 import time
@@ -412,6 +413,71 @@ def test_monomial_pairs_are_shared():
             twin = next((q for q in pairs if q == pair), None)
             assert twin is None or twin is pair
     assert any(pair in pairs for sig in b.terms for pair in sig[0])
+
+
+def _kernel_atoms(e):
+    return [a for _, atoms in e.terms for a, _ in atoms if a[0] != "lam"]
+
+
+def test_equal_kernel_atoms_are_one_object():
+    cos = _kernel_atoms(JetExpression.atom(cos_atom(2, 1)))[0]
+    routes = [
+        P("cos(2*u + 1)"),
+        P("sin(2*u + 1)^2"),                   # sin^2 -> 1 - cos^2
+        P("sin(2*u + 1)").partial(U),          # d/du sin = cos
+        P("cos(-2*u - 1)*u_x"),                # cos is even
+    ]
+    for e in routes:
+        assert all(a is cos for a in _kernel_atoms(e) if a == cos)
+        assert any(a == cos for a in _kernel_atoms(e))
+    half = _kernel_atoms(P("pow(u + 1, 3/2)"))[0]
+    rebased = P("u*pow(u + 1, 1/2)")           # u rebases onto u + 1
+    assert any(a is half for a in _kernel_atoms(rebased))
+    assert any(a is half for a in _kernel_atoms(P("pow(u + 1, 5/2)").partial(U)))
+    assert any(a is half for a in _kernel_atoms(P("pow(4*u + 4, 3/2)")))  # scale 4^(3/2)
+
+
+def test_interned_atoms_hash_as_plain_tuples():
+    atom = _kernel_atoms(P("exp(u/2 + 1)"))[0]
+    plain = ("exp", Fraction(1, 2), Fraction(1))
+    assert type(atom) is not tuple and tuple(atom) == plain
+    assert hash(atom) == hash(plain) == hash(tuple(atom))
+    assert {plain: 1}[atom] == 1 and {atom: 1}[plain] == 1
+    assert repr(atom) == repr(plain)
+
+
+def test_unpickled_atoms_are_the_interned_ones():
+    e = P("exp(u/2 + 1)*u_x + sin(3*u)*pow(u + 2, 1/3)")
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and copy.terms is not e.terms
+    assert all(a is b for a, b in zip(_kernel_atoms(copy), _kernel_atoms(e)))
+
+
+def test_formal_atoms_are_not_interned():
+    lam = lam_atom(("x", U, UX))
+    e = JetExpression.atom(lam) * P("exp(u)") + JetExpression.atom(lam_bump(lam, UX))
+    formal = [a for _, atoms in e.terms for a, _ in atoms if a[0] == "lam"]
+    assert len(formal) == 2 and all(type(a) is tuple for a in formal)
+    assert not any(a in expr_module._ATOMS for a in formal)
+
+
+def test_intern_tables_do_not_grow_over_fresh_draws():
+    from perfbench.workloads import Operators
+
+    def with_atoms(key):
+        head = key[0] if key else None
+        return type(head) is expr_module._Atom or (
+            type(head) is tuple and type(head[0]) is expr_module._Atom)
+
+    workload = Operators(5)
+    sizes = []
+    for k in (1, 2, 3):
+        for op in workload.ops(k):
+            assert op.check(op.run()) == []
+        # Monomial pairs are left out: a fresh draw may meet a new power of
+        # a jet, and that pair is shared from then on.
+        sizes.append((len(expr_module._ATOMS), sum(map(with_atoms, expr_module._PAIRS))))
+    assert sizes == [sizes[0]] * 3
 
 
 # ---------------------------------------------------------------------------

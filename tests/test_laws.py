@@ -12,7 +12,7 @@ from jetlaw import laws
 from jetlaw.expr import ExprError, JetExpression, coord_name, exp_atom
 from jetlaw.linsolve import AnsatzBounds, solve_multipliers
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import PdeSpec, parse_pde
+from jetlaw.pde import PdeSpec, iterated_total, parse_pde
 from jetlaw.calculus import (AntiderivativeOutsideClass, NotXDerivative, ibp_normal_form,
                              solution_total_derivative)
 from jetlaw.detsys import ArityError, determining_expression
@@ -282,6 +282,46 @@ def test_homotopy_of_a_large_power_takes_no_loop_over_it():
     start = time.perf_counter()
     assert homotopy_density(parse_pde("u_t = u_xx"), P("u^10000")) == P("u^10001/10001")
     assert time.perf_counter() - start < 1
+
+
+def _stepwise_integral(e, subs):
+    """laws._homotopy_integral by p products with (a_k + lam*b_k) for u_k^p:
+    the reference its binomial terms must equal."""
+    zero = out = JetExpression.zero()
+    for (mono, atoms), c in e.terms.items():
+        coeffs = [JetExpression({(tuple(f for f in mono if f[0] not in subs), atoms): c})]
+        for k, p in mono:
+            if k in subs:
+                a, b = subs[k]
+                for _ in range(p):
+                    coeffs = [a * q + b * r for q, r in zip(coeffs + [zero], [zero] + coeffs)]
+        for d, q in enumerate(coeffs):
+            out = out + q * Fraction(1, d + 1)
+    return out
+
+
+def test_homotopy_integral_matches_stepwise_products(rng):
+    refs = [P(s) for s in ("0", "1", "-2/3", "x^2 + t", "t*x - 3")]
+    for _ in range(40):
+        e = random_expression(rng, max_order=2, max_terms=3, with_atoms=False)
+        ref = rng.choice(refs)
+        v = JetExpression.coordinate((0, 0)) - ref
+        subs = {k: (iterated_total(ref, *k), iterated_total(v, *k)) for k in e.jets()}
+        assert laws._homotopy_integral(e, subs) == _stepwise_integral(e, subs)
+
+
+def test_homotopy_of_a_large_power_at_a_nonzero_reference():
+    # (u^(n+1) - c^(n+1)) / (n+1): the lam-integral of u^n from c to u.
+    heat = parse_pde("u_t = u_xx")
+    for n in (1, 2, 5, 12):
+        for c in (1, -2, Fraction(1, 3)):
+            assert homotopy_density(heat, P("u^%d" % n), c) \
+                == (P("u") ** (n + 1) - c ** (n + 1)) * Fraction(1, n + 1)
+    # The binomial terms are quadratic in n: 0.8 s here on 2 vCPU, where p
+    # products with (1 + lam*(u - 1)) took 50 s.
+    start = time.perf_counter()
+    assert homotopy_density(heat, P("u^400"), 1) == (P("u^401") - 1) * Fraction(1, 401)
+    assert time.perf_counter() - start < 10
 
 
 def test_homotopy_rejects_atoms_in_scaled_multiplier():

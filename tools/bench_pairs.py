@@ -9,8 +9,11 @@ run_seconds of BENCHMARK.json.  The parent goes first in even pairs and the
 change in odd ones, so a drift of the host's speed does not favour one side.
 For every end-to-end metric it prints the value of each pair, each side's
 median and quartiles, the number of pairs the change wins and a verdict; the
-direction and bound of each metric are read from BENCHMARK.json.  Exit 1 as
-soon as a run is not correct, has a failed operation or prints no result.
+direction and bound of each metric are read from BENCHMARK.json.  Beside
+each pair of peak_rss_mb it prints the operations the two runs attempted:
+the harness keeps every pass, so the side that fits more passes reads more
+memory.  Exit 1 as soon as a run is not correct, has a failed operation or
+prints no result.
 """
 
 from __future__ import annotations
@@ -77,8 +80,17 @@ def verdict(s: dict, better: str, bound: float) -> str:
     return "within bound"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """{metric: value} of one untraced run; exits on a run that is not sound."""
+def pair_line(i: int, parent: float, change: float, attempted=None) -> str:
+    """The line of pair i of one metric; attempted, when given, is the
+    (parent, change) count of operations the two runs attempted."""
+    line = "  pair %2d  parent %.6g  change %.6g  %+.1f%%" % (
+        i, parent, change, 100 * (change - parent) / parent if parent else 0.0)
+    return line if attempted is None else line + "  attempted %d / %d" % attempted
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """({metric: value}, operations attempted) of one untraced run; exits on
+    a run that is not sound."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -91,7 +103,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode or not result["correct"] or result["failed"]:
         sys.exit("bench_pairs: bad run in %s, seed %d: exit %d, correct %s, failed %s"
                  % (checkout, seed, proc.returncode, result["correct"], result["failed"]))
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, result["attempted"]
 
 
 def main(argv=None) -> int:
@@ -105,19 +117,19 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    pairs = []
+    pairs, attempted = [], []
     for i in range(args.pairs):
         runs = [None, None]
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
             checkout = (args.parent, args.change)[side]
             runs[side] = run_once(checkout, args.workload, args.seed + i, bench["run_seconds"])
-        pairs.append(tuple(runs))
+        pairs.append(tuple(metrics for metrics, _ in runs))
+        attempted.append(tuple(n for _, n in runs))
         print("pair %d done (seed %d)" % (i, args.seed + i), file=sys.stderr)
     for name, s in summarize(pairs, better).items():
         print("%s (%s is better), %s" % (name, better.get(name, "lower"), args.workload))
         for i, (p, c) in enumerate(s["pairs"]):
-            print("  pair %2d  parent %.6g  change %.6g  %+.1f%%"
-                  % (i, p, c, 100 * (c - p) / p if p else 0.0))
+            print(pair_line(i, p, c, attempted[i] if name == "peak_rss_mb" else None))
         for side in ("parent", "change"):
             print("  %s median %.6g  Q1-Q3 %.6g-%.6g" % ((side,) + s[side]))
         print("  change wins %d of %d pairs" % (s["wins"], len(s["pairs"])))
