@@ -317,7 +317,7 @@ def test_homotopy_of_a_large_power_at_a_nonzero_reference():
         for c in (1, -2, Fraction(1, 3)):
             assert homotopy_density(heat, P("u^%d" % n), c) \
                 == (P("u") ** (n + 1) - c ** (n + 1)) * Fraction(1, n + 1)
-    # The binomial terms are quadratic in n: 0.8 s here on 2 vCPU, where p
+    # The binomial terms are quadratic in n: 0.8 s on a 2-vCPU host, where p
     # products with (1 + lam*(u - 1)) took 50 s.
     start = time.perf_counter()
     assert homotopy_density(heat, P("u^400"), 1) == (P("u^401") - 1) * Fraction(1, 401)
