@@ -33,15 +33,15 @@ fires.  The rules, tried in this order:
 
 1. exp atoms combine into one exp at power 1; exp(0) drops.
 2. For each pow atom (a u + b)^r, in atom order: a power p != 1 folds into
-   the exponent; a nonnegative integer r expands by the binomial theorem, to
-   one term when a or b is 0; a constant base (a = 0) folds into the
-   coefficient when b^r is rational;
-   u^m beside the atom rebases onto it, u^m = sum_j C(m,j) (-b)^(m-j) a^(-m)
-   (a u + b)^j; a scale a != 1 moves into the coefficient when a^r is
-   rational.
+   the exponent; a nonnegative integer r expands by the binomial rule; a
+   constant base (a = 0) folds into the coefficient when b^r is rational;
+   u^m beside the atom rebases onto it by the binomial rule, u^m =
+   (((a u + b) - b) / a)^m; a scale a != 1 moves into the coefficient when
+   a^r is rational.
 3. Two pow atoms with the same live base (a != 0) add their exponents.
 4. sin and cos of a negative argument reflect (sin odd, cos even); sin(0)
-   vanishes and cos(0) drops; sin^2 reduces to 1 - cos^2.
+   vanishes and cos(0) drops; sin^p becomes sin^(p - 2m) (1 - cos^2)^m with
+   m = p // 2, by the binomial rule.
 
 Equality of normalized expressions is structural equality.
 
@@ -90,6 +90,10 @@ class CoefficientError(ExprError):
     """A coefficient that is neither an int nor a Fraction, e.g. a float."""
 
 
+class ExpansionError(ExprError):
+    """A binomial expansion of more than MAX_BINOMIAL_TERMS terms."""
+
+
 def _exact(c):
     """c, checked to be an exact rational; a float would silently turn into
     an inexact Fraction."""
@@ -112,6 +116,12 @@ def is_jet(k) -> bool:
 
 def is_indep(k) -> bool:
     return k == "t" or k == "x"
+
+
+def _is_coordinate(k) -> bool:
+    """Whether k is "t", "x" or a jet (a, b) of nonnegative ints."""
+    return is_indep(k) or (type(k) is tuple and len(k) == 2
+                           and type(k[0]) is type(k[1]) is int and min(k) >= 0)
 
 
 def coord_sort_key(k):
@@ -180,6 +190,7 @@ def lam_bump(atom, coord):
 
 
 _KERNEL_TAGS = ("exp", "sin", "cos", "pow")
+_ATOM_LENGTHS = {"exp": 3, "sin": 3, "cos": 3, "pow": 4, "lam": 3}
 
 
 def is_kernel_atom(a) -> bool:
@@ -228,6 +239,26 @@ def rational_pow(base, r):
     if num is None or den is None:
         return None
     return Fraction(num, den) ** r.numerator
+
+
+# (u/3 - 5/7)^3000, near the bound, takes about a second (2 vCPU, Python 3.11).
+MAX_BINOMIAL_TERMS = 3001
+
+
+def _binomial(n: int, x, y) -> list:
+    """[(j, C(n, j) x^(n-j) y^j)] for j ascending, numbers or expressions, each
+    power one product from the one before; one term when x or y is 0, else at
+    most MAX_BINOMIAL_TERMS terms (ExpansionError, before any power)."""
+    if x == 0 or y == 0:
+        return [(n, y ** n)] if x == 0 else [(0, x ** n)]
+    if n + 1 > MAX_BINOMIAL_TERMS:
+        raise ExpansionError("expansion may hold %d terms, more than %d"
+                             % (n + 1, MAX_BINOMIAL_TERMS))
+    xs, ys = [1], [1]
+    for _ in range(n):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+    return [(j, xs[n - j] * ys[j] * comb(n, j)) for j in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +373,7 @@ def _rewrite(c, f):
         if f[k] != 1:
             return [(c, _replace(f, (k,), ("pow", alpha, beta, r * f[k])))]
         if r.denominator == 1 and r >= 0:
-            n = int(r)
-            js = (n,) if beta == 0 else (0,) if alpha == 0 else range(n + 1)
-            return [(c * comb(n, j) * alpha ** j * beta ** (n - j), _replace(f, (k,), U, j))
-                    for j in js]
+            return [(c * w, _replace(f, (k,), U, j)) for j, w in _binomial(int(r), beta, alpha)]
         if alpha == 0:
             value = rational_pow(beta, r)
             if value is not None:
@@ -353,9 +381,8 @@ def _rewrite(c, f):
             continue
         m = f.get(U, 0)
         if m > 0:
-            return [(c * comb(m, j) * (-beta) ** (m - j) * alpha ** (-m),
-                     _replace(f, (k, U), ("pow", alpha, beta, r + j)))
-                    for j in ((m,) if beta == 0 else range(m + 1))]
+            return [(c * w, _replace(f, (k, U), ("pow", alpha, beta, r + j)))
+                    for j, w in _binomial(m, -beta / alpha, 1 / alpha)]
         if alpha != 1:
             scale = rational_pow(alpha, r)
             if scale is not None:
@@ -375,8 +402,9 @@ def _rewrite(c, f):
         if alpha == 0 and beta == 0:
             return [] if tag == "sin" else [(c, _replace(f, (k,)))]
         if tag == "sin" and f[k] >= 2:
-            g = _replace(f, (), k, -2)
-            return [(c, g), (-c, _replace(g, (), ("cos", alpha, beta), 2))]
+            g = _replace(f, (), k, -2 * (f[k] // 2))
+            return [(c * w, _replace(g, (), ("cos", alpha, beta), 2 * j))
+                    for j, w in _binomial(f[k] // 2, 1, -1)]
     return None
 
 
@@ -523,7 +551,7 @@ class JetExpression:
 
     @staticmethod
     def coordinate(k) -> "JetExpression":
-        if not (is_indep(k) or is_jet(k)):
+        if not _is_coordinate(k):
             raise ExprError("not a coordinate: %r" % (k,))
         return JetExpression({((_pair(k, 1),), ()): 1})
 
@@ -533,9 +561,14 @@ class JetExpression:
 
     @staticmethod
     def from_raw(raw_terms) -> "JetExpression":
-        """The normalized sum of raw (coefficient, factor-dict) terms."""
+        """The normalized sum of raw (coefficient, factor-dict) terms; a factor
+        must be a coordinate, a kernel atom or a lam atom."""
         pairs = []
         for c, f in raw_terms:
+            for k in f:
+                if not (_is_coordinate(k) or isinstance(k, tuple) and k
+                        and len(k) == _ATOM_LENGTHS.get(k[0])):
+                    raise ExprError("not a coordinate or an atom: %r" % (k,))
             pairs.extend(_canon_term(_exact(c), f))
         return JetExpression(_accumulate(pairs))
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
 
-from .expr import ExprError, JetExpression, U, UT, UX, _coerce, is_kernel_atom
+from .expr import ExprError, JetExpression, U, UT, UX, _binomial, _coerce, is_kernel_atom
 from .parser import render
 from .pde import PdeSpec, iterated_total
 from .calculus import (
@@ -62,8 +61,9 @@ class ConservationLaw:
 
 def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
     """int_0^1 e[k -> a_k + lam*b_k] dlam over each coordinate k in subs,
-    with subs[k] = (a_k, b_k).  Each term expands as its list of
-    lam-coefficients, and the coefficient of lam^d is divided by d + 1."""
+    with subs[k] = (a_k, b_k).  Each term keeps its nonzero lam-coefficients by
+    degree, convolved with each coordinate's binomial terms (`expr._binomial`),
+    degrees outer; the coefficient of lam^d is divided by d + 1."""
     for _mono, atoms in e.terms:
         for a, _p in atoms:
             if is_kernel_atom(a) and a[1] != 0:
@@ -74,26 +74,15 @@ def _homotopy_integral(e: JetExpression, subs: dict) -> JetExpression:
                 raise HomotopyError("formal atom in a concrete multiplier")
     zero = out = JetExpression.zero()
     for (mono, atoms), c in e.terms.items():
-        coeffs = [JetExpression({(tuple(f for f in mono if f[0] not in subs), atoms): c})]
+        coeffs = {0: JetExpression({(tuple(f for f in mono if f[0] not in subs), atoms): c})}
         for k, p in mono:
             if k in subs:
-                a, b = subs[k]
-                if a.is_zero():  # (lam*b)^p: the coefficients move up by p
-                    coeffs = [zero] * p + [q * b ** p for q in coeffs]
-                    continue
-                # (a + lam*b)^p = sum_j C(p,j) a^(p-j) b^j lam^j, each power one
-                # product from the last; p products by (a + lam*b) are cubic in p.
-                apow, bpow = [JetExpression.rational(1)], [JetExpression.rational(1)]
-                for _ in range(p):
-                    apow.append(apow[-1] * a)
-                    bpow.append(bpow[-1] * b)
-                binomial = [apow[p - j] * bpow[j] * comb(p, j) for j in range(p + 1)]
-                shifted = [zero] * (len(coeffs) + p)
-                for i, q in enumerate(coeffs):
-                    for j, w in enumerate(binomial):
-                        shifted[i + j] = shifted[i + j] + q * w
-                coeffs = shifted
-        for d, q in enumerate(coeffs):
+                expanded, binomial = {}, _binomial(p, *subs[k])
+                for d, q in coeffs.items():
+                    for j, w in binomial:
+                        expanded[d + j] = expanded.get(d + j, zero) + q * w
+                coeffs = expanded
+        for d, q in coeffs.items():
             out = out + q * Fraction(1, d + 1)
     return out
 

@@ -17,6 +17,7 @@ from math import comb
 
 from .expr import (
     ExprError,
+    ExpansionError,
     JetExpression,
     _exact,
     coord_from_name,
@@ -49,12 +50,10 @@ MAX_DEPTH = 100
 # MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for the n-th
 # power of k terms.  The slowest power it admits, (u_x + u_xx)^799, parses in
 # about a second (2 vCPU, Python 3.11); outside the limit's own test, the
-# tests, demos and benchmark count at most 2.  The normal form expands the
-# n-th power of a two-term affine base, (a*u + b)^n or pow(a*u + b, n), to
-# n + 1 terms, refused past MAX_BINOMIAL_TERMS; (u/3 - 5/7)^3000 takes about
-# a second.
+# tests, demos and benchmark count at most 2.  A power of an affine base is
+# the normal form's binomial rule, whose own bound (expr.MAX_BINOMIAL_TERMS)
+# refuses it at the ^ or pow.
 MAX_TERMS = 800
-MAX_BINOMIAL_TERMS = 3001
 
 
 def _tokenize(text: str):
@@ -228,10 +227,11 @@ def _divide(value, rhs, pos) -> JetExpression:
 
 def _affine_power(alpha, beta, r, pos) -> JetExpression:
     """pow(alpha*u + beta, r), which the normal form expands binomially at a
-    nonnegative integer r."""
-    if alpha and beta and r.denominator == 1 and r >= 0:
-        _check_terms(int(r) + 1, pos, MAX_BINOMIAL_TERMS)
-    return JetExpression.atom(pow_atom(alpha, beta, r))
+    nonnegative integer r; an expansion past its bound is refused at pos."""
+    try:
+        return JetExpression.atom(pow_atom(alpha, beta, r))
+    except ExpansionError as err:
+        raise ParseError(str(err), pos)
 
 
 def _raise(base, exponent, pos) -> JetExpression:
@@ -254,9 +254,9 @@ def _raise(base, exponent, pos) -> JetExpression:
     raise ParseError("fractional or negative power of a non-invertible base", pos)
 
 
-def _check_terms(count, pos, limit=MAX_TERMS):
-    if count > limit:
-        raise ParseError("expansion may hold %d terms, more than %d" % (count, limit), pos)
+def _check_terms(count, pos):
+    if count > MAX_TERMS:
+        raise ParseError("expansion may hold %d terms, more than %d" % (count, MAX_TERMS), pos)
 
 
 def _single_atom(e):
@@ -312,10 +312,7 @@ def _render_atom(a) -> str:
         return "%s(%s)" % (tag, _render_affine(a[1], a[2]))
     if tag == "pow":
         return "pow(%s, %s)" % (_render_affine(a[1], a[2]), _render_fraction(a[3]))
-    if tag == "lam":
-        index = "".join("_" + coord_name(k) for k in a[2])
-        return "Lam" + index
-    raise ExprError("unknown atom %r" % (a,))
+    return "Lam" + "".join("_" + coord_name(k) for k in a[2])
 
 
 def _render_term(sig, coeff: Fraction) -> str:

@@ -72,7 +72,10 @@ def reference_eliminate(pde, e, gee=False):
     """The substitute loop that restricted an expression to solutions before
     the on-solution total derivative: the highest jet off the chart, at offset
     (a, b) from the leading jet, is replaced by D_t^a D_x^b rhs (plus the atom
-    ("gee", a, b) when gee is set), until no jet is off the chart."""
+    ("gee", a, b) when gee is set), until no jet is off the chart.  The gee
+    atom is this reference's own formal atom, which `JetExpression.from_raw`
+    does not admit (only coordinates, kernel and lam atoms), so its one-term
+    expression is built in normal form directly."""
     while True:
         off = [k for k in e.jets() if not on_chart(pde.leading, k)]
         if not off:
@@ -80,7 +83,7 @@ def reference_eliminate(pde, e, gee=False):
         w = max(off)
         j = (w[0] - pde.leading[0], w[1] - pde.leading[1])
         form = iterated_total(pde.rhs, *j)
-        e = e.substitute(w, form + JetExpression.atom(("gee",) + j) if gee else form)
+        e = e.substitute(w, form + JetExpression({((), ((("gee",) + j, 1),)): 1}) if gee else form)
 
 
 _FULL_SPLITS: dict = {}

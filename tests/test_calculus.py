@@ -21,6 +21,7 @@ from jetlaw.expr import (
 )
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.linsolve import multiplier_arity
+from jetlaw.detsys import split_determining_system
 from jetlaw.pde import ChartForms, PdeSpec, iterated_total, on_chart, parse_pde
 from jetlaw import calculus
 from jetlaw.calculus import (
@@ -63,6 +64,20 @@ def test_euler_spec_cases():
     assert euler_operator(P("u_x^2")) == P("-2*u_xx")
     assert euler_operator(P("u*u_xx").total("x")).is_zero()
     assert euler_operator(P("u_t*u_x")) == P("-2*u_tx")
+
+
+@pytest.mark.parametrize("tag", ["exp", "sin", "cos", "pow"])
+def test_kernel_atom_derivatives_match_oracle(tag):
+    # d/du of each kernel atom against sympy's, so the derivative rule is
+    # pinned by no code shared with the package.
+    import sympy as sp
+    from oracle_jet import UU
+    params = [(1, 0, Fraction(1, 2)), (2, -3, Fraction(-1, 3)), (Fraction(1, 2), Fraction(5, 7),
+              Fraction(3, 2)), (-1, 2, -2), (3, 1, Fraction(5, 3)), (Fraction(-2, 3), 0, 4)]
+    for alpha, beta, r in params:
+        atom = (tag, Fraction(alpha), Fraction(beta)) + ((Fraction(r),) if tag == "pow" else ())
+        e = JetExpression.atom(atom)
+        assert same(e.partial(U), sp.diff(to_sympy(e), UU)), atom
 
 
 def test_euler_matches_oracle(rng):
@@ -248,6 +263,11 @@ def test_ibp_normal_form_spec_cases():
     assert core == P("u_x^2") and theta.is_zero()
     core, _ = ibp_normal_form(P("u^3").total("x"))
     assert core.is_zero()
+    # The adjoint-symmetry equation carries the unknown multiplier's atoms.
+    kdv = parse_pde("u_t + u*u_x + u_xxx = 0")
+    equation, = split_determining_system(kdv, multiplier_arity(kdv, 1)).equations
+    with pytest.raises(ExprError, match="^descent undefined on formal atoms$"):
+        ibp_normal_form(equation)
 
 
 def test_ibp_idempotent_random(rng):

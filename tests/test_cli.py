@@ -124,13 +124,26 @@ def test_density_command(capsys):
 
 
 def test_density_of_a_large_power_is_one_error_line(capsys):
-    # The lam-integral of u^10000 at utilde = 0 is one shift, not 10000 steps.
-    start = time.perf_counter()
-    code = main(["density", "--pde", "u_t = u_xx", "--multiplier", "u^10000"])
-    assert time.perf_counter() - start < 1
-    assert code == 2
-    assert capsys.readouterr().err \
-        == "error: not a total x-derivative; residual 10000*u^9999*u_x^2\n"
+    for extra, message in [
+            # The lam-integral of u^n at utilde = 0 is one term, not n steps.
+            (["--multiplier", "u^10000"], "not a total x-derivative; residual 10000*u^9999*u_x^2"),
+            (["--multiplier", "u^1000000000"],
+             "not a total x-derivative; residual 1000000000*u^999999999*u_x^2"),
+            # At utilde = 1, and in the rebase of u^m beside pow(u + 1, r), the
+            # binomial expansion is refused before any power is built.
+            (["--multiplier", "u^5000", "--utilde", "1"],
+             "expansion may hold 5001 terms, more than 3001"),
+            (["--multiplier", "u^1000000000", "--utilde", "1"],
+             "expansion may hold 1000000001 terms, more than 3001"),
+            (["--multiplier", "u^20000*pow(u+1,1/2)"],
+             "expansion may hold 20001 terms, more than 3001"),
+            (["--multiplier", "u^4000*pow(u+1,1/2)"],
+             "expansion may hold 4001 terms, more than 3001")]:
+        start = time.perf_counter()
+        code = main(["density", "--pde", "u_t = u_xx"] + extra)
+        assert time.perf_counter() - start < 1, extra
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_import_leaves_numpy_unloaded():

@@ -12,7 +12,7 @@ import pytest
 
 import jetlaw.expr as expr_module
 from jetlaw.expr import (
-    JetExpression, ExprError, U, UT, UX, cos_atom, exp_atom, lam_atom, lam_bump,
+    JetExpression, ExpansionError, ExprError, U, UT, UX, cos_atom, exp_atom, lam_atom, lam_bump,
     pow_atom, rational_pow, sin_atom,
 )
 from jetlaw.linsolve import (
@@ -93,7 +93,8 @@ def test_nesting_limit_is_a_parse_error():
 
 
 def test_expansion_limit_is_a_parse_error():
-    from jetlaw.parser import MAX_BINOMIAL_TERMS, MAX_TERMS
+    from jetlaw.expr import MAX_BINOMIAL_TERMS
+    from jetlaw.parser import MAX_TERMS
     # A nonzero affine base expands by the normal form's binomial rule, as
     # pow() does, to n + 1 terms; a base of one term gives one term however
     # large n is.
@@ -106,6 +107,18 @@ def test_expansion_limit_is_a_parse_error():
     # u^m beside pow(a*u, r) rebases to the one term pow(a*u, r + m)/a^m.
     assert P("u^20000*pow(u,1/2)") == P("pow(u, 40001/2)")
     assert time.perf_counter() - start < 5
+    # At b != 0 the rebase and sin^p = sin^(p - 2m) (1 - cos^2)^m, m = p // 2,
+    # expand to m + 1 terms in one step, and past the bound not at all.
+    start = time.perf_counter()
+    assert len(JetExpression.from_raw([(1, {sin_atom(1): 60})]).terms) == 31
+    assert len(JetExpression.from_raw([(1, {sin_atom(1): 61, cos_atom(1): 1})]).terms) == 31
+    for text, count in (("u^20000*pow(u+1,1/2)", 20001), ("u^4000*pow(u+1,1/2)", 4001)):
+        with pytest.raises(ExpansionError, match="^expansion may hold %d terms, more than %d$"
+                           % (count, MAX_BINOMIAL_TERMS)):
+            P(text)
+    with pytest.raises(ExpansionError, match="may hold 3002 terms"):
+        JetExpression.from_raw([(1, {sin_atom(2): 6003})])
+    assert time.perf_counter() - start < 1
     n = MAX_BINOMIAL_TERMS
     for text, count in (("(u+1)^%d" % n, n + 1), ("pow(u - 2, %d)" % n, n + 1),
                         ("(u+1)^100000", 100001)):
@@ -175,6 +188,18 @@ def test_negative_powers_of_trig_and_formal_atoms_are_rejected():
     assert JetExpression.from_raw([(1, {exp_atom(2): -1})]) == JetExpression.atom(exp_atom(-2))
     assert JetExpression.from_raw([(1, {pow_atom(1, 1, Fraction(1, 2)): -2})]) \
         == JetExpression.atom(pow_atom(1, 1, -1))
+    for k in (U, UX, "x"):
+        with pytest.raises(ExprError, match="^negative coordinate power$"):
+            JetExpression.from_raw([(1, {k: -1})])
+    # A factor must be t, x, a jet of nonnegative ints, or a kernel or lam
+    # atom of its tag's length.
+    for k in ((-1, 0), (0, 0, 0), (1, Fraction(1)), (True, 0), "y", ("foo", 1), ("exp", 1),
+              ("pow", 1, 0), ()):
+        with pytest.raises(ExprError, match=r"^not a coordinate or an atom: "):
+            JetExpression.from_raw([(1, {k: 1, U: 2})])
+    for k in ((-1, 0), (0, 0, 0), (0, -2), ("exp", 1, 0), "u"):
+        with pytest.raises(ExprError, match=r"^not a coordinate: "):
+            JetExpression.coordinate(k)
 
 
 _RAW_POINT = {"t": 0.31, "x": -0.57, U: 0.7137, UX: 1.23, UT: -0.41}
@@ -286,6 +311,7 @@ def test_round_trip_fixed_forms():
         e = P(s)
         assert P(render(e)) == e
     assert render(P("cos(-3)")) == "cos(3)"
+    assert repr(P("u_x + 1/2")) == "JetExpression('1/2 + u_x')"
 
 
 def test_round_trip_random(rng):
@@ -371,6 +397,17 @@ def test_substitute_rejects_self_reference():
         P("u_t").substitute(UT, P("u_tx"))
     with pytest.raises(ExprError):
         P("sin(u)*u").substitute(U, P("x"))
+    with pytest.raises(ExprError, match="^substitution target must be a jet coordinate$"):
+        P("u*t").substitute("t", P("1"))
+
+
+def test_operations_outside_the_fragment_are_expr_errors():
+    with pytest.raises(ExprError, match="^expression powers must be nonnegative integers$"):
+        P("u + 1") ** -1
+    with pytest.raises(ExprError, match="^direction must be 't' or 'x'$"):
+        P("u").total("y")
+    with pytest.raises(ParseError, match=r"^pow exponent must be a rational constant \(at position 4\)$"):
+        P("2 + pow(u, u)")
 
 
 def test_coordinate_ordering_canonical():

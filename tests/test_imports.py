@@ -10,11 +10,15 @@ own body.  A helper that only tests call belongs in tests/conftest.py.
 
 Every attribute a jetlaw class sets on self, and every dataclass field, is
 loaded as an attribute somewhere in the package; the attributes of an
-ExprError subclass are data for callers and are left out."""
+ExprError subclass are data for callers and are left out.
+
+Every statement the line tracer (tools/line_trace.py) allows to stay unrun
+in tier-1 is still a statement of its file."""
 
 import ast
 import builtins
 import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -262,3 +266,34 @@ def test_init_imports_exactly_the_exported_names():
     imported = [a.asname or a.name for node in tree.body
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
     assert sorted(imported) == sorted(n for n in jetlaw.__all__ if n != "__version__")
+
+
+def _line_trace():
+    path = Path(__file__).resolve().parent.parent / "tools" / "line_trace.py"
+    spec = importlib.util.spec_from_file_location("line_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_line_trace_finds_an_unrun_statement():
+    source = ("def f(x):\n"
+              "    \"\"\"doc\"\"\"\n"
+              "    if x:\n"
+              "        return g(1,\n"
+              "                 2)\n"
+              "    return 0\n")
+    line_trace = _line_trace()
+    assert line_trace.statements(source) == [(4, 5), (6, 6)]
+    assert line_trace.unrun({"m.py": source}, {"m.py": {3, 6}}) == [("m.py", 4, "return g(1,")]
+    assert line_trace.unrun({"m.py": source}, {"m.py": {3, 5, 6}}) == []
+
+
+def test_line_trace_allowances_are_statements():
+    line_trace = _line_trace()
+    assert line_trace.ALLOWED
+    for name, text, reason in line_trace.ALLOWED:
+        source = (PACKAGE / name).read_text()
+        lines = source.splitlines()
+        starts = {lines[first - 1].strip() for first, _ in line_trace.statements(source)}
+        assert text in starts and reason, (name, text)

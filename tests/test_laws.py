@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 from jetlaw import laws
-from jetlaw.expr import ExprError, JetExpression, coord_name, exp_atom
-from jetlaw.linsolve import AnsatzBounds, solve_multipliers
+from jetlaw.expr import (MAX_BINOMIAL_TERMS, ExpansionError, ExprError, JetExpression, coord_name,
+                         exp_atom)
+from jetlaw.linsolve import AnsatzBounds, multiplier_arity, solve_multipliers
 from jetlaw.parser import parse_expression as P, render
 from jetlaw.pde import PdeSpec, iterated_total, parse_pde
 from jetlaw.calculus import (AntiderivativeOutsideClass, NotXDerivative, ibp_normal_form,
                              solution_total_derivative)
-from jetlaw.detsys import ArityError, determining_expression
+from jetlaw.detsys import ArityError, determining_expression, split_determining_system
 from jetlaw.laws import (
     ConservationLaw,
     HomotopyError,
@@ -281,6 +282,8 @@ def test_homotopy_of_a_large_power_takes_no_loop_over_it():
     # lam^n * u^n in one step.
     start = time.perf_counter()
     assert homotopy_density(parse_pde("u_t = u_xx"), P("u^10000")) == P("u^10001/10001")
+    assert homotopy_density(parse_pde("u_t = u_xx"), P("u^1000000000")) \
+        == P("u^1000000001/1000000001")
     assert time.perf_counter() - start < 1
 
 
@@ -322,12 +325,24 @@ def test_homotopy_of_a_large_power_at_a_nonzero_reference():
     start = time.perf_counter()
     assert homotopy_density(heat, P("u^400"), 1) == (P("u^401") - 1) * Fraction(1, 401)
     assert time.perf_counter() - start < 10
+    # Past the binomial bound the expansion is refused before any power.
+    start = time.perf_counter()
+    for n in (MAX_BINOMIAL_TERMS, 5000, 10 ** 9):
+        with pytest.raises(ExpansionError, match="^expansion may hold %d terms, more than %d$"
+                           % (n + 1, MAX_BINOMIAL_TERMS)):
+            homotopy_density(heat, P("u^%d" % n), 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_homotopy_rejects_atoms_in_scaled_multiplier():
     kdv = parse_pde(KDV, {"n": 1})
     with pytest.raises(HomotopyError, match=r"\(kernel atom sin\(u\) in G\*Lam\)$"):
         homotopy_density(kdv, P("sin(u)"))
+    # A kernel atom without u is a constant factor of the lam-polynomial.
+    assert homotopy_density(kdv, P("exp(1)*u")) == P("exp(1)*u^2/2")
+    equation, = split_determining_system(kdv, multiplier_arity(kdv, 1)).equations
+    with pytest.raises(HomotopyError, match="^formal atom in a concrete multiplier$"):
+        homotopy_density(kdv, equation)
 
 
 def test_two_point_fallback_refuses_higher_order_multipliers():

@@ -68,6 +68,9 @@ def test_basis_includes_requested_atoms():
     assert "t^2*u_t" in rendered
     assert "exp(-1/2*u)" in rendered
     assert "t*exp(-1/2*u)" in rendered
+    for atom in (("foo",), lam_atom(("x", U))):
+        with pytest.raises(ExprError, match="^ansatz atoms must be kernel atoms, got "):
+            solve_multipliers(wave, AnsatzBounds(order=1, atoms=(atom,)))
 
 
 def _recursive_basis(pde, bounds):

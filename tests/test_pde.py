@@ -4,7 +4,7 @@ import pytest
 
 from jetlaw.expr import ExprError, U, UT, UX
 from jetlaw.parser import parse_expression as P, render
-from jetlaw.pde import PdeError, parse_pde
+from jetlaw.pde import PdeError, PdeSpec, parse_pde
 from jetlaw.calculus import adjoint_linearization, euler_operator
 
 from conftest import linearization, random_expression
@@ -38,6 +38,9 @@ def test_leading_must_be_linear_and_alone():
         parse_pde("u*u_t + u_x = 0")
     with pytest.raises(PdeError):
         parse_pde("u_t^2 = u_x")
+    for leading in ((3, 0), (0, 1), UX):
+        with pytest.raises(PdeError, match="^leading derivative must be u_t, u_tt or u_tx$"):
+            PdeSpec(leading=leading, rhs=P("u_xx"))
 
 
 def test_rhs_exclusion_rules():
