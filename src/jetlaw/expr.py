@@ -20,12 +20,13 @@ coefficient and as an atom parameter.  Atom parameters stay Fractions.
 A kernel atom is interned where a raw term enters normalization (`_intern`):
 each distinct value is one shared `_Atom`, which carries its hash, computed
 once, and its u-derivative, computed on first use, so a dict probe on a
-signature hashes no Fraction and usually finds the atom by identity.  Its
-(atom, power) pairs and the atom tuples of terms without formal atoms are
-shared through `_PAIRS`, as monomial pairs are (`_pair`).  Both tables are
-bounded by the distinct atoms and pairs a process meets, and neither is ever
-keyed by an inexact value: every parameter is checked before the table is
-read.  Formal atoms are local to the split and are not interned.
+signature hashes no Fraction and usually finds the atom by identity.  The
+(atom, power) pairs and atom tuples that the rewrite step builds, and the
+pairs that a product merges, are shared through `_PAIRS`, as monomial pairs
+are (`_pair`), formal atoms included.  Both tables are bounded by the
+distinct atoms and pairs a process meets, and neither is ever keyed by an
+inexact value: every parameter is checked before the table is read.  Formal
+atoms are shared in `_PAIRS` and are not interned.
 
 Everything is normalized at construction: coefficients merged, zeros pruned,
 and one rewrite step (`_rewrite`) applied to each raw term until no rule
@@ -38,7 +39,10 @@ fires.  The rules, tried in this order:
    u^m beside the atom rebases onto it by the binomial rule, u^m =
    (((a u + b) - b) / a)^m; a scale a != 1 moves into the coefficient when
    a^r is rational.
-3. Two pow atoms with the same live base (a != 0) add their exponents.
+3. Two live pow atoms (a u + b)^r, (a' u + b')^r' of the same root (b a' =
+   b' a) combine onto the first, in atom order, whose conversion factor
+   (a'/a)^r' is rational: (a u + b)^(r + r') times that factor.  Equal bases
+   are the case with factor 1.
 4. sin and cos of a negative argument reflect (sin odd, cos even); sin(0)
    vanishes and cos(0) drops; sin^p becomes sin^(p - 2m) (1 - cos^2)^m with
    m = p // 2, by the binomial rule.
@@ -329,23 +333,16 @@ def _canon_term(coeff, factors: dict) -> list:
             continue
         mono = []
         atoms = []
-        formal = False
         for k, p in f.items():
             if is_indep(k) or is_jet(k):
                 if p < 0:
                     raise ExprError("negative coordinate power")
                 mono.append(_pair(k, p))
-            elif type(k) is _Atom:
-                atoms.append(_pair(k, p))
             else:
-                formal = True
-                atoms.append((k, p))
+                atoms.append(_pair(k, p))
         mono.sort(key=_mono_key)
-        atoms.sort(key=_atoms_key)
-        atoms = tuple(atoms)
-        if not formal:
-            atoms = _PAIRS.setdefault(atoms, atoms)
-        out.append((c, (tuple(mono), atoms)))
+        atoms = tuple(sorted(atoms, key=_atoms_key))
+        out.append((c, (tuple(mono), _PAIRS.setdefault(atoms, atoms))))
     return out
 
 
@@ -389,8 +386,12 @@ def _rewrite(c, f):
                 return [(c * scale, _replace(f, (k,), ("pow", Fraction(1), beta / alpha, r)))]
     for i, k1 in enumerate(pows):
         for k2 in pows[i + 1:]:
-            if k1[1:3] == k2[1:3] and k1[1] != 0:
-                return [(c, _replace(f, (k1, k2), ("pow", k1[1], k1[2], k1[3] + k2[3])))]
+            if k1[1] != 0 != k2[1] and k1[2] * k2[1] == k2[2] * k1[1]:
+                for this, other in ((k1, k2), (k2, k1)):
+                    scale = rational_pow(other[1] / this[1], other[3])
+                    if scale is not None:
+                        return [(c * scale,
+                                 _replace(f, (k1, k2), this[:3] + (this[3] + other[3],)))]
     for k in atoms:
         if k[0] not in ("sin", "cos"):
             continue
@@ -440,9 +441,10 @@ def _atoms_key(pair):
     return _atom_sort_key(pair[0])
 
 
-def _merge_factors(s1, s2, key, make=lambda k, p: (k, p)):
+def _merge_factors(s1, s2, key):
     """The product of two sorted (factor, power) tuples, sorted by key: the
-    powers of a shared factor add, and a factor whose powers cancel drops."""
+    powers of a shared factor add into a shared pair, and a factor whose
+    powers cancel drops."""
     if not s1 or not s2:
         return s1 or s2
     out = []
@@ -450,7 +452,7 @@ def _merge_factors(s1, s2, key, make=lambda k, p: (k, p)):
         if out and out[-1][0] == pair[0]:
             p = out.pop()[1] + pair[1]
             if p:
-                out.append(make(pair[0], p))
+                out.append(_pair(pair[0], p))
         else:
             out.append(pair)
     return tuple(out)
@@ -486,15 +488,12 @@ def term_jets(*sigs) -> set:
 def _swap_atom(atoms, old, new):
     """The sorted atom pairs with one power of old traded for one of new.
     Atoms sort by tag first, so a lone atom of its tag at power 1 swaps for
-    one of the same tag in place."""
+    one of the same tag in place, without a _pair probe: this is every lam
+    bump of the split, and the probe hashes the lam atom."""
     if old[0] == new[0] and sum(a[0] == old[0] for a, _ in atoms) == 1 \
             and dict(atoms)[old] == 1:
         return tuple((new, 1) if a == old else (a, p) for a, p in atoms)
-    f = dict(atoms)
-    f[old] -= 1
-    f[new] = f.get(new, 0) + 1
-    out = tuple((a, p) for a, p in f.items() if p)
-    return out if len(out) < 2 else tuple(sorted(out, key=_atoms_key))
+    return _merge_factors(atoms, ((old, -1), (new, 1)), _atoms_key)
 
 
 def _canon_product(c, sig1, sig2) -> list:
@@ -562,13 +561,17 @@ class JetExpression:
     @staticmethod
     def from_raw(raw_terms) -> "JetExpression":
         """The normalized sum of raw (coefficient, factor-dict) terms; a factor
-        must be a coordinate, a kernel atom or a lam atom."""
+        must be a coordinate, a kernel atom or a lam atom, and its power an
+        int, or an exact rational on an exp or pow atom."""
         pairs = []
         for c, f in raw_terms:
-            for k in f:
+            for k, p in f.items():
                 if not (_is_coordinate(k) or isinstance(k, tuple) and k
                         and len(k) == _ATOM_LENGTHS.get(k[0])):
                     raise ExprError("not a coordinate or an atom: %r" % (k,))
+                if type(_exact(p)) is not int and not (
+                        type(p) is Fraction and k[0] in ("exp", "pow")):
+                    raise ExprError("power %r of %r is not an int" % (p, k))
             pairs.extend(_canon_term(_exact(c), f))
         return JetExpression(_accumulate(pairs))
 
@@ -638,7 +641,7 @@ class JetExpression:
                     pairs.extend(_canon_product(c1 * c2, sig1, sig2))
                 else:
                     pairs.append((c1 * c2, (
-                        _merge_factors(sig1[0], sig2[0], _mono_key, _pair),
+                        _merge_factors(sig1[0], sig2[0], _mono_key),
                         _merge_factors(sig1[1], sig2[1], _atoms_key))))
         return JetExpression(_accumulate(pairs))
 
@@ -719,7 +722,7 @@ class JetExpression:
                     continue
                 step = (_pair(up, 1),)
                 for dc, (m, a) in _term_partial(c, mono, atoms, k):
-                    pairs.append((dc, (_merge_factors(m, step, _mono_key, _pair), a)))
+                    pairs.append((dc, (_merge_factors(m, step, _mono_key), a)))
         for up, partials in off.items():
             product = JetExpression(_accumulate(partials)) * chart[up]
             pairs.extend((c, sig) for sig, c in product.terms.items())

@@ -45,14 +45,14 @@ _FUNCTIONS = ("exp", "sin", "cos", "pow")
 # this depth is a ParseError, well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
-# A product, or a nonnegative integer power of a base that is not affine in
-# u, is refused before any arithmetic when its result may hold more than
-# MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for the n-th
-# power of k terms.  The slowest power it admits, (u_x + u_xx)^799, parses in
+# A product, or a nonnegative integer power of a base of k >= 2 terms that is
+# not affine in u, is refused before any arithmetic when its result may hold
+# more than MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for
+# the n-th power.  The slowest power it admits, (u_x + u_xx)^799, parses in
 # about a second (2 vCPU, Python 3.11); outside the limit's own test, the
-# tests, demos and benchmark count at most 2.  A power of an affine base is
-# the normal form's binomial rule, whose own bound (expr.MAX_BINOMIAL_TERMS)
-# refuses it at the ^ or pow.
+# tests, demos and benchmark count at most 2.  A power of an affine or a
+# one-term base is one raw term of the normal form, whose binomial rule has
+# its own bound (expr.MAX_BINOMIAL_TERMS) and refuses it at the ^ or pow.
 MAX_TERMS = 800
 
 
@@ -209,7 +209,7 @@ class _Parser:
                 r = second.as_fraction()
             except ExprError:
                 raise ParseError("pow exponent must be a rational constant", pos)
-            return _affine_power(alpha, beta, r, pos)
+            return _normal([(1, {pow_atom(alpha, beta, r): 1})], pos)
         self.expect(")")
         atom = {"exp": exp_atom, "sin": sin_atom, "cos": cos_atom}[name](alpha, beta)
         return JetExpression.atom(atom)
@@ -225,32 +225,34 @@ def _divide(value, rhs, pos) -> JetExpression:
     return value * (Fraction(1) / q)
 
 
-def _affine_power(alpha, beta, r, pos) -> JetExpression:
-    """pow(alpha*u + beta, r), which the normal form expands binomially at a
-    nonnegative integer r; an expansion past its bound is refused at pos."""
+def _normal(raw, pos) -> JetExpression:
+    """The normal form of the raw terms of a power; an expansion past its
+    bound (expr.MAX_BINOMIAL_TERMS) is refused at pos."""
     try:
-        return JetExpression.atom(pow_atom(alpha, beta, r))
+        return JetExpression.from_raw(raw)
     except ExpansionError as err:
         raise ParseError(str(err), pos)
 
 
 def _raise(base, exponent, pos) -> JetExpression:
-    """base^exponent: as pow(base, exponent) for a nonzero affine base."""
+    """base^exponent: as pow(base, exponent) for a nonzero affine base; one
+    raw term c^e * f^e for a one-term base c*f at a nonnegative integer e, or
+    a lone exp or pow atom at any rational e; else multiplied out."""
     affine = base.affine_in_u()
     if affine is not None and affine != (0, 0):
-        return _affine_power(*affine, exponent, pos)
-    if exponent.denominator == 1 and exponent >= 0:
-        n, k = int(exponent), len(base.terms)
-        _check_terms(comb(k + n - 1, n) if k else 0, pos)
-        return base ** n
-    single = _single_atom(base)
-    if single is not None and single[1][0] in ("exp", "pow"):
-        coeff, atom = single
-        scale = rational_pow(coeff, exponent)
-        if scale is None:
-            raise ParseError("coefficient %s has no rational power %s" % (coeff, exponent), pos)
-        # the normal form folds the power of an exp or pow atom into it
-        return JetExpression.from_raw([(scale, {atom: exponent})])
+        return _normal([(1, {pow_atom(*affine, exponent): 1})], pos)
+    e = exponent.numerator if exponent.denominator == 1 else exponent
+    integral = type(e) is int and e >= 0
+    if len(base.terms) == 1:
+        (mono, atoms), c = next(iter(base.terms.items()))
+        if integral or (not mono and len(atoms) == 1 and atoms[0][0][0] in ("exp", "pow")):
+            scale = rational_pow(c, exponent)
+            if scale is None:
+                raise ParseError("coefficient %s has no rational power %s" % (c, exponent), pos)
+            return _normal([(scale, {k: p * e for k, p in mono + atoms})], pos)
+    if integral:
+        _check_terms(comb(len(base.terms) + e - 1, e) if base.terms else 0, pos)
+        return base ** e
     raise ParseError("fractional or negative power of a non-invertible base", pos)
 
 

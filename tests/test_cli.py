@@ -73,6 +73,24 @@ def test_scan_dimensions(capsys):
     assert payload["dimensions"] == {"n=1": 4, "n=2": 4, "n=3": 3, "n=4": 3}
 
 
+def test_same_root_pow_spellings_derive_and_verify_alike(capsys):
+    # pow(2*u-3, -7/3) spelled as a product of same-base powers or as a power
+    # of one is the same PDE: lambda = 1 is found and verifies on each.
+    tail = "*u_xx - 14/3*pow(2*u-3,-10/3)*u_x^2"
+    pdes = []
+    for spelling in ("pow(2*u-3,-7/3)", "pow(2*u-3,-1/3)*pow(2*u-3,-2/3)*pow(2*u-3,-4/3)",
+                     "pow(2*u-3,-1/3)^7"):
+        code, out = run(capsys, "derive", "--pde", "u_t = " + spelling + tail,
+                        "--order", "0", "--deg-u", "1", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert [(law["lambda"], law["verified"]) for law in payload["laws"]] == [("1", True)]
+        pdes.append(payload["pde"])
+        code, out = run(capsys, "verify", "--pde", "u_t = " + spelling + tail, "--multiplier", "1")
+        assert code == 0 and "PASS" in out
+    assert pdes == [pdes[0]] * 3
+
+
 def test_verify_liouville_instance(capsys):
     code, out = run(capsys, "verify", "--pde", "u_tx = exp(u)",
                     "--multiplier", "1 + x*u_x")
@@ -406,6 +424,10 @@ def test_zero_denominator_param_is_an_error(capsys):
     # u^N is one term; the packing refuses its power.
     (["--pde", "u_t = u^1000000000*u_x"], "error: power 1000000000 of u is too large to pack"),
     (["--param", "n=1", "--param", "n=2"], "error: --param n is given twice"),
+    (["--atoms", "u_x"], "error: --atoms entries must be single atoms"),
+    # A power of a one-term base is one raw term under the binomial bound.
+    (["--pde", "u_t = sin(u)^12004*u_x"],
+     "error: expansion may hold 6003 terms, more than 3001 (at position 12)"),
 ])
 def test_bad_derive_input_is_one_error_line(capsys, extra, message):
     code = main(["derive", "--pde", KDV] + extra)

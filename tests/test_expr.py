@@ -12,8 +12,8 @@ import pytest
 
 import jetlaw.expr as expr_module
 from jetlaw.expr import (
-    JetExpression, ExpansionError, ExprError, U, UT, UX, cos_atom, exp_atom, lam_atom, lam_bump,
-    pow_atom, rational_pow, sin_atom,
+    CoefficientError, JetExpression, ExpansionError, ExprError, U, UT, UX, cos_atom, exp_atom,
+    lam_atom, lam_bump, pow_atom, rational_pow, sin_atom,
 )
 from jetlaw.linsolve import (
     AnsatzBounds, assemble, generate_ansatz_basis, multiplier_arity,
@@ -125,6 +125,18 @@ def test_expansion_limit_is_a_parse_error():
         with pytest.raises(ParseError, match="may hold %d terms, more than %d" % (count, n)) as err:
             P(text)
         assert text[err.value.pos] in "^p"
+    # A one-term base at a nonnegative integer power, or a lone exp or pow
+    # atom at any rational one, enters the normal form as one raw term, so
+    # its binomial rule expands it once, under the same bound.
+    start = time.perf_counter()
+    assert len(P("sin(u)^4000").terms) == 2001
+    assert len(P("pow(u+1,1/2)^2000").terms) == 1001
+    assert time.perf_counter() - start < 1
+    assert P("pow(2*u-3,-1/3)^7") == P("pow(2*u-3,-7/3)")
+    for text, count in (("sin(u)^12004", 6003), ("pow(u+1,1/2)^8000", 4001)):
+        with pytest.raises(ParseError, match="may hold %d terms, more than %d" % (count, n)) as err:
+            P(text)
+        assert err.value.pos == text.index("^")
 
     def poly(var, k):
         return "(" + " + ".join("%s^%d" % (var, i) for i in range(1, k + 1)) + ")"
@@ -172,6 +184,12 @@ def test_power_atom_normalizations():
     assert P("exp(u)*exp(-u)") == 1
     assert P("exp(u)^2") == P("exp(2*u)")
     assert P("pow(0, 0)") == 1
+    # Same-root bases combine onto the one whose conversion factor is rational.
+    assert P("pow(2*u-3,-1/3)*pow(2*u-3,-2/3)*pow(2*u-3,-4/3)") == P("pow(2*u-3,-7/3)")
+    assert P("pow(u-1,1/2)*pow(1-u,-1)") == -P("pow(u-1,-1/2)")
+    # 2^(1/3) is irrational, so these two stay apart.
+    ((_, atoms),) = P("pow(2*u-3,-1/3)*pow(u-3/2,1/3)").terms
+    assert len(atoms) == 2
 
 
 def test_u_beside_two_same_base_pow_atoms():
@@ -191,6 +209,16 @@ def test_negative_powers_of_trig_and_formal_atoms_are_rejected():
     for k in (U, UX, "x"):
         with pytest.raises(ExprError, match="^negative coordinate power$"):
             JetExpression.from_raw([(1, {k: -1})])
+    # A power is an int; an exp or pow atom also takes an exact rational one,
+    # and a float power is not exact.
+    for k, p in ((U, Fraction(1, 2)), (UX, Fraction(2)), (sin_atom(1), Fraction(3, 2)),
+                 (U, True), (lam_atom(_ARITY), Fraction(1)), (exp_atom(1), True)):
+        with pytest.raises(ExprError, match=r"^power .* is not an int$"):
+            JetExpression.from_raw([(1, {k: p})])
+    for k in (U, cos_atom(1), exp_atom(1), pow_atom(1, 1, Fraction(1, 2))):
+        with pytest.raises(CoefficientError):
+            JetExpression.from_raw([(1, {k: 2.5})])
+    assert JetExpression.from_raw([(1, {exp_atom(2): Fraction(1, 2)})]) == P("exp(u)")
     # A factor must be t, x, a jet of nonnegative ints, or a kernel or lam
     # atom of its tag's length.
     for k in ((-1, 0), (0, 0, 0), (1, Fraction(1)), (True, 0), "y", ("foo", 1), ("exp", 1),
@@ -515,6 +543,23 @@ def test_intern_tables_do_not_grow_over_fresh_draws():
         # a jet, and that pair is shared from then on.
         sizes.append((len(expr_module._ATOMS), sum(map(with_atoms, expr_module._PAIRS))))
     assert sizes == [sizes[0]] * 3
+
+
+def test_shared_pairs_do_not_grow_over_repeated_splits():
+    from perfbench.workloads import Classify, Scale
+
+    # Splits share their lam pairs and atom tuples through _PAIRS too; the
+    # same inputs meet the same values, so the table stops growing after one
+    # pass, and no lam atom is interned.
+    for workload in (Classify(5), Scale(5)):
+        sizes = []
+        for k in (1, 2, 3):
+            for op in workload.ops(k):
+                assert op.check(op.digest(op.run())) == []
+            sizes.append(len(expr_module._PAIRS))
+        assert sizes == [sizes[0]] * 3
+    assert any(type(key[0]) is tuple and key[0][0] == "lam" for key in expr_module._PAIRS if key)
+    assert not any(a[0] == "lam" for a in expr_module._ATOMS)
 
 
 # ---------------------------------------------------------------------------
