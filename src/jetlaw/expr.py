@@ -49,6 +49,11 @@ fires.  The rules, tried in this order:
 
 Equality of normalized expressions is structural equality.
 
+Two bounds refuse an expansion (ExpansionError) before any of it is built:
+MAX_BINOMIAL_TERMS the terms of one binomial expansion (`_binomial`), and
+MAX_PRODUCT_TERMS the term pairs, len * len, of one product of expressions,
+which bounds the powers `__pow__` and `substitute` build too.
+
 Products, partials and total derivatives build a term's signature directly
 when the term is normalized by construction, and send only the rest through
 the rewrite step.  Only one rule reads coordinates, the rebase of u beside a
@@ -95,7 +100,11 @@ class CoefficientError(ExprError):
 
 
 class ExpansionError(ExprError):
-    """A binomial expansion of more than MAX_BINOMIAL_TERMS terms."""
+    """An expansion refused before it is built: a binomial of more than
+    MAX_BINOMIAL_TERMS terms, or a product of more than MAX_PRODUCT_TERMS pairs."""
+
+    def __init__(self, count, bound):
+        super().__init__("expansion may hold %d terms, more than %d" % (count, bound))
 
 
 def _exact(c):
@@ -247,6 +256,9 @@ def rational_pow(base, r):
 
 # (u/3 - 5/7)^3000, near the bound, takes about a second (2 vCPU, Python 3.11).
 MAX_BINOMIAL_TERMS = 3001
+# A pair costs 2-40 us, more where u^m meets a live pow atom and is rebased: 280 x 162
+# pairs, (pow(u+1,1/2) + u + sin(u))^16 times its ^12, take 12 s (2 vCPU, Python 3.11).
+MAX_PRODUCT_TERMS = 50000
 
 
 def _binomial(n: int, x, y) -> list:
@@ -256,8 +268,7 @@ def _binomial(n: int, x, y) -> list:
     if x == 0 or y == 0:
         return [(n, y ** n)] if x == 0 else [(0, x ** n)]
     if n + 1 > MAX_BINOMIAL_TERMS:
-        raise ExpansionError("expansion may hold %d terms, more than %d"
-                             % (n + 1, MAX_BINOMIAL_TERMS))
+        raise ExpansionError(n + 1, MAX_BINOMIAL_TERMS)
     xs, ys = [1], [1]
     for _ in range(n):
         xs.append(xs[-1] * x)
@@ -630,7 +641,10 @@ class JetExpression:
                 return JetExpression.zero()
             return JetExpression({sig: _q(c * q) for sig, c in self.terms.items()})
         other = _coerce(other)
-        if not (self.terms and other.terms):
+        count = len(self.terms) * len(other.terms)
+        if count > MAX_PRODUCT_TERMS:
+            raise ExpansionError(count, MAX_PRODUCT_TERMS)
+        if not count:
             return JetExpression.zero()
         right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
         pairs = []

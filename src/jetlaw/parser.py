@@ -7,13 +7,13 @@ exp(), sin(), cos() of an affine form in u, and pow(<affine in u>,
 <rational>); parentheses.  Named parameters supplied in a map are
 substituted as exact rationals at parse time; a parameter may not be named
 as a coordinate or a function.  Division requires the divisor to normalize
-to a nonzero rational.
+to a nonzero rational.  Expansion bounds live in expr: an expansion that
+expr refuses is a ParseError at the operator's position.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .expr import (
     ExprError,
@@ -44,16 +44,6 @@ _FUNCTIONS = ("exp", "sin", "cos", "pow")
 # Parentheses and function arguments recurse through expr; nesting beyond
 # this depth is a ParseError, well inside Python's default recursion limit.
 MAX_DEPTH = 100
-
-# A product, or a nonnegative integer power of a base of k >= 2 terms that is
-# not affine in u, is refused before any arithmetic when its result may hold
-# more than MAX_TERMS terms: len * len for a product, comb(k + n - 1, n) for
-# the n-th power.  The slowest power it admits, (u_x + u_xx)^799, parses in
-# about a second (2 vCPU, Python 3.11); outside the limit's own test, the
-# tests, demos and benchmark count at most 2.  A power of an affine or a
-# one-term base is one raw term of the normal form, whose binomial rule has
-# its own bound (expr.MAX_BINOMIAL_TERMS) and refuses it at the ^ or pow.
-MAX_TERMS = 800
 
 
 def _tokenize(text: str):
@@ -138,8 +128,7 @@ class _Parser:
             op, _, pos = self.next()
             rhs = self.unary()
             if op == "*":
-                _check_terms(len(value.terms) * len(rhs.terms), pos)
-                value = value * rhs
+                value = _at(pos, JetExpression.__mul__, value, rhs)
             else:
                 value = _divide(value, rhs, pos)
         return value
@@ -160,7 +149,7 @@ class _Parser:
             return base
         _, _, pos = self.next()
         exponent = self.exponent_value(pos)
-        return _raise(base, exponent, pos)
+        return _at(pos, _raise, base, exponent, pos)
 
     def exponent_value(self, pos) -> Fraction:
         neg = False
@@ -209,7 +198,7 @@ class _Parser:
                 r = second.as_fraction()
             except ExprError:
                 raise ParseError("pow exponent must be a rational constant", pos)
-            return _normal([(1, {pow_atom(alpha, beta, r): 1})], pos)
+            return _at(pos, JetExpression.atom, pow_atom(alpha, beta, r))
         self.expect(")")
         atom = {"exp": exp_atom, "sin": sin_atom, "cos": cos_atom}[name](alpha, beta)
         return JetExpression.atom(atom)
@@ -225,11 +214,11 @@ def _divide(value, rhs, pos) -> JetExpression:
     return value * (Fraction(1) / q)
 
 
-def _normal(raw, pos) -> JetExpression:
-    """The normal form of the raw terms of a power; an expansion past its
-    bound (expr.MAX_BINOMIAL_TERMS) is refused at pos."""
+def _at(pos, build, *args) -> JetExpression:
+    """build(*args), with an expansion that expr refuses (ExpansionError)
+    raised as a ParseError at the operator's position pos."""
     try:
-        return JetExpression.from_raw(raw)
+        return build(*args)
     except ExpansionError as err:
         raise ParseError(str(err), pos)
 
@@ -240,7 +229,7 @@ def _raise(base, exponent, pos) -> JetExpression:
     a lone exp or pow atom at any rational e; else multiplied out."""
     affine = base.affine_in_u()
     if affine is not None and affine != (0, 0):
-        return _normal([(1, {pow_atom(*affine, exponent): 1})], pos)
+        return JetExpression.atom(pow_atom(*affine, exponent))
     e = exponent.numerator if exponent.denominator == 1 else exponent
     integral = type(e) is int and e >= 0
     if len(base.terms) == 1:
@@ -249,16 +238,10 @@ def _raise(base, exponent, pos) -> JetExpression:
             scale = rational_pow(c, exponent)
             if scale is None:
                 raise ParseError("coefficient %s has no rational power %s" % (c, exponent), pos)
-            return _normal([(scale, {k: p * e for k, p in mono + atoms})], pos)
+            return JetExpression.from_raw([(scale, {k: p * e for k, p in mono + atoms})])
     if integral:
-        _check_terms(comb(len(base.terms) + e - 1, e) if base.terms else 0, pos)
         return base ** e
     raise ParseError("fractional or negative power of a non-invertible base", pos)
-
-
-def _check_terms(count, pos):
-    if count > MAX_TERMS:
-        raise ParseError("expansion may hold %d terms, more than %d" % (count, MAX_TERMS), pos)
 
 
 def _single_atom(e):

@@ -148,15 +148,16 @@ def test_density_of_a_large_power_is_one_error_line(capsys):
             (["--multiplier", "u^1000000000"],
              "not a total x-derivative; residual 1000000000*u^999999999*u_x^2"),
             # At utilde = 1, and in the rebase of u^m beside pow(u + 1, r), the
-            # binomial expansion is refused before any power is built.
+            # binomial expansion is refused before any power is built; the
+            # rebase fires in the product, so the parser names the *.
             (["--multiplier", "u^5000", "--utilde", "1"],
              "expansion may hold 5001 terms, more than 3001"),
             (["--multiplier", "u^1000000000", "--utilde", "1"],
              "expansion may hold 1000000001 terms, more than 3001"),
             (["--multiplier", "u^20000*pow(u+1,1/2)"],
-             "expansion may hold 20001 terms, more than 3001"),
+             "expansion may hold 20001 terms, more than 3001 (at position 7)"),
             (["--multiplier", "u^4000*pow(u+1,1/2)"],
-             "expansion may hold 4001 terms, more than 3001")]:
+             "expansion may hold 4001 terms, more than 3001 (at position 6)")]:
         start = time.perf_counter()
         code = main(["density", "--pde", "u_t = u_xx"] + extra)
         assert time.perf_counter() - start < 1, extra
@@ -413,12 +414,14 @@ def test_zero_denominator_param_is_an_error(capsys):
     (["--atoms", "2*exp(u)"], "error: --atoms entries must be single atoms"),
     (["--order", "-1"], "error: bound '-1' must evaluate"),
     (["--order", "1/2"], "error: bound '1/2' must evaluate"),
-    # The last --pde wins: an expansion past parser.MAX_TERMS is refused
-    # before any arithmetic, at the operator's position within the --pde text.
+    # The last --pde wins: a product of more than expr.MAX_PRODUCT_TERMS term
+    # pairs, here a step of the repeated squaring at the ^ or the product at
+    # the *, is refused before its arithmetic, at the operator's position
+    # within the --pde text.
     (["--pde", "u_t = (u+u_x+u_xx)^120"],
-     "error: expansion may hold 7381 terms, more than 800 (at position 18)"),
+     "error: expansion may hold 182325 terms, more than 50000 (at position 18)"),
     (["--pde", "u_t = (u_x+u_xx+u_xxx)^30*(u+u_xxxx+u_xxxxx)^30"],
-     "error: expansion may hold 246016 terms, more than 800 (at position 25)"),
+     "error: expansion may hold 246016 terms, more than 50000 (at position 25)"),
     (["--pde", "u_t = (u+1)^100000*u_x"],
      "error: expansion may hold 100001 terms, more than 3001 (at position 11)"),
     # u^N is one term; the packing refuses its power.

@@ -93,8 +93,7 @@ def test_nesting_limit_is_a_parse_error():
 
 
 def test_expansion_limit_is_a_parse_error():
-    from jetlaw.expr import MAX_BINOMIAL_TERMS
-    from jetlaw.parser import MAX_TERMS
+    from jetlaw.expr import MAX_BINOMIAL_TERMS, MAX_PRODUCT_TERMS
     # A nonzero affine base expands by the normal form's binomial rule, as
     # pow() does, to n + 1 terms; a base of one term gives one term however
     # large n is.
@@ -108,14 +107,16 @@ def test_expansion_limit_is_a_parse_error():
     assert P("u^20000*pow(u,1/2)") == P("pow(u, 40001/2)")
     assert time.perf_counter() - start < 5
     # At b != 0 the rebase and sin^p = sin^(p - 2m) (1 - cos^2)^m, m = p // 2,
-    # expand to m + 1 terms in one step, and past the bound not at all.
+    # expand to m + 1 terms in one step, and past the bound not at all; the
+    # rebase fires inside the product, so it is refused at the *.
     start = time.perf_counter()
     assert len(JetExpression.from_raw([(1, {sin_atom(1): 60})]).terms) == 31
     assert len(JetExpression.from_raw([(1, {sin_atom(1): 61, cos_atom(1): 1})]).terms) == 31
     for text, count in (("u^20000*pow(u+1,1/2)", 20001), ("u^4000*pow(u+1,1/2)", 4001)):
-        with pytest.raises(ExpansionError, match="^expansion may hold %d terms, more than %d$"
-                           % (count, MAX_BINOMIAL_TERMS)):
+        with pytest.raises(ParseError, match=r"^expansion may hold %d terms, more than %d \(at"
+                           % (count, MAX_BINOMIAL_TERMS)) as err:
             P(text)
+        assert err.value.pos == text.index("*")
     with pytest.raises(ExpansionError, match="may hold 3002 terms"):
         JetExpression.from_raw([(1, {sin_atom(2): 6003})])
     assert time.perf_counter() - start < 1
@@ -138,22 +139,40 @@ def test_expansion_limit_is_a_parse_error():
             P(text)
         assert err.value.pos == text.index("^")
 
+    # A product of expressions is refused before any arithmetic when it has
+    # more than MAX_PRODUCT_TERMS term pairs, at the * in the text, and at the
+    # ^ for a step of the repeated squaring of a base of two or more terms.
     def poly(var, k):
         return "(" + " + ".join("%s^%d" % (var, i) for i in range(1, k + 1)) + ")"
 
-    side = math.isqrt(MAX_TERMS)
-    assert len(P(poly("x", side) + "*" + poly("t", side)).terms) == side * side
-    k = max(k for k in range(MAX_TERMS) if math.comb(k + 1, 2) <= MAX_TERMS)
-    assert len(P(poly("x", k) + "^2").terms) == 2 * k - 1
+    side = 200
+    other = MAX_PRODUCT_TERMS // side
+    assert side * other == MAX_PRODUCT_TERMS
+    assert len(P(poly("x", other) + "*" + poly("t", side)).terms) == MAX_PRODUCT_TERMS
     assert P("u_x^%d" % 10 ** 6) == JetExpression.from_raw([(1, {(0, 1): 10 ** 6})])
-    for text, count in ((poly("x", side + 1) + "*" + poly("t", side), (side + 1) * side),
-                        (poly("x", k + 1) + "^2", math.comb(k + 2, 2)),
-                        ("(u_x + u_xx)^%d" % MAX_TERMS, MAX_TERMS + 1),
-                        ("(u + u_x + u_xx)^200", math.comb(202, 200))):
-        with pytest.raises(ParseError, match="may hold %d terms" % count) as err:
+    # A product of kernel atoms goes through the rewrite step at 10-40 us a
+    # pair, so each step below takes 0.1-0.8 s (2 vCPU, Python 3.11), and up
+    # to eight times as long under tools/line_trace.py.
+    start = time.perf_counter()
+    assert len(P("(exp(u) + sin(u) + u)^20").terms) == 946
+    assert time.perf_counter() - start < 10
+    for text, count in ((poly("x", other + 1) + "*" + poly("t", side), (other + 1) * side),
+                        ("(u_x + u_xx)^799", 257 * 257),
+                        ("(u + u_x + u_xx)^200", 561 * 561),
+                        ("(exp(u) + sin(u) + u)^38", 525 * 525),
+                        ("(exp(u) + sin(u) + u)^39", 525 * 525),
+                        ("(sin(u) + cos(u))^500", 244 * 256)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="may hold %d terms, more than %d"
+                           % (count, MAX_PRODUCT_TERMS)) as err:
             P(text)
-        assert text[err.value.pos] in "*^"
-
+        assert time.perf_counter() - start < 10, text
+        assert err.value.pos == (text.index("*") if "*" in text else text.index("^"))
+    # Through the API, a power or a substitution is bounded by the same rule.
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match="more than %d$" % MAX_PRODUCT_TERMS):
+        P("u_xx^4000").substitute((0, 2), P("u_x + t"))
+    assert time.perf_counter() - start < 10
 
 def test_long_runs_of_signs_parse_without_recursion():
     assert P("-" * 2000 + "u") == P("u")
