@@ -12,10 +12,12 @@ A coefficient is exact: an int when it is integral, else a Fraction with
 denominator > 1.  Integral coefficients are the common case, and int
 arithmetic is much cheaper than Fraction arithmetic; int and Fraction hash
 and compare alike, so the normal form is still unique.  Coefficients are
-normalized where they are born or merged (`_q`).  int / int is a float, so
-exact division is Fraction(p, q) or a division by a Fraction, never p / q.
-Anything but an int or a Fraction is rejected (`CoefficientError`), as a
-coefficient and as an atom parameter.  Atom parameters stay Fractions.
+normalized where they are born or merged (`_q`), and so are the factors of
+an atom's stored u-derivative, so a chain-rule coefficient stays an int
+where it is integral.  int / int is a float, so exact division is
+Fraction(p, q) or a division by a Fraction, never p / q.  Anything but an
+int or a Fraction is rejected (`CoefficientError`), as a coefficient and as
+an atom parameter.  Atom parameters stay Fractions.
 
 A kernel atom is interned where a raw term enters normalization (`_intern`):
 each distinct value is one shared `_Atom`, which carries its hash, computed
@@ -52,7 +54,9 @@ Equality of normalized expressions is structural equality.
 Two bounds refuse an expansion (ExpansionError) before any of it is built:
 MAX_BINOMIAL_TERMS the terms of one binomial expansion (`_binomial`), and
 MAX_PRODUCT_TERMS the term pairs, len * len, of one product of expressions,
-which bounds the powers `__pow__` and `substitute` build too.
+which bounds the powers `__pow__` and `substitute` build too.  Where a factor
+holds a live pow atom, a pair whose u^m the rule-2 rebase turns into m + 1
+terms counts as that many.
 
 Products, partials and total derivatives build a term's signature directly
 when the term is normalized by construction, and send only the rest through
@@ -64,7 +68,9 @@ lowering the power of a coordinate, trading one formal atom for another and
 multiplying by a jet other than u keep a term normalized.  The total
 derivative is one chain rule on the per-term partial, D = d/d(direction) +
 sum_k u_(k+direction) d/du_k over the jets k the term depends on, so only
-the derivatives of kernel atoms reach the rewrite step.
+the derivatives of kernel atoms reach the rewrite step.  The jet
+u_(k+direction) enters each sorted monomial of d/du_k in place, merged with
+its power or inserted at its bisect position (`_times_jet`), without a sort.
 
 Bulk work on many products and partials (stage-1 assembly) runs on packed
 terms (`_Packing`): a term is (coefficient, atom-id, packed monomial), the
@@ -80,6 +86,7 @@ ExprError.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 from numbers import Number
@@ -256,8 +263,8 @@ def rational_pow(base, r):
 
 # (u/3 - 5/7)^3000, near the bound, takes about a second (2 vCPU, Python 3.11).
 MAX_BINOMIAL_TERMS = 3001
-# A pair costs 2-40 us, more where u^m meets a live pow atom and is rebased: 280 x 162
-# pairs, (pow(u+1,1/2) + u + sin(u))^16 times its ^12, take 12 s (2 vCPU, Python 3.11).
+# A pair costs 2-40 us.  A pair whose u^m is rebased counts as its m + 1 terms, at about
+# 160 us a term: u^3000*x times pow(u+1,1/2)*t takes 0.5 s (2 vCPU, Python 3.11).
 MAX_PRODUCT_TERMS = 50000
 
 
@@ -428,7 +435,8 @@ def _accumulate(pairs, terms=None) -> dict:
     into terms when given; zero sums drop and the rest are normalized."""
     terms = {} if terms is None else terms
     for c, sig in pairs:
-        nc = terms.get(sig, 0) + c
+        old = terms.get(sig)
+        nc = c if old is None else old + c
         if nc == 0:
             terms.pop(sig, None)
         else:
@@ -469,15 +477,24 @@ def _merge_factors(s1, s2, key):
     return tuple(out)
 
 
+def _times_jet(mono, k):
+    """The sorted monomial mono times the jet k, as _merge_factors gives it,
+    with k merged or inserted in place, found by a bisect."""
+    i = bisect_left(mono, coord_sort_key(k), key=_mono_key)
+    if i < len(mono) and mono[i][0] == k:
+        return mono[:i] + (_pair(k, mono[i][1] + 1),) + mono[i + 1:]
+    return mono[:i] + (_pair(k, 1),) + mono[i:]
+
+
 def _term_kinds(sig) -> tuple:
-    """(has kernel atoms, has a live pow atom, has u) for one signature."""
+    """(has kernel atoms, has a live pow atom, u exponent) for one signature."""
     mono, atoms = sig
     kernel = live = False
     for a, _ in atoms:
         if is_kernel_atom(a):
             kernel = True
             live = live or (a[0] == "pow" and a[1] != 0)
-    return kernel, live, any(k == U for k, _ in mono)
+    return kernel, live, next((p for k, p in mono if k == U), 0)
 
 
 def term_jets(*sigs) -> set:
@@ -641,15 +658,21 @@ class JetExpression:
                 return JetExpression.zero()
             return JetExpression({sig: _q(c * q) for sig, c in self.terms.items()})
         other = _coerce(other)
-        count = len(self.terms) * len(other.terms)
+        left, right = ([(sig, c) + _term_kinds(sig) for sig, c in e.terms.items()]
+                       for e in (self, other))
+        count = len(left) * len(right)
+        if count <= MAX_PRODUCT_TERMS and any(live for _, _, _, live, _ in left + right):
+            # A pair whose u^m meets a pow atom (a u + b)^r, a b != 0, is rebased
+            # to m + 1 terms (`_rewrite`, rule 2): m more than the pair counts.
+            rebase = [[(any(a[0] == "pow" and a[1] != 0 != a[2] for a, _ in sig[1]), m)
+                       for sig, _, _, _, m in side] for side in (left, right)]
+            count += sum(m1 + m2 for r1, m1 in rebase[0] for r2, m2 in rebase[1] if r1 or r2)
         if count > MAX_PRODUCT_TERMS:
             raise ExpansionError(count, MAX_PRODUCT_TERMS)
         if not count:
             return JetExpression.zero()
-        right = [(sig, c) + _term_kinds(sig) for sig, c in other.terms.items()]
         pairs = []
-        for sig1, c1 in self.terms.items():
-            kernel1, live1, u1 = _term_kinds(sig1)
+        for sig1, c1, kernel1, live1, u1 in left:
             for sig2, c2, kernel2, live2, u2 in right:
                 if (kernel1 and kernel2) or ((live1 or live2) and (u1 or u2)):
                     pairs.extend(_canon_product(c1 * c2, sig1, sig2))
@@ -734,9 +757,8 @@ class JetExpression:
                 if chart is not None and chart[up] is not None:
                     off.setdefault(up, []).extend(_term_partial(c, mono, atoms, k))
                     continue
-                step = (_pair(up, 1),)
                 for dc, (m, a) in _term_partial(c, mono, atoms, k):
-                    pairs.append((dc, (_merge_factors(m, step, _mono_key), a)))
+                    pairs.append((dc, (_times_jet(m, up), a)))
         for up, partials in off.items():
             product = JetExpression(_accumulate(partials)) * chart[up]
             pairs.extend((c, sig) for sig, c in product.terms.items())
@@ -791,18 +813,18 @@ def _coerce(obj) -> JetExpression:
 
 
 def _atom_derivative(a):
-    """d/du of an interned kernel atom as ((coefficient, interned atom),),
-    computed on the first call and kept on the atom."""
+    """d/du of an interned kernel atom as ((coefficient, interned atom),), the
+    coefficient normalized, computed on the first call and kept on the atom."""
     if a.derivative is None:
         tag = a[0]
         if tag == "exp":
-            a.derivative = ((a[1], a),)
+            a.derivative = ((_q(a[1]), a),)
         elif tag == "sin":
-            a.derivative = ((a[1], _intern(("cos", a[1], a[2]))),)
+            a.derivative = ((_q(a[1]), _intern(("cos", a[1], a[2]))),)
         elif tag == "cos":
-            a.derivative = ((-a[1], _intern(("sin", a[1], a[2]))),)
+            a.derivative = ((_q(-a[1]), _intern(("sin", a[1], a[2]))),)
         else:
-            a.derivative = ((a[3] * a[1], _intern(("pow", a[1], a[2], a[3] - 1))),)
+            a.derivative = ((_q(a[3] * a[1]), _intern(("pow", a[1], a[2], a[3] - 1))),)
     return a.derivative
 
 

@@ -17,6 +17,8 @@ from jetlaw.parser import parse_expression
 from jetlaw.pde import parse_pde
 
 from conftest import full_split, random_expression
+from perfbench import exprgen
+from perfbench.workloads import to_expression
 
 
 KDV = "u_t + u^n*u_x + u_xxx = 0"
@@ -74,8 +76,22 @@ def test_pipeline_coefficients_are_normal(name):
 
 
 def test_operator_coefficients_are_normal(rng):
-    for _ in range(60):
-        e = random_expression(rng, max_order=3, max_terms=6)
+    # d/du of an atom is stored as (factor, atom) pairs, and a factor is
+    # normalized too, so c * p * factor stays an int where it is integral.
+    for a in (exp_atom(2), exp_atom(Fraction(1, 2), 1), sin_atom(1), sin_atom(Fraction(-3, 2)),
+              cos_atom(1, 2), cos_atom(Fraction(2, 3)), pow_atom(1, -2, Fraction(1, 2)),
+              pow_atom(2, 1, Fraction(3, 2)), pow_atom(1, 0, -1)):
+        factors = [dc for dc, _ in expr_module._atom_derivative(expr_module._intern(a))]
+        assert factors
+        _assert_normal(factors)
+    # The random expressions of the operator tests, then one pass of the
+    # operators benchmark's draws, with their Fraction coefficients.
+    draws = [random_expression(rng, max_order=3, max_terms=6) for _ in range(60)]
+    bench = exprgen.draw_pass(3, 0)
+    draws += [to_expression(terms) for name in ("euler_kills_divergence", "totals_commute",
+                                                "ibp_round_trip") for terms in bench[name][:5]]
+    draws += [to_expression(terms) for a, b, _ in bench["homotopy_linear"][:5] for terms in (a, b)]
+    for e in draws:
         _assert_normal_expression(e)
         for v in ("t", "x", U, (0, 1), (1, 0)):
             _assert_normal_expression(e.partial(v))

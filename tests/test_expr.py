@@ -168,6 +168,20 @@ def test_expansion_limit_is_a_parse_error():
             P(text)
         assert time.perf_counter() - start < 10, text
         assert err.value.pos == (text.index("*") if "*" in text else text.index("^"))
+    # A pair whose u^m meets a pow atom (a u + b)^r, a b != 0, is rebased to
+    # m + 1 terms, and the product counts them before it builds any; at b = 0
+    # the rebase is one term.
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match="may hold 60020 terms, more than %d$"
+                       % MAX_PRODUCT_TERMS):
+        P("(x+x^2+x^3+x^4)*u^3000") * P("(t+t^2+t^3+t^4+t^5)*pow(u+1,1/2)")
+    text = "(x+x^2+x^3+x^4)*u^3000*(t+t^2+t^3+t^4+t^5)*pow(u+1,1/2)"
+    with pytest.raises(ParseError, match="may hold 60020 terms") as err:
+        P(text)
+    assert err.value.pos == text.rindex("*")
+    assert P("u^100000*pow(u,1/2)") == P("pow(u, 200001/2)")
+    assert time.perf_counter() - start < 1
+    assert len((P("u^3000*x") * P("pow(u+1,1/2)*t")).terms) == 3001
     # Through the API, a power or a substitution is bounded by the same rule.
     start = time.perf_counter()
     with pytest.raises(ExpansionError, match="more than %d$" % MAX_PRODUCT_TERMS):
@@ -726,6 +740,30 @@ def test_total_matches_reference_random(rng):
             for direction in ("t", "x"):
                 got, want = e.total(direction), _reference_total(e, direction)
                 assert got == want and want == got
+
+
+def test_jet_insertion_matches_the_sorted_merge(rng):
+    # total() multiplies by the chain rule's jet u_(k+direction) in place;
+    # the sort of the whole monomial it replaces is the reference.
+    jets = [(a, b) for a in range(4) for b in range(4 - a)]
+    cases = set()
+    for _ in range(300):
+        factors = rng.sample(["t", "x"] + jets, rng.randint(0, 5))
+        mono = tuple(sorted((expr_module._pair(k, rng.randint(1, 3)) for k in factors),
+                            key=expr_module._mono_key))
+        for k in jets:
+            for direction in ("t", "x"):
+                up = expr_module.bump(k, direction)
+                got = expr_module._times_jet(mono, up)
+                assert got == expr_module._merge_factors(mono, ((up, 1),), expr_module._mono_key)
+                assert all(pair is expr_module._pair(*pair) for pair in got)
+                if up in dict(mono):
+                    cases.add("merge")
+                elif got[-1][0] == up:
+                    cases.add("append")
+                else:
+                    cases.add("insert")
+    assert cases == {"merge", "insert", "append"}
 
 
 def _count_canon_calls(monkeypatch):
